@@ -27,13 +27,21 @@ __all__ = [
 ]
 
 
-def as_point(z) -> np.ndarray:
-    """Coerce ``z`` to a 1-d complex array and validate finiteness."""
+def _as_points(z) -> np.ndarray:
+    """Coerce ``z`` to one point ``(n,)`` or rows ``(m, n)`` of C^n and validate finiteness."""
     p = np.atleast_1d(np.asarray(z, dtype=complex))
-    if p.ndim != 1 or p.size < 1:
-        raise DomainError("a point of C^n must be a 1-d array with n >= 1")
+    if p.ndim > 2 or p.shape[-1] < 1:
+        raise DomainError("points of C^n must be an (n,) or (m, n) array with n >= 1")
     if not np.all(np.isfinite(p)):
         raise DomainError("point has non-finite coordinates")
+    return p
+
+
+def as_point(z) -> np.ndarray:
+    """Coerce ``z`` to a 1-d complex array and validate finiteness."""
+    p = _as_points(z)
+    if p.ndim != 1:
+        raise DomainError("a point of C^n must be a 1-d array with n >= 1")
     return p
 
 
@@ -45,8 +53,9 @@ def _check_r(r: float) -> float:
 
 
 def _check_in_ball(z: np.ndarray, what: str = "point") -> np.ndarray:
-    if np.linalg.norm(z) >= 1.0:
-        raise DomainError(f"{what} has norm {np.linalg.norm(z):.17g} >= 1")
+    norms = np.linalg.norm(z, axis=-1)
+    if np.any(norms >= 1.0):
+        raise DomainError(f"{what} has norm {np.max(norms):.17g} >= 1")
     return z
 
 
@@ -55,26 +64,25 @@ def psi_apply(r: float, z) -> np.ndarray:
 
     Maps (r, 0, ..., 0) to the origin:
     w = ((z1 - r)/(1 - z1 r), sqrt(1-r^2) z2/(1 - z1 r), ...).
+    ``z`` is one point ``(n,)`` or rows ``(m, n)``; each row maps on its own.
     """
     r = _check_r(r)
-    z = _check_in_ball(as_point(z))
-    denom = 1.0 - z[0] * r
+    z = _check_in_ball(_as_points(z))
+    denom = 1.0 - z[..., 0] * r
     w = np.empty_like(z)
-    w[0] = (z[0] - r) / denom
-    if z.size > 1:
-        w[1:] = np.sqrt(1.0 - r * r) * z[1:] / denom
+    w[..., 0] = (z[..., 0] - r) / denom
+    w[..., 1:] = np.sqrt(1.0 - r * r) * z[..., 1:] / denom[..., None]
     return w
 
 
 def psi_invert(r: float, w) -> np.ndarray:
     """Inverse of :func:`psi_apply`; algebraically the same map with -r."""
     r = _check_r(r)
-    w = _check_in_ball(as_point(w))
-    denom = 1.0 + w[0] * r
+    w = _check_in_ball(_as_points(w))
+    denom = 1.0 + w[..., 0] * r
     z = np.empty_like(w)
-    z[0] = (w[0] + r) / denom
-    if w.size > 1:
-        z[1:] = np.sqrt(1.0 - r * r) * w[1:] / denom
+    z[..., 0] = (w[..., 0] + r) / denom
+    z[..., 1:] = np.sqrt(1.0 - r * r) * w[..., 1:] / denom[..., None]
     return z
 
 
@@ -145,7 +153,8 @@ def norm_psi_identity(r: float, z) -> tuple[float, float]:
 class BallAutomorphism:
     """Axis Moebius map preceded by a unitary rotation.
 
-    ``apply`` sends ``align^-1 (r, 0, .., 0)`` to the origin.
+    ``apply`` sends ``align^-1 (r, 0, .., 0)`` to the origin.  ``apply`` and
+    ``invert`` take one point ``(n,)`` or rows ``(m, n)``.
     """
 
     r: float
@@ -170,11 +179,15 @@ class BallAutomorphism:
             return cls(0.0, np.eye(p.size, dtype=complex))
         return cls(norm, unitary_align(p))
 
+    # The stacked matrix-vector product rotates every row exactly as
+    # ``align @ z`` rotates one point; ``z @ align.T`` may differ in the last bits.
     def apply(self, z) -> np.ndarray:
-        return psi_apply(self.r, self.align @ as_point(z))
+        z = _check_in_ball(_as_points(z))
+        return psi_apply(self.r, np.matmul(self.align, z[..., None])[..., 0])
 
     def invert(self, w) -> np.ndarray:
-        return self.align.conj().T @ psi_invert(self.r, as_point(w))
+        z = psi_invert(self.r, w)
+        return np.matmul(self.align.conj().T, z[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

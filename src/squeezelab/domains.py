@@ -333,12 +333,14 @@ class DefiningFunctionDomain:
     """Region {rho < 0} in C^n with a smooth defining function."""
 
     def __init__(self, rho, grad, bbox_radius: float, dim: int, name: str = "",
-                 witness=None, exact_distance=None):
+                 witness=None, exact_distance=None, params=None):
         self.rho = rho
         self.grad = grad
         self.bbox_radius = float(bbox_radius)
         self.dim = int(dim)
         self.name = name
+        # keyword arguments that rebuild this domain with ``preset(name, **params)``
+        self.params = dict(params or {})
         self.witness = np.zeros(dim, dtype=complex) if witness is None else np.asarray(witness, dtype=complex)
         self.exact_distance = exact_distance
         if self.rho(self.witness) >= 0:
@@ -454,7 +456,7 @@ def ball(dim: int = 2) -> DefiningFunctionDomain:
         return 1.0 - nz, z / nz
 
     return DefiningFunctionDomain(rho, grad, bbox_radius=1.0, dim=dim, name="ball",
-                                  exact_distance=exact)
+                                  exact_distance=exact, params={"dim": dim})
 
 
 def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDomain:
@@ -469,7 +471,8 @@ def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDo
     def grad(z):
         return 2.0 * w * np.asarray(z, dtype=complex)
 
-    return DefiningFunctionDomain(rho, grad, bbox_radius=1.0, dim=dim, name="ellipsoid")
+    return DefiningFunctionDomain(rho, grad, bbox_radius=1.0, dim=dim, name="ellipsoid",
+                                  params={"b": float(b), "dim": dim})
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +663,8 @@ def domain_to_spec(dom) -> dict:
             "smoothness": {"Cinf": "Cinf", "C2": "C2", "C1": "C1"}[dom.smoothness],
         }
     if isinstance(dom, DefiningFunctionDomain):
-        return {"kind": "defining", "rho": dom.name, "bbox": [dom.bbox_radius], "dim": dom.dim}
+        return {"kind": "defining", "rho": dom.name, "bbox": [dom.bbox_radius], "dim": dom.dim,
+                "params": dict(dom.params)}
     raise ConfigError(f"unsupported domain type {type(dom)!r}")
 
 
@@ -670,7 +674,7 @@ def domain_from_spec(spec: dict):
         holes = [PolylineCurve([complex(a, b) for a, b in h]) for h in spec.get("holes", [])]
         return PlanarDomain(outer, holes, smoothness=spec.get("smoothness", "C2"))
     if spec["kind"] == "defining":
-        return preset(spec["rho"])
+        return preset(spec["rho"], **spec.get("params", {}))
     raise ConfigError(f"unknown domain kind {spec.get('kind')!r}")
 
 

@@ -36,7 +36,9 @@ __all__ = [
 class EmbeddingMap:
     """Injective holomorphic map into the unit ball with evaluators.
 
-    ``boundary_sets`` are samples of the domain boundary (one array per
+    ``forward`` is batch-first: it maps an ``(m, n)`` array of rows (one
+    point per row) to their images in one call, and a point ``(n,)`` to its
+    image.  ``boundary_sets`` are samples of the domain boundary (one array per
     boundary component); ``ordered`` marks whether consecutive samples are
     adjacent on the curve, which enables a curvature-based resolution
     margin for sampled minima.
@@ -65,7 +67,10 @@ class SqueezeBound:
 
 
 def certify_injective(forward, sample_points, pairs: int = 10_000, seed: int = 0) -> dict:
-    """Empirical pairwise-separation certificate for an embedding."""
+    """Empirical pairwise-separation certificate for an embedding.
+
+    ``forward`` is called once, on the whole sample array.
+    """
     pts = np.asarray(sample_points)
     rng = np.random.default_rng(seed)
     n = len(pts)
@@ -73,7 +78,7 @@ def certify_injective(forward, sample_points, pairs: int = 10_000, seed: int = 0
     j = rng.integers(0, n, pairs)
     keep = i != j
     i, j = i[keep], j[keep]
-    fi = np.asarray([forward(p) for p in pts])
+    fi = np.asarray(forward(pts))
     sep_dom = np.abs(pts[i] - pts[j]) if pts.ndim == 1 else np.linalg.norm(pts[i] - pts[j], axis=-1)
     sep_img = (
         np.abs(fi[i] - fi[j]) if fi.ndim == 1 else np.linalg.norm(fi[i] - fi[j], axis=-1)
@@ -97,16 +102,11 @@ def _resolution_margin(norms: np.ndarray, ordered: bool) -> float:
     return float(np.max(second) / 8.0)
 
 
-def _image_array(forward, pts) -> np.ndarray:
-    out = [np.atleast_1d(np.asarray(forward(p), dtype=complex)) for p in pts]
-    return np.asarray(out)
-
-
 def _inscribed_after(aut: BallAutomorphism, emb: EmbeddingMap) -> float:
     """Min norm of the boundary image after recentring, minus the margin."""
     lows = []
     for pts in emb.boundary_sets:
-        imgs = _image_array(emb.forward, pts)
+        imgs = emb.forward(pts)
         rotated = imgs @ aut.align.T
         norms = _psi_norms_batch(aut.r, rotated)
         if np.any(norms >= 1.0 + 1e-12):
@@ -133,7 +133,7 @@ def squeeze_lower_from_embedding(dom, z, emb: EmbeddingMap) -> SqueezeBound:
         at=z,
         lower=lower,
         one_minus_lower=1.0 - lower,
-        witness={"kind": "embedding", "name": emb.name, "center_r": float(r), **emb.params},
+        witness={"kind": "embedding", "name": emb.name, "center_r": float(aut.r), **emb.params},
     )
 
 
@@ -292,7 +292,7 @@ def theorem21_pipeline(dom, maps, points, C, tol: float = 1e-6) -> dict:
         # measured eps: the boundary image must contain B(0, 1 - eps*d)
         min_norm = np.inf
         for pts in emb.boundary_sets:
-            imgs = _image_array(emb.forward, pts)
+            imgs = emb.forward(pts)
             min_norm = min(min_norm, float(np.min(np.linalg.norm(imgs, axis=1))))
         eps_i = max((1.0 - min_norm) / d_i, 0.0)
 

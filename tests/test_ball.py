@@ -158,6 +158,46 @@ class TestBallAutomorphism:
             BallAutomorphism(0.5, 2.0 * np.eye(2))
 
 
+def _ball_rows(data, m, n, rmax=0.999):
+    """Hypothesis-drawn complex rows (m, n) strictly inside the ball."""
+    coords = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * m * n, max_size=2 * m * n))
+    v = np.asarray(coords).reshape(2, m, n)
+    z = v[0] + 1j * v[1]
+    norms = np.linalg.norm(z, axis=1)
+    z[norms == 0.0, 0] = 0.5
+    scale = data.draw(st.lists(st.floats(0.0, rmax), min_size=m, max_size=m))
+    return z * (np.asarray(scale) / np.linalg.norm(z, axis=1))[:, None]
+
+
+class TestBatchedAutomorphism:
+    """Batched rows must give the per-row results bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), m=st.integers(1, 12))
+    def test_batch_equals_rows(self, data, n, m):
+        # off-axis centres in C^2 and C^3 exercise a non-trivial rotation
+        aut = BallAutomorphism.centering(_ball_rows(data, 1, n)[0])
+        z = _ball_rows(data, m, n)
+        batch = aut.apply(z)
+        assert batch.shape == (m, n)
+        assert np.array_equal(batch, np.array([aut.apply(row) for row in z]))
+        assert np.array_equal(aut.invert(z), np.array([aut.invert(row) for row in z]))
+        assert np.array_equal(psi_apply(aut.r, z), np.array([psi_apply(aut.r, row) for row in z]))
+        np.testing.assert_allclose(aut.invert(batch), z, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]), m=st.integers(2, 8),
+           bad=st.sampled_from([1.0, 1.5, np.nan, np.inf]))
+    def test_one_bad_row_rejects_batch(self, data, n, m, bad):
+        aut = BallAutomorphism.centering(_ball_rows(data, 1, n)[0])
+        z = _ball_rows(data, m, n)
+        z[data.draw(st.integers(0, m - 1)), 0] = bad
+        with pytest.raises(DomainError):
+            aut.apply(z)
+        with pytest.raises(DomainError):
+            aut.invert(z)
+
+
 class TestSphereSamples:
     def test_radius_and_determinism(self):
         s = sphere_samples(2, 500, 0.75, seed=3)

@@ -4,6 +4,8 @@ Oracles: exact distances for the disc, ball, and ellipsoid; hand-evaluated
 values of the map z log z and its collisions outside the source lens.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,14 @@ class TestUtilities:
         dom2 = domain_from_spec(spec)
         assert dom2.connectivity == 2
         assert dom2.contains(0.05) and not dom2.contains(0.5)
+
+    def test_defining_spec_roundtrip_keeps_parameters(self):
+        e = ellipsoid(b=0.3)
+        dom2 = domain_from_spec(json.loads(json.dumps(domain_to_spec(e))))
+        assert not e.contains(np.array([0.0, 0.5]))
+        assert not dom2.contains(np.array([0.0, 0.5]))
+        assert dom2.contains(np.array([0.0, 0.25]))
+        assert domain_from_spec(domain_to_spec(ball(3))).dim == 3
 
     def test_random_interior_points(self, omega_prime):
         pts = random_interior_points(omega_prime, 100, seed=4)

@@ -1,5 +1,6 @@
 """Experiment drivers: configs, verdict margins, serialization, CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from squeezelab.experiments import (
     report_json,
     run_counterexample,
     run_lemma24_25,
+    run_pipeline,
 )
 
 
@@ -82,6 +84,12 @@ class TestSerialization:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == 0.125
+
+    def test_pipeline_report_bytes_frozen(self):
+        # any change to how boundary images are evaluated must keep these bytes
+        text = emit(run_pipeline(ExperimentConfig("pipeline", scales=3, seed=1)), "json", None)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6385abb05bede973c1db123153026bad613bcbf9b994dcbf3eed08c77bca2229")
 
     def test_emit_format_validation(self, small_margin_report):
         with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ from squeezelab.squeezing import (
     ball_centering_embeddings,
     certify_injective,
     ellipsoid_boundary_samples,
+    squeeze_lower_from_embedding,
     squeeze_lower_planar,
     theorem21_pipeline,
 )
@@ -93,7 +94,7 @@ class TestPlanarTransport:
         assert b.lower == pytest.approx(0.987463906880143, abs=1e-9)
 
     def test_lens_ratio_stable_in_depth(self, omega_prime, lens_map):
-        # frozen: (1 - L)/d stabilizes near 0.2595 down the dyadic scales
+        # frozen: (1 - L)/d stabilizes near 0.2764 down the dyadic scales
         from squeezelab.domains import boundary_distance
 
         ratios = []
@@ -131,6 +132,16 @@ class TestPipeline:
         maps = ball_centering_embeddings([np.zeros(2)], seed=0)  # centers 0, not p
         with pytest.raises(ConfigError):
             theorem21_pipeline(ball(2), maps, pts, C=0.35)
+
+    def test_lower_from_ball_centering_embedding(self):
+        # the ball's squeezing function is 1; recentring the embedding at a
+        # second point keeps the boundary image on the sphere
+        p = np.array([0.5, 0.2j], dtype=complex)
+        z = np.array([-0.3, 0.4], dtype=complex)
+        (emb,) = ball_centering_embeddings([p], boundary_count=5000, boundary_radius=1.0 - 1e-14)
+        b = squeeze_lower_from_embedding(ball(2), z, emb)
+        assert b.lower >= 1.0 - 1e-9
+        assert b.witness["center_r"] == pytest.approx(np.linalg.norm(emb.forward(z)), abs=1e-15)
 
     def test_ellipsoid_boundary_samples_on_surface(self):
         b = 1.0 / np.sqrt(2.0)
