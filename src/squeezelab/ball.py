@@ -7,7 +7,7 @@ identity behind the inscribed-radius bound for the recentred embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "BallAutomorphism",
-    "KobayashiConstant",
     "as_point",
     "psi_apply",
     "psi_invert",
@@ -190,17 +189,6 @@ class BallAutomorphism:
         return np.matmul(self.align.conj().T, z[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class KobayashiConstant:
-    """Additive constant of the boundary-distance estimate for d_K."""
-
-    C: float
-
-    def __post_init__(self):
-        if not self.C > 0:
-            raise ConfigError(f"constant must be positive, got {self.C}")
-
-
 def sphere_samples(n: int, count: int, radius: float, seed: int) -> np.ndarray:
     """Deterministic uniform samples on the sphere of given radius in C^n."""
     rng = np.random.default_rng(seed)
@@ -219,7 +207,7 @@ def _psi_norms_batch(r: float, zs: np.ndarray) -> np.ndarray:
 
 
 def lemma25_bound(
-    C: KobayashiConstant | float,
+    C: float,
     eps: float,
     d: float,
     r: float | None = None,
@@ -236,9 +224,9 @@ def lemma25_bound(
     1/(1-r) <= C/d); under the weaker confinement radius 1 - d/exp(2C)
     the final bound is numerically false, so that range is rejected here.
     """
-    c = C.C if isinstance(C, KobayashiConstant) else float(C)
-    if c <= 0:
-        raise ConfigError("C must be positive")
+    c = float(C)
+    if not c > 0:
+        raise ConfigError(f"C must be positive, got {c}")
     if eps <= 0 or eps > 1.0 / (18.0 * c) + 1e-15:
         raise ConfigError(
             f"eps={eps} outside (0, 1/(18C)] = (0, {1.0 / (18.0 * c):.6g}]"

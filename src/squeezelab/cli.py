@@ -5,24 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .domains import build_omega_prime, preset
-from .conformal import canonical_annulus_map
-from .experiments import (
-    ExperimentConfig,
-    emit,
-    run_counterexample,
-    run_lemma22,
-    run_lemma24_25,
-    run_pipeline,
-)
+from .domains import preset
+from .errors import ConfigError, DomainError, SolverError
+from .experiments import RUNNERS, ExperimentConfig, emit
 from .squeezing import squeeze_lower_planar
-
-_RUNNERS = {
-    "lemma22": run_lemma22,
-    "lemma24-25": run_lemma24_25,
-    "pipeline": run_pipeline,
-    "counterexample": run_counterexample,
-}
 
 
 def _add_common(sub):
@@ -39,8 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks of distance bounds and squeezing estimates.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        sub = subs.add_parser(name, help=f"run the {name} experiment")
+    for name in RUNNERS:
+        command = name.replace("_", "-")
+        sub = subs.add_parser(command, help=f"run the {command} experiment")
         _add_common(sub)
 
     sq = subs.add_parser("squeeze", help="squeezing lower bound at one point")
@@ -49,14 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
+def _run(args) -> int:
     if args.command == "squeeze":
-        dom = build_omega_prime() if args.preset == "omega_prime" else preset(args.preset)
         z = complex(args.at)
-        amap = canonical_annulus_map(dom) if dom.connectivity == 2 else None
-        bound = squeeze_lower_planar(dom, z, amap=amap)
+        bound = squeeze_lower_planar(preset(args.preset), z)
         print(f"squeeze_lower({args.preset}, {z}) = {bound.lower!r}")
         print(f"one_minus_lower = {bound.one_minus_lower!r}  witness = {bound.witness}")
         return 0
@@ -66,9 +49,8 @@ def main(argv=None) -> int:
         domain_preset=args.preset,
         scales=args.scales,
         seed=args.seed,
-        output_path=args.out,
     )
-    report = _RUNNERS[args.command](config)
+    report = RUNNERS[config.experiment](config)
     text = emit(report, args.format, args.out or None)
     if args.out:
         print(f"wrote {args.out}")
@@ -78,6 +60,15 @@ def main(argv=None) -> int:
         status = "PASS" if v["passed"] else "FAIL"
         print(f"[{status}] {v['name']} (margin {v['margin']:.3e})", file=sys.stderr)
     return 0 if report.passed else 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, DomainError, SolverError) as exc:
+        print(f"squeezelab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,9 +32,7 @@ class AnnulusMap:
     """Conformal equivalence of a ring domain with {modulus < |w| < 1}."""
 
     modulus: float
-    period: float
     residual: float
-    method: str
     mirrored: bool
     _eval: object = field(repr=False)
     _eval_deriv: object = field(repr=False)
@@ -289,9 +287,7 @@ def canonical_annulus_map(
 
     amap = AnnulusMap(
         modulus=modulus,
-        period=float(2.0 * np.pi * a),
         residual=residual,
-        method=f"least-squares harmonic expansion (laurent={n_laurent}, taylor={n_taylor})",
         mirrored=bool(mirror),
         _eval=eval_forward,
         _eval_deriv=eval_deriv,

@@ -8,8 +8,7 @@ the origin lives at scales of 1e-9.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -27,7 +26,6 @@ __all__ = [
     "DomainPoint",
     "OmegaPrimeParams",
     "boundary_distance",
-    "contains",
     "build_omega_prime",
     "build_omega",
     "phi_map",
@@ -37,7 +35,6 @@ __all__ = [
     "ball",
     "ellipsoid",
     "preset",
-    "domain_to_spec",
     "domain_from_spec",
     "random_interior_points",
 ]
@@ -199,8 +196,18 @@ def _winding(points: np.ndarray, z: complex) -> float:
     return float(np.sum(ang) / (2.0 * np.pi))
 
 
+def _unit(v):
+    n = float(np.linalg.norm(np.atleast_1d(np.asarray(v))))
+    if n == 0:
+        raise DomainError("zero direction")
+    return v / n
+
+
 class PlanarDomain:
-    """Bounded planar domain: one outer curve and zero or more holes."""
+    """Bounded planar domain: one outer curve and zero or more holes.
+
+    Points are complex numbers; ``contains`` also takes an array of them.
+    """
 
     def __init__(self, outer: Curve, holes=(), smoothness: str = "Cinf", name: str = ""):
         self.outer = outer
@@ -225,37 +232,73 @@ class PlanarDomain:
     def connectivity(self) -> int:
         return 1 + len(self.holes)
 
+    @property
+    def scale(self) -> float:
+        """Largest distance of an outer boundary sample from the samples' mean."""
+        pts = self.outer.points()
+        return float(np.max(np.abs(pts - np.mean(pts))))
+
     def curves(self):
         return [self.outer] + self.holes
 
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
-        z = complex(z)
-        if tol > 0 and self.boundary_gap(z) < tol:
+    def as_point(self, z) -> complex:
+        return complex(z)
+
+    def contains(self, z):
+        """Membership of one point (a bool) or of each point of an array (a bool array)."""
+        z = np.asarray(z, dtype=complex)
+        inside = np.fromiter((self._contains_one(p) for p in z.ravel()), bool, z.size).reshape(z.shape)
+        return bool(inside) if z.ndim == 0 else inside
+
+    def _contains_one(self, z) -> bool:
+        # the winding number rounds to 1 about the outer curve and to 0 about
+        # every hole; a NaN sum (a non-finite point, or one within ~1e-308 of
+        # a sample, where the ratios can overflow) fails every comparison
+        if not 0.5 < _winding(self.outer.points(), z) < 1.5:
             return False
-        if abs(round(_winding(self.outer.points(), z)) - 1) > 0.25:
-            return False
-        for h in self.holes:
-            if abs(round(_winding(h.points(), z))) > 0.25:
-                return False
-        return True
+        return all(-0.5 <= _winding(h.points(), z) <= 0.5 for h in self.holes)
 
     def boundary_gap(self, z: complex) -> float:
         """Unsigned distance from z to the sampled boundary (coarse)."""
         return min(float(np.min(np.abs(c.points() - z))) for c in self.curves())
 
-    def interior_point(self) -> complex:
+    def boundary_distance(self, z) -> DomainPoint:
+        """Coarse scan over the curve samples, then Brent refinement on the parameterization."""
+        z = complex(z)
+        if not self.contains(z):
+            gap = self.boundary_gap(z)
+            raise DomainError(f"point {z} is not interior (boundary gap {gap:.3e})")
+        d, nearest = min((_curve_distance(c, z) for c in self.curves()), key=lambda c: c[0])
+        return DomainPoint(z=z, d=float(d), nearest=nearest)
+
+    def inward_normal(self, p) -> complex:
+        """Inward unit normal at a boundary point, from the deepest of 128 probes around it."""
+        theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+        probes = complex(p) + (1e-4 * self.scale) * np.exp(1j * theta)
+        deepest = max((boundary_distance(self, q) for q in probes[self.contains(probes)]),
+                      key=lambda bp: bp.d, default=None)
+        if deepest is None:
+            raise DomainError("no interior direction found at the boundary point")
+        return _unit(deepest.z - deepest.nearest)
+
+    def to_spec(self) -> dict:
+        return {
+            "kind": "planar",
+            "outer": [[float(p.real), float(p.imag)] for p in self.outer.points()],
+            "holes": [[[float(p.real), float(p.imag)] for p in h.points()] for h in self.holes],
+            "smoothness": {"Cinf": "Cinf", "C2": "C2", "C1": "C1"}[self.smoothness],
+        }
+
+    def _interior_candidates(self, rng, count: int) -> np.ndarray:
+        """Interior points among ``count`` uniform draws from the outer curve's bounding box.
+
+        One draw is an (x, y) pair; points within 1e-6 of a boundary sample
+        are dropped too.
+        """
         p = self.outer.points()
-        c = np.mean(p)
-        if self.contains(c):
-            return complex(c)
-        # fall back: scan a grid inside the bounding box
-        lo, hi = p.real.min(), p.real.max()
-        lo2, hi2 = p.imag.min(), p.imag.max()
-        for x in np.linspace(lo, hi, 41)[1:-1]:
-            for y in np.linspace(lo2, hi2, 41)[1:-1]:
-                if self.contains(complex(x, y)):
-                    return complex(x, y)
-        raise DomainError("could not locate an interior point")
+        xy = rng.uniform((p.real.min(), p.imag.min()), (p.real.max(), p.imag.max()), size=(count, 2))
+        z = xy.view(complex)[:, 0]  # each row read as x + iy, bit for bit
+        return np.array([q for q in z[self.contains(z)] if self.boundary_gap(q) > 1e-6], dtype=complex)
 
 
 def _refine_on_curve(curve: Curve, z: complex, t_lo: float, t_hi: float) -> tuple[float, complex]:
@@ -295,34 +338,13 @@ def _curve_distance(curve: Curve, z: complex) -> tuple[float, complex]:
 
 
 def boundary_distance(dom, z) -> DomainPoint:
-    """Euclidean distance from an interior point to the domain boundary.
+    """Euclidean distance from an interior point to the boundary of ``dom``.
 
-    Planar: coarse scan over curve samples plus Brent refinement on the
-    analytic parameterization.  Defining-function: Newton iteration on the
-    first-order conditions of the nearest-point problem.
+    The library asks every domain through this function rather than the
+    method, so that a wrapper installed here (``perfbench/tracing.py``)
+    sees every distance query.
     """
-    if isinstance(dom, PlanarDomain):
-        z = complex(z)
-        if not dom.contains(z):
-            gap = dom.boundary_gap(z)
-            raise DomainError(f"point {z} is not interior (boundary gap {gap:.3e})")
-        best = (np.inf, None)
-        for c in dom.curves():
-            cand = _curve_distance(c, z)
-            if cand[0] < best[0]:
-                best = cand
-        return DomainPoint(z=z, d=float(best[0]), nearest=best[1])
-    if isinstance(dom, DefiningFunctionDomain):
-        return dom.boundary_distance(z)
-    raise ConfigError(f"unsupported domain type {type(dom)!r}")
-
-
-def contains(dom, z) -> bool:
-    if isinstance(dom, PlanarDomain):
-        return dom.contains(complex(z))
-    if isinstance(dom, DefiningFunctionDomain):
-        return dom.contains(z)
-    raise ConfigError(f"unsupported domain type {type(dom)!r}")
+    return dom.boundary_distance(z)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +368,33 @@ class DefiningFunctionDomain:
         if self.rho(self.witness) >= 0:
             raise ConfigError("interior witness point has rho >= 0")
 
-    def contains(self, z, tol: float = 0.0) -> bool:
-        return bool(self.rho(np.asarray(z, dtype=complex)) < -tol)
+    @property
+    def scale(self) -> float:
+        return self.bbox_radius
+
+    def as_point(self, z) -> np.ndarray:
+        return np.atleast_1d(np.asarray(z, dtype=complex))
+
+    def contains(self, z):
+        """``rho < 0`` at one point ``(n,)`` (a bool) or at each row of ``(m, n)`` (a bool array)."""
+        inside = self.rho(np.asarray(z, dtype=complex)) < 0
+        return bool(inside) if np.ndim(inside) == 0 else inside
+
+    def inward_normal(self, p) -> np.ndarray:
+        return -_unit(self.grad(self.as_point(p)))
+
+    def to_spec(self) -> dict:
+        return {"kind": "defining", "rho": self.name, "bbox": [self.bbox_radius], "dim": self.dim,
+                "params": dict(self.params)}
+
+    def _interior_candidates(self, rng, count: int) -> np.ndarray:
+        """Interior points among ``count`` uniform draws from the cube [-bbox, bbox]^(2 dim).
+
+        One draw is the real parts, then the imaginary parts, of one point.
+        """
+        xy = rng.uniform(-self.bbox_radius, self.bbox_radius, size=(count, 2 * self.dim))
+        z = xy[:, : self.dim] + 1j * xy[:, self.dim :]
+        return z[self.contains(z)]
 
     def _project_newton(self, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Newton on the nearest-point conditions x-z = lam*grad, rho(x)=0."""
@@ -614,9 +661,7 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
     extra = np.concatenate([0.75 + dt, 0.75 - dt])
     outer = MappedCurve(omega_prime.outer, phi_map, extra_params=extra)
     holes = [MappedCurve(h, phi_map) for h in omega_prime.holes]
-    dom = PlanarDomain(outer, holes, smoothness="C1", name="omega_zlogz")
-    dom.preimage = omega_prime
-    return dom
+    return PlanarDomain(outer, holes, smoothness="C1", name="omega_zlogz")
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +677,7 @@ def annulus(modulus: float, center: complex = 0.0, scale: float = 1.0, n: int = 
         raise ConfigError("annulus modulus must lie in (0, 1)")
     outer = CircleCurve(center, scale, orientation=1, n=n)
     inner = CircleCurve(center, scale * modulus, orientation=-1, n=n)
-    dom = PlanarDomain(outer, [inner], smoothness="Cinf", name=f"annulus_{modulus}")
-    dom.modulus_exact = modulus
-    return dom
+    return PlanarDomain(outer, [inner], smoothness="Cinf", name=f"annulus_{modulus}")
 
 
 def preset(name: str, **kw):
@@ -654,20 +697,6 @@ def preset(name: str, **kw):
     raise ConfigError(f"unknown preset {name!r}")
 
 
-def domain_to_spec(dom) -> dict:
-    if isinstance(dom, PlanarDomain):
-        return {
-            "kind": "planar",
-            "outer": [[float(p.real), float(p.imag)] for p in dom.outer.points()],
-            "holes": [[[float(p.real), float(p.imag)] for p in h.points()] for h in dom.holes],
-            "smoothness": {"Cinf": "Cinf", "C2": "C2", "C1": "C1"}[dom.smoothness],
-        }
-    if isinstance(dom, DefiningFunctionDomain):
-        return {"kind": "defining", "rho": dom.name, "bbox": [dom.bbox_radius], "dim": dom.dim,
-                "params": dict(dom.params)}
-    raise ConfigError(f"unsupported domain type {type(dom)!r}")
-
-
 def domain_from_spec(spec: dict):
     if spec["kind"] == "planar":
         outer = PolylineCurve([complex(a, b) for a, b in spec["outer"]])
@@ -678,27 +707,15 @@ def domain_from_spec(spec: dict):
     raise ConfigError(f"unknown domain kind {spec.get('kind')!r}")
 
 
-def load_domain(path: str):
-    with open(path) as fh:
-        return domain_from_spec(json.load(fh))
-
-
 def random_interior_points(dom, count: int, seed: int = 0) -> np.ndarray:
-    """Rejection-sampled interior points (planar: complex; defining: C^n rows)."""
+    """Rejection-sampled interior points (planar: complex; defining: C^n rows).
+
+    Each round draws exactly as many candidates as points are still missing,
+    so the points are those a one-candidate-at-a-time loop would return, and
+    no candidate is drawn that such a loop would not draw.
+    """
     rng = np.random.default_rng(seed)
-    out = []
-    if isinstance(dom, PlanarDomain):
-        p = dom.outer.points()
-        lo, hi = p.real.min(), p.real.max()
-        lo2, hi2 = p.imag.min(), p.imag.max()
-        while len(out) < count:
-            z = complex(rng.uniform(lo, hi), rng.uniform(lo2, hi2))
-            if dom.contains(z) and dom.boundary_gap(z) > 1e-6:
-                out.append(z)
-        return np.array(out)
-    while len(out) < count:
-        z = rng.uniform(-dom.bbox_radius, dom.bbox_radius, size=2 * dom.dim)
-        z = z[: dom.dim] + 1j * z[dom.dim :]
-        if dom.contains(z):
-            out.append(z)
-    return np.array(out)
+    points = dom._interior_candidates(rng, count)
+    while len(points) < count:
+        points = np.concatenate([points, dom._interior_candidates(rng, count - len(points))])
+    return points

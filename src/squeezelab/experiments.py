@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .ball import KobayashiConstant, lemma25_bound
+from .ball import lemma25_bound
 from .conformal import canonical_annulus_map
 from .domains import (
     boundary_distance,
@@ -44,15 +44,13 @@ from .ball import BallAutomorphism
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
+    "RUNNERS",
     "run_lemma22",
     "run_lemma24_25",
     "run_pipeline",
     "run_counterexample",
     "emit",
 ]
-
-_EXPERIMENTS = ("lemma22", "lemma24_25", "pipeline", "counterexample")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,8 +62,12 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {_EXPERIMENTS}")
+        if self.experiment not in RUNNERS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {tuple(RUNNERS)}")
+        presets = ("all", *_LEMMA22_PRESETS) if self.experiment == "lemma22" else ("all",)
+        if self.domain_preset not in presets:
+            raise ConfigError(f"{self.experiment} takes a domain preset from {presets}, "
+                              f"not {self.domain_preset!r}")
         if self.scales < 3:
             raise ConfigError("scales must be at least 3")
 
@@ -98,33 +100,29 @@ def _verdict(name: str, margin: float, passed=None) -> dict:
 # the distance-constant fit
 
 
-def _lemma22_jobs(preset_name: str, scales: int):
-    jobs = []
-    if preset_name in ("all", "disc"):
-        jobs.append(("disc", disc(), 0.0, 1.0, -1.0, ()))
-    if preset_name in ("all", "ball"):
-        jobs.append(
-            ("ball", ball(2), np.zeros(2, dtype=complex), np.array([1.0, 0.0], dtype=complex),
-             np.array([-1.0, 0.0], dtype=complex), ())
-        )
-    if preset_name in ("all", "ellipsoid"):
-        jobs.append(
-            ("ellipsoid", ellipsoid(), np.zeros(2, dtype=complex), np.array([1.0, 0.0], dtype=complex),
-             np.array([-1.0, 0.0], dtype=complex), ())
-        )
-    if preset_name in ("all", "omega_prime"):
+_LEMMA22_PRESETS = ("disc", "ball", "ellipsoid", "omega_prime")  # in report order
+
+
+def _lemma22_job(name: str):
+    """Domain, base point, boundary target and inward normal of one preset."""
+    if name == "disc":
+        return disc(), 0.0, 1.0, -1.0
+    if name == "omega_prime":
         op = build_omega_prime()
-        jobs.append(("omega_prime", op, 0.05, complex(op.params.width), -1.0, ()))
-    return jobs
+        return op, 0.05, complex(op.params.width), -1.0
+    dom = ball(2) if name == "ball" else ellipsoid()
+    return (dom, np.zeros(2, dtype=complex), np.array([1.0, 0.0], dtype=complex),
+            np.array([-1.0, 0.0], dtype=complex))
 
 
 def run_lemma22(config: ExperimentConfig) -> ExperimentReport:
     """Fit of the additive constant in d_K(0, p) <= (1/2) log(1/d(p)) + C."""
     tables = {}
     verdicts = []
-    for name, dom, base, target, inward, waypoints in _lemma22_jobs(config.domain_preset, config.scales):
-        rep = lemma_log_bound_verify(dom, base, target, num_scales=config.scales,
-                                     inward=inward, waypoints=waypoints)
+    names = _LEMMA22_PRESETS if config.domain_preset == "all" else (config.domain_preset,)
+    for name in names:
+        dom, base, target, inward = _lemma22_job(name)
+        rep = lemma_log_bound_verify(dom, base, target, num_scales=config.scales, inward=inward)
         tables[name] = rep
         verdicts.append(_verdict(f"{name}: C_fit finite", 1.0, passed=np.isfinite(rep["C_fit"])))
         verdicts.append(_verdict(f"{name}: tail slope <= 1e-2", 1e-2 - rep["tail_slope"]))
@@ -182,7 +180,7 @@ def run_lemma24_25(config: ExperimentConfig) -> ExperimentReport:
             for eps in (1.0 / (18.0 * c), 1.0 / (36.0 * c)):
                 r_max = max(1.0 - d / c, 0.0)
                 for r in np.linspace(0.0, r_max, 5):
-                    rep = lemma25_bound(KobayashiConstant(c), eps, d, r=float(r),
+                    rep = lemma25_bound(c, eps, d, r=float(r),
                                         sphere_count=10_000, seed=config.seed)
                     sweep.append({
                         "C": c, "d": d, "eps": eps, "r": float(r),
@@ -314,6 +312,14 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     tables = {"radial": rows, "angular": angular, "injectivity": cert,
               "modulus": amap.modulus}
     return ExperimentReport("counterexample", tables, verdicts, _provenance(config))
+
+
+RUNNERS = {
+    "lemma22": run_lemma22,
+    "lemma24_25": run_lemma24_25,
+    "pipeline": run_pipeline,
+    "counterexample": run_counterexample,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,12 @@ closed form against an interior tangent ball, which isolates the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import kobayashi_ball
-from .domains import (
-    DefiningFunctionDomain,
-    PlanarDomain,
-    boundary_distance,
-    contains,
-    random_interior_points,
-)
+from .domains import _unit, boundary_distance, random_interior_points
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "lemma_log_bound_verify",
     "inclusion_monotonicity_check",
     "tangent_ball_radius",
-    "inward_normal",
     "exact_disc_distance",
     "slit_disc_distance",
 ]
@@ -71,28 +64,8 @@ class DistanceBound:
     quad_error: float = 0.0
 
 
-def _as_domain_point(dom, z):
-    if isinstance(dom, PlanarDomain):
-        return complex(z)
-    return np.atleast_1d(np.asarray(z, dtype=complex))
-
-
 def _pt_diff_norm(a, b):
     return float(np.linalg.norm(np.atleast_1d(np.asarray(a - b))))
-
-
-def _unit(v):
-    n = float(np.linalg.norm(np.atleast_1d(np.asarray(v))))
-    if n == 0:
-        raise DomainError("zero direction")
-    return v / n
-
-
-def _inside(dom, z) -> bool:
-    try:
-        return contains(dom, z)
-    except Exception:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -102,38 +75,35 @@ def _inside(dom, z) -> bool:
 def _ray_exit(dom, z, v, r_cap: float) -> float:
     """Largest t with the segment {z + s v : 0 <= s < t} inside dom."""
     t = min(max(boundary_distance(dom, z).d, 1e-14), r_cap)
-    while t < r_cap and _inside(dom, z + t * v):
+    while t < r_cap and dom.contains(z + t * v):
         t *= 2.0
     hi = min(t, r_cap)
     lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _inside(dom, z + mid * v):
+        if dom.contains(z + mid * v):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _disc_inside(dom, center, v, radius: float, samples: int) -> bool:
-    ang = np.exp(2j * np.pi * np.arange(samples) / samples)
-    for a in ang * (1.0 - 1e-12):
-        if not _inside(dom, center + (radius * a) * v):
-            return False
-    return True
+# unit roots pulled 1e-12 inside the circle: the sampled circle of each disc check
+_CIRCLE = {n: np.exp(2j * np.pi * np.arange(n) / n) * (1.0 - 1e-12) for n in (64, 128)}
 
 
 def _certified_disc_scale(dom, center, v, radius: float) -> float:
-    """Largest certified shrink factor for the disc {center + zeta v, |zeta|<radius}."""
-    for samples in (64, 128):
-        if not _disc_inside(dom, center, v, radius, samples):
-            break
-    else:
+    """Largest shrink factor whose disc {center + zeta v, |zeta|<radius} passes the circle samples."""
+
+    def circle_inside(r: float, samples: int) -> bool:
+        return bool(np.all(dom.contains(center + np.multiply.outer(r * _CIRCLE[samples], v))))
+
+    if circle_inside(radius, 64) and circle_inside(radius, 128):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if _disc_inside(dom, center, v, mid * radius, 128):
+        if circle_inside(mid * radius, 128):
             lo = mid
         else:
             hi = mid
@@ -143,18 +113,19 @@ def _certified_disc_scale(dom, center, v, radius: float) -> float:
 def infinitesimal_upper(dom, z, v) -> float:
     """Upper bound for the infinitesimal Kobayashi metric at z in direction v.
 
-    Uses the Poincare metric of the largest certified affine disc through z
-    in the complex line z + C v: first the disc whose diameter is the chord
-    of the line through z (exact for convex slices), shrunk if circle
-    sampling cannot certify it, with the boundary-distance disc as the
-    final fallback.
+    Uses the Poincare metric of the largest affine disc through z in the
+    complex line z + C v that passes the sampled circle check: first the
+    disc whose diameter is the chord of the line through z (exact for
+    convex slices), shrunk until its sampled circle lies inside, with the
+    boundary-distance disc as the final fallback.
     """
-    z = _as_domain_point(dom, z)
-    if not _inside(dom, z):
+    z = dom.as_point(z)
+    if not dom.contains(z):
         raise DomainError("base point of the disc is not interior")
-    vhat = _unit(np.asarray(v, dtype=complex) if not np.isscalar(v) else complex(v))
-    speed = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=complex))))
-    r_cap = 4.0 * _domain_scale(dom)
+    v = dom.as_point(v)
+    vhat = _unit(v)
+    speed = float(np.linalg.norm(np.atleast_1d(v)))
+    r_cap = 4.0 * dom.scale
 
     rp = _ray_exit(dom, z, vhat, r_cap)
     rm = _ray_exit(dom, z, -vhat, r_cap)
@@ -176,21 +147,8 @@ def infinitesimal_upper(dom, z, v) -> float:
     return speed * radius / (radius * radius - off * off)
 
 
-def _domain_scale(dom) -> float:
-    if isinstance(dom, PlanarDomain):
-        pts = dom.outer.points()
-        return float(np.max(np.abs(pts - np.mean(pts))))
-    return dom.bbox_radius
-
-
 # ---------------------------------------------------------------------------
 # integrated bounds
-
-
-def _check_segment(dom, a, b, index: int, samples: int = 64):
-    for s in np.linspace(0.0, 1.0, samples):
-        if not _inside(dom, a + s * (b - a)):
-            raise DomainError(f"path segment {index} leaves the domain near s={s:.3f}")
 
 
 def _segment_bound(dom, a, b, refinement: int) -> tuple[float, float]:
@@ -253,25 +211,26 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
     tangent-ball closed form when ``terminal_normal`` is set.
     """
     path = path or PathSpec()
-    a = _as_domain_point(dom, a)
-    b = _as_domain_point(dom, b)
-    nodes = [a] + [_as_domain_point(dom, w) for w in path.waypoints] + [b]
+    a = dom.as_point(a)
+    b = dom.as_point(b)
+    nodes = [a] + [dom.as_point(w) for w in path.waypoints] + [b]
     if _pt_diff_norm(a, b) == 0:
         return DistanceBound(0.0, "upper", (), 0.0)
 
     parts = []
     quad = 0.0
-    last_quadrature = len(nodes) - 2 if path.terminal_normal else len(nodes) - 1
-    for i in range(last_quadrature):
-        _check_segment(dom, nodes[i], nodes[i + 1], i)
-        val, err = _segment_bound(dom, nodes[i], nodes[i + 1], path.refinement)
-        parts.append({"segment": i, "value": val, "method": "trapezoid"})
-        quad += err
-    if path.terminal_normal:
-        i = len(nodes) - 2
-        _check_segment(dom, nodes[i], nodes[i + 1], i)
-        val, meta = _terminal_closed_form(dom, nodes[i], nodes[i + 1])
-        parts.append({"segment": i, "value": val, "method": "closed-form", **meta})
+    s = np.linspace(0.0, 1.0, 64)
+    for i, (start, end) in enumerate(zip(nodes, nodes[1:])):
+        inside = dom.contains(start + np.multiply.outer(s, end - start))
+        if not np.all(inside):
+            raise DomainError(f"path segment {i} leaves the domain near s={s[np.argmin(inside)]:.3f}")
+        if path.terminal_normal and i == len(nodes) - 2:
+            val, meta = _terminal_closed_form(dom, start, end)
+            parts.append({"segment": i, "value": val, "method": "closed-form", **meta})
+        else:
+            val, err = _segment_bound(dom, start, end, path.refinement)
+            parts.append({"segment": i, "value": val, "method": "trapezoid"})
+            quad += err
     total = float(sum(p["value"] for p in parts))
     return DistanceBound(total, "upper", tuple(parts), quad)
 
@@ -282,12 +241,12 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
 
 def tangent_ball_radius(dom, boundary_pt, inward, r_max: float | None = None) -> float:
     """Largest certified radius of an interior ball tangent at boundary_pt."""
-    r_max = r_max or 2.0 * _domain_scale(dom)
+    r_max = r_max or 2.0 * dom.scale
     inward = _unit(inward)
 
     def ok(r: float) -> bool:
         center = boundary_pt + r * inward
-        if not _inside(dom, center):
+        if not dom.contains(center):
             return False
         return boundary_distance(dom, center).d >= r * (1.0 - 1e-6)
 
@@ -303,25 +262,6 @@ def tangent_ball_radius(dom, boundary_pt, inward, r_max: float | None = None) ->
     if lo == 0.0:
         raise DomainError("no interior tangent ball found at the given boundary point")
     return lo
-
-
-def inward_normal(dom, boundary_pt, probe: float = 1e-4):
-    """Estimate the inward unit normal at a boundary point."""
-    if isinstance(dom, DefiningFunctionDomain):
-        g = dom.grad(np.atleast_1d(np.asarray(boundary_pt, dtype=complex)))
-        return -_unit(g)
-    scale = probe * _domain_scale(dom)
-    best = None
-    for theta in np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False):
-        q = complex(boundary_pt) + scale * np.exp(1j * theta)
-        if _inside(dom, q):
-            d = boundary_distance(dom, q).d
-            if best is None or d > best[0]:
-                best = (d, q)
-    if best is None:
-        raise DomainError("no interior direction found at the boundary point")
-    bp = boundary_distance(dom, best[1])
-    return _unit(best[1] - bp.nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +289,9 @@ def lemma_log_bound_verify(
     """
     if num_scales < 3:
         raise ConfigError("need at least 3 scales")
-    base = _as_domain_point(dom, base)
-    target = _as_domain_point(dom, boundary_target)
-    if inward is None:
-        inward = inward_normal(dom, target)
-    else:
-        inward = _unit(_as_domain_point(dom, inward) if not np.isscalar(inward) else complex(inward))
+    base = dom.as_point(base)
+    target = dom.as_point(boundary_target)
+    inward = dom.inward_normal(target) if inward is None else _unit(dom.as_point(inward))
     r0 = tangent_ball_radius(dom, target, inward)
     delta0 = delta_frac * r0
     anchor = target - delta0 * (-inward)  # = target + delta0*inward, kept explicit
@@ -433,23 +370,14 @@ def inclusion_monotonicity_check(
     if outer_formula is None:
         outer_formula = kobayashi_ball
     if sample_points is None:
-        if isinstance(inner_dom, PlanarDomain):
-            sample_points = random_interior_points(inner_dom, pairs, seed=seed)
-        else:
-            rng = np.random.default_rng(seed)
-            sample_points = []
-            while len(sample_points) < pairs:
-                cand = rng.uniform(-1, 1, 2 * inner_dom.dim) * inner_dom.bbox_radius
-                z = cand[: inner_dom.dim] + 1j * cand[inner_dom.dim:]
-                if inner_dom.contains(z):
-                    sample_points.append(z)
+        sample_points = random_interior_points(inner_dom, pairs, seed=seed)
 
     strict_failures = []
     flags = []
     checked = 0
-    base = _as_domain_point(inner_dom, sample_points[0])
+    base = inner_dom.as_point(sample_points[0])
     for z in sample_points[1:]:
-        z = _as_domain_point(inner_dom, z)
+        z = inner_dom.as_point(z)
         outer_val = outer_formula(base, z)
         checked += 1
         if oracle is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .ball import BallAutomorphism, KobayashiConstant, _psi_norms_batch, sphere_samples
+from .ball import BallAutomorphism, _psi_norms_batch, sphere_samples
 from .conformal import AnnulusMap, canonical_annulus_map
 from .domains import PlanarDomain, boundary_distance
 from .errors import ConfigError, DomainError
@@ -199,6 +199,8 @@ def squeeze_lower_planar(dom: PlanarDomain, z: complex, amap: AnnulusMap | None 
     transport the annulus bound through the canonical map, which leaves
     the squeezing function unchanged because it is a biholomorphism.
     """
+    if not isinstance(dom, PlanarDomain):
+        raise ConfigError(f"squeeze_lower_planar needs a planar domain, got {type(dom).__name__}")
     if dom.connectivity == 1:
         return SqueezeBound(at=z, lower=1.0, one_minus_lower=0.0,
                             witness={"kind": "riemann-family", "symbolic": True})
@@ -273,9 +275,9 @@ def theorem21_pipeline(dom, maps, points, C, tol: float = 1e-6) -> dict:
     radius 1 - d(p_i)/e^(2C), recentres with the axis Moebius map, and
     certifies the inscribed radius 1 - 6 C eps_i of the composed image.
     """
-    c = C.C if isinstance(C, KobayashiConstant) else float(C)
-    if c <= 0:
-        raise ConfigError("C must be positive")
+    c = float(C)
+    if not c > 0:
+        raise ConfigError(f"C must be positive, got {c}")
     if len(maps) != len(points):
         raise ConfigError("one embedding per point required")
     origin = np.zeros(getattr(dom, "dim", 1), dtype=complex)

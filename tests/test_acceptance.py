@@ -13,7 +13,6 @@ import pytest
 
 from squeezelab.ball import (
     BallAutomorphism,
-    KobayashiConstant,
     kobayashi_ball,
     lemma25_bound,
     norm_psi_identity,
@@ -91,7 +90,7 @@ def test_criterion_03_inscribed_radius_sweep():
         for d in (1e-1, 1e-2, 1e-3):
             for eps in (1.0 / (18.0 * C), 1.0 / (36.0 * C)):
                 for r in np.linspace(0.0, 1.0 - d / C, 5):
-                    rep = lemma25_bound(KobayashiConstant(C), eps, d, r=float(r),
+                    rep = lemma25_bound(C, eps, d, r=float(r),
                                         sphere_count=10_000, seed=103)
                     worst = min(worst, rep["min_margin"])
     elapsed = time.perf_counter() - t0

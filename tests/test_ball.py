@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from squeezelab.ball import (
     BallAutomorphism,
-    KobayashiConstant,
     kobayashi_ball,
     lemma25_bound,
     norm_psi_identity,
@@ -207,7 +206,7 @@ class TestSphereSamples:
 
 class TestInscribedRadiusBound:
     def test_margin_nonnegative_for_admissible_range(self):
-        rep = lemma25_bound(KobayashiConstant(1.0), 1.0 / 18.0, 1e-2, r=0.99)
+        rep = lemma25_bound(1.0, 1.0 / 18.0, 1e-2, r=0.99)
         assert rep["min_margin"] >= 0.0
         assert rep["min_margin_sq"] >= 0.0
 
@@ -222,4 +221,4 @@ class TestInscribedRadiusBound:
 
     def test_constant_validation(self):
         with pytest.raises(ConfigError):
-            KobayashiConstant(0.0)
+            lemma25_bound(0.0, 1.0 / 18.0, 1e-2)

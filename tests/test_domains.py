@@ -4,10 +4,13 @@ Oracles: exact distances for the disc, ball, and ellipsoid; hand-evaluated
 values of the map z log z and its collisions outside the source lens.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from squeezelab.domains import (
     OmegaPrimeParams,
@@ -16,10 +19,8 @@ from squeezelab.domains import (
     boundary_distance,
     build_omega,
     build_omega_prime,
-    contains,
     disc,
     domain_from_spec,
-    domain_to_spec,
     ellipsoid,
     phi_deriv,
     phi_map,
@@ -133,18 +134,18 @@ class TestUtilities:
         assert not d.contains(z)
 
     def test_spec_roundtrip(self, omega_prime):
-        spec = domain_to_spec(omega_prime)
+        spec = omega_prime.to_spec()
         dom2 = domain_from_spec(spec)
         assert dom2.connectivity == 2
         assert dom2.contains(0.05) and not dom2.contains(0.5)
 
     def test_defining_spec_roundtrip_keeps_parameters(self):
         e = ellipsoid(b=0.3)
-        dom2 = domain_from_spec(json.loads(json.dumps(domain_to_spec(e))))
+        dom2 = domain_from_spec(json.loads(json.dumps(e.to_spec())))
         assert not e.contains(np.array([0.0, 0.5]))
         assert not dom2.contains(np.array([0.0, 0.5]))
         assert dom2.contains(np.array([0.0, 0.25]))
-        assert domain_from_spec(domain_to_spec(ball(3))).dim == 3
+        assert domain_from_spec(ball(3).to_spec()).dim == 3
 
     def test_random_interior_points(self, omega_prime):
         pts = random_interior_points(omega_prime, 100, seed=4)
@@ -154,6 +155,93 @@ class TestUtilities:
     def test_presets(self):
         assert preset("disc").connectivity == 1
         assert annulus(0.3).connectivity == 2
-        assert contains(ball(2), np.zeros(2, dtype=complex))
+        assert ball(2).contains(np.zeros(2, dtype=complex))
         with pytest.raises(ConfigError):
             preset("no-such-domain")
+
+
+# ---------------------------------------------------------------------------
+# the domain protocol: batch membership equals pointwise membership
+
+_PROTOCOL_DOMAINS = {
+    "disc": disc(),
+    "omega_prime": build_omega_prime(),
+    "ball": ball(2),
+    "ellipsoid": ellipsoid(),
+}
+
+_coord = st.floats(-1.2, 1.2, allow_nan=False)
+# planar points cover the lens [0, 0.22] x [-0.9, 0.9] and the disc, inside and out
+_planar_batch = st.lists(st.complex_numbers(max_magnitude=1.3, allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=40).map(lambda z: np.array(z, dtype=complex))
+_rows_batch = st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=1, max_size=40).map(
+    lambda rows: np.array([[a + 1j * b, c + 1j * d] for a, b, c, d in rows], dtype=complex))
+
+
+def _assert_batch_equals_points(dom, batch):
+    got = dom.contains(batch)
+    assert isinstance(got, np.ndarray) and got.dtype == bool and got.shape == (len(batch),)
+    one_by_one = [dom.contains(p) for p in batch]
+    assert all(type(v) is bool for v in one_by_one)
+    np.testing.assert_array_equal(got, one_by_one)
+
+
+class TestContainsProtocol:
+    # a point within ~1e-308 of a boundary sample (the lens has one at 0)
+    # overflows the winding ratios; the sum is NaN and the point is outside
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["disc", "omega_prime"])
+    @settings(max_examples=40, deadline=None)
+    @given(batch=_planar_batch)
+    @example(batch=np.array([0.05 + 0.0j]))
+    @example(batch=np.array([1.25 + 0.0j]))
+    @example(batch=np.array([0.05, 0.5, -0.1j, 0.1 + 0.5j, 1.25, 0.01 - 0.3j]))
+    def test_planar_batch_equals_points(self, name, batch):
+        _assert_batch_equals_points(_PROTOCOL_DOMAINS[name], batch)
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid"])
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_rows_batch)
+    @example(batch=np.array([[0.1, 0.2j]]))
+    @example(batch=np.array([[1.1, 0.0]], dtype=complex))
+    @example(batch=np.array([[0.1, 0.2j], [0.0, 0.9], [0.9, 0.0], [1.1, 0.1j], [0.0, 0.0]], dtype=complex))
+    def test_rows_batch_equals_points(self, name, batch):
+        _assert_batch_equals_points(_PROTOCOL_DOMAINS[name], batch)
+
+    def test_mixed_batches_have_both_answers(self):
+        planar = np.array([0.05, 0.5, 1.25, 0.01 - 0.3j])
+        rows = np.array([[0.1, 0.2j], [0.0, 0.9], [1.1, 0.1j]], dtype=complex)
+        for name, batch in (("disc", planar), ("omega_prime", planar), ("ball", rows), ("ellipsoid", rows)):
+            got = _PROTOCOL_DOMAINS[name].contains(batch)
+            assert got.any() and not got.all(), name
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL_DOMAINS))
+    def test_spec_roundtrip_agrees_on_contains(self, name):
+        dom = _PROTOCOL_DOMAINS[name]
+        rebuilt = domain_from_spec(json.loads(json.dumps(dom.to_spec())))
+        rng = np.random.default_rng(3)
+        xy = rng.uniform(-1.1, 1.1, size=(300, 4))
+        pts = xy[:, 0] + 1j * xy[:, 1] if name in ("disc", "omega_prime") else xy[:, :2] + 1j * xy[:, 2:]
+        pts = np.concatenate([pts, random_interior_points(dom, 50, seed=5)])
+        inside = dom.contains(pts)
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(rebuilt.contains(pts), inside)
+
+
+def _digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+class TestSamplerFrozen:
+    """The batched rejection sampler returns the points of the one-at-a-time loop."""
+
+    def test_lens_points(self):
+        pts = random_interior_points(build_omega_prime(), 200, seed=4)
+        assert pts.dtype == complex and pts.shape == (200,)
+        assert _digest(pts) == "9428574a4d5c27246bae4bc3216ba1ebea70b0d3e47cd751761a9d275a58c146"
+
+    def test_ball_points(self):
+        pts = random_interior_points(ball(2), 8, seed=1)
+        assert pts.dtype == complex and pts.shape == (8, 2)
+        assert _digest(pts) == "b0ce0736232c825a6001bbb8660269f6f6ea2e44177aefb8b31e548bbbd79c89"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from squeezelab.cli import main
+from squeezelab.domains import ball
 from squeezelab.errors import ConfigError
 from squeezelab.experiments import (
     ExperimentConfig,
@@ -17,6 +18,7 @@ from squeezelab.experiments import (
     run_lemma24_25,
     run_pipeline,
 )
+from squeezelab.squeezing import squeeze_lower_planar
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,19 @@ class TestConfig:
             ExperimentConfig("no-such-experiment")
         with pytest.raises(ConfigError):
             ExperimentConfig("lemma22", scales=2)
+
+    def test_unknown_lemma22_preset_rejected(self):
+        # an unknown preset used to run no job and return an empty report that passed
+        with pytest.raises(ConfigError):
+            ExperimentConfig("lemma22", domain_preset="nosuch")
+        for name in ("all", "disc", "ball", "ellipsoid", "omega_prime"):
+            ExperimentConfig("lemma22", domain_preset=name)
+
+    @pytest.mark.parametrize("experiment", ["lemma24_25", "pipeline", "counterexample"])
+    def test_preset_rejected_where_unused(self, experiment):
+        ExperimentConfig(experiment, domain_preset="all")
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment, domain_preset="ball")
 
     def test_provenance_echo(self, small_margin_report):
         prov = small_margin_report.provenance
@@ -91,6 +106,11 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "6385abb05bede973c1db123153026bad613bcbf9b994dcbf3eed08c77bca2229")
 
+    def test_counterexample_report_bytes_frozen(self):
+        text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "00e0354ffc4ecce292c06982725169ea2647e66a9f875e7b993cdf1a22887661")
+
     def test_emit_format_validation(self, small_margin_report):
         with pytest.raises(ConfigError):
             emit(small_margin_report, "xml")
@@ -112,6 +132,29 @@ class TestCli:
     def test_squeeze_subcommand(self, capsys):
         assert main(["squeeze", "--preset", "disc", "--at", "0.2"]) == 0
         assert "1.0" in capsys.readouterr().out
+
+    def test_out_path_leaves_report_bytes_unchanged(self, tmp_path, capsys):
+        args = ["pipeline", "--scales", "3", "--seed", "1"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert a.read_text() == b.read_text()
+        assert printed == a.read_text() + "\n"
+
+    def test_unknown_preset_reported_without_running(self, capsys):
+        assert main(["lemma22", "--preset", "nosuch", "--scales", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nosuch" in captured.err and "Traceback" not in captured.err
+
+    def test_squeeze_rejects_non_planar_preset(self, capsys):
+        with pytest.raises(ConfigError):
+            squeeze_lower_planar(ball(2), 0.1)
+        assert main(["squeeze", "--preset", "ball", "--at", "0.1"]) == 2
+        assert "planar" in capsys.readouterr().err
 
     def test_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):

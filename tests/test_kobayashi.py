@@ -5,10 +5,13 @@ transport through an explicit uniformization, and the round tangent-ball
 geometry of the disc and the ellipsoid.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from squeezelab.domains import ball, boundary_distance, disc, ellipsoid
+from squeezelab.domains import ball, boundary_distance, disc, ellipsoid, random_interior_points
 from squeezelab.errors import ConfigError, DomainError
 from squeezelab.kobayashi import (
     DistanceBound,
@@ -17,7 +20,6 @@ from squeezelab.kobayashi import (
     exact_disc_distance,
     inclusion_monotonicity_check,
     infinitesimal_upper,
-    inward_normal,
     lemma_log_bound_verify,
     slit_disc_distance,
     tangent_ball_radius,
@@ -82,6 +84,15 @@ class TestDistanceUpper:
         b = distance_upper(dom, a, c)
         assert exact - 1e-9 <= b.value <= exact * 1.05
 
+    def test_ball_bound_bytes_frozen(self):
+        # the batched disc and segment checks must give the bound of the pointwise loops
+        pts = random_interior_points(ball(2), 8, seed=1)
+        bound = distance_upper(ball(2), pts[0], pts[1], PathSpec(refinement=8))
+        text = json.dumps({"value": bound.value, "kind": bound.kind, "quad_error": bound.quad_error,
+                           "decomposition": bound.decomposition}, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3e323ca322b157975b7f34db06abfcf050d8559c70b7e20d32961c49c63cb77b")
+
     def test_waypoints_and_validation(self):
         d = disc(512)
         b = distance_upper(d, -0.5, 0.5, PathSpec(waypoints=(0.2j,)))
@@ -104,7 +115,7 @@ class TestTangentBall:
         assert 0.45 < r0 < 0.55
 
     def test_inward_normal_disc(self):
-        n = inward_normal(disc(), 1.0 + 0.0j)
+        n = disc().inward_normal(1.0 + 0.0j)
         np.testing.assert_allclose(n, -1.0, atol=1e-3)
 
 
