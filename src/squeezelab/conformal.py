@@ -179,13 +179,9 @@ def _outer_charges(dom, zo: np.ndarray, count: int, mirror: bool):
     qs = zo[pick]
     spacing = np.abs(np.roll(qs, -1) - qs)
     spacing[-1] = spacing[-2] if len(spacing) > 1 else 0.1
-    charges = []
-    for p, n, ds in zip(qs, normal[pick], spacing):
-        q = p + 3.0 * ds * n
-        if dom.contains(q):
-            continue
-        charges.append((complex(q), float(max(ds, 1e-6))))
-    return charges
+    cand = qs + 3.0 * spacing * normal[pick]
+    outside = ~dom.contains(cand)
+    return [(complex(q), float(max(ds, 1e-6))) for q, ds in zip(cand[outside], spacing[outside])]
 
 
 def canonical_annulus_map(

@@ -50,6 +50,7 @@ class Curve:
     def __init__(self, params: np.ndarray):
         self._params = np.asarray(params, dtype=float)
         self._points = None
+        self._edges = None
 
     def point(self, t):
         raise NotImplementedError
@@ -62,6 +63,16 @@ class Curve:
         if self._points is None:
             self._points = self.point(self._params)
         return self._points
+
+    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Even-odd test of finite points ``z`` (a 1-d array) against the sample polygon.
+
+        Returns ``odd`` (a ray from each point towards +x crosses the polygon
+        an odd number of times) and ``on_sample`` (the point equals a sample).
+        """
+        if self._edges is None:
+            self._edges = _EdgeIndex(self.points())
+        return self._edges.crossings(z)
 
     def signed_area(self) -> float:
         p = self.points()
@@ -80,6 +91,61 @@ class Curve:
 
     def _clone(self, params: np.ndarray) -> "Curve":
         raise NotImplementedError
+
+
+# elements per temporary array of the batched planar kernels: the few
+# temporaries of one chunk take about 1 MB together, whatever the batch size
+_CHUNK = 1 << 15
+
+
+class _EdgeIndex:
+    """Edges of a closed sample polygon, bucketed into horizontal strips.
+
+    Strip boundaries are every fourth distinct sample height, so each strip
+    holds a few samples however the samples cluster.  Row ``j`` of ``table``
+    lists every edge whose closed height range meets strip ``j``, padded
+    with a sentinel edge that no point crosses or equals, so one fancy index
+    gathers the candidate edges of a batch of points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n = len(points)
+        nxt = np.roll(points, -1)
+        x0, y0, y1 = points.real, points.imag, nxt.imag
+        dy = y1 - y0
+        flat = dy == 0  # never crossed: no height lies in [y0, y1) or [y1, y0)
+        dxdy = np.where(flat, 0.0, (nxt.real - x0) / np.where(flat, 1.0, dy))
+        # rows x0, y0, y1, dx/dy of every edge; edge n is the sentinel, whose
+        # NaN ends fail every comparison
+        self.edges = np.column_stack([np.stack([x0, y0, y1, dxdy]), [np.nan, np.nan, np.nan, 0.0]])
+        self.cuts = np.unique(y0)[1:-1:4]  # strip j holds heights in [cuts[j-1], cuts[j])
+        first = np.searchsorted(self.cuts, np.minimum(y0, y1), "right")
+        last = np.searchsorted(self.cuts, np.maximum(y0, y1), "right")
+        span = last - first + 1
+        edge = np.repeat(np.arange(n), span)
+        strip = np.repeat(first - np.cumsum(span) + span, span) + np.arange(len(edge))
+        order = np.argsort(strip, kind="stable")
+        edge, strip = edge[order], strip[order]
+        per_strip = np.bincount(strip, minlength=len(self.cuts) + 1)
+        slot = np.arange(len(edge)) - np.repeat(np.cumsum(per_strip) - per_strip, per_strip)
+        self.table = np.full((len(per_strip), per_strip.max()), n, dtype=np.int32)
+        self.table[strip, slot] = edge
+
+    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        odd = np.empty(len(z), dtype=bool)
+        on_sample = np.empty(len(z), dtype=bool)
+        step = max(1, _CHUNK // self.table.shape[1])
+        for s in range(0, len(z), step):
+            x = z.real[s : s + step, None]
+            y = z.imag[s : s + step, None]
+            x0, y0, y1, dxdy = self.edges[:, self.table[np.searchsorted(self.cuts, y[:, 0], "right")]]
+            with np.errstate(invalid="ignore", over="ignore"):
+                # offsets from the edge's first sample are exact for nearby
+                # points, so the side of the edge is decided at their scale
+                hit = ((y0 > y) != (y1 > y)) & (x - x0 < (y - y0) * dxdy)
+            odd[s : s + step] = np.logical_xor.reduce(hit, axis=1)
+            on_sample[s : s + step] = ((x0 == x) & (y0 == y)).any(axis=1)
+        return odd, on_sample
 
 
 def _uniform_params(n: int) -> np.ndarray:
@@ -112,13 +178,15 @@ class CircleCurve(ParamCurve):
     def __init__(self, center: complex, radius: float, orientation: int = 1, n: int = 2048):
         if radius <= 0:
             raise ConfigError("circle radius must be positive")
-        self.center = complex(center)
-        self.radius = float(radius)
-        self.orientation = int(orientation)
+        self.center = center = complex(center)
+        self.radius = radius = float(radius)
+        self.orientation = orientation = int(orientation)
 
+        # the closure holds the values, not ``self``: a curve that referred to
+        # itself would outlive its domain until a full garbage collection
         def f(t):
-            ang = 2.0 * np.pi * t * self.orientation
-            return self.center + self.radius * np.exp(1j * ang)
+            ang = 2.0 * np.pi * t * orientation
+            return center + radius * np.exp(1j * ang)
 
         super().__init__(f, n=n)
 
@@ -188,14 +256,6 @@ class DomainPoint:
     nearest: complex | np.ndarray
 
 
-def _winding(points: np.ndarray, z: complex) -> float:
-    w = points - z
-    if np.any(w == 0):  # z sits on a sample; treat as non-interior
-        return 0.0
-    ang = np.angle(np.roll(w, -1) / w)
-    return float(np.sum(ang) / (2.0 * np.pi))
-
-
 def _unit(v):
     n = float(np.linalg.norm(np.atleast_1d(np.asarray(v))))
     if n == 0:
@@ -220,7 +280,8 @@ class PlanarDomain:
             if h.signed_area() >= 0:
                 raise ConfigError("hole curves must be negatively oriented")
             hp = h.points()
-            if not np.all([_winding(outer.points(), p) > 0.5 for p in hp[:: max(1, len(hp) // 16)]]):
+            odd, on_sample = outer.crossings(hp[:: max(1, len(hp) // 16)])
+            if not np.all(odd & ~on_sample):
                 raise ConfigError("hole not strictly inside the outer curve")
         for i, h in enumerate(self.holes):
             for g in self.holes[i + 1 :]:
@@ -245,22 +306,31 @@ class PlanarDomain:
         return complex(z)
 
     def contains(self, z):
-        """Membership of one point (a bool) or of each point of an array (a bool array)."""
+        """Membership of one point (a bool) or of each point of an array (a bool array).
+
+        A point is inside when it crosses the outer sample polygon an odd
+        number of times and every hole's an even number of times; a
+        non-finite point and a point equal to a boundary sample are outside.
+        """
         z = np.asarray(z, dtype=complex)
-        inside = np.fromiter((self._contains_one(p) for p in z.ravel()), bool, z.size).reshape(z.shape)
-        return bool(inside) if z.ndim == 0 else inside
+        flat = z.ravel()
+        inside = np.isfinite(flat)
+        for k, curve in enumerate(self.curves()):
+            idx = np.flatnonzero(inside)  # holes only test the points still inside
+            odd, on_sample = curve.crossings(flat[idx])
+            inside[idx] = (odd if k == 0 else ~odd) & ~on_sample
+        return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
 
-    def _contains_one(self, z) -> bool:
-        # the winding number rounds to 1 about the outer curve and to 0 about
-        # every hole; a NaN sum (a non-finite point, or one within ~1e-308 of
-        # a sample, where the ratios can overflow) fails every comparison
-        if not 0.5 < _winding(self.outer.points(), z) < 1.5:
-            return False
-        return all(-0.5 <= _winding(h.points(), z) <= 0.5 for h in self.holes)
-
-    def boundary_gap(self, z: complex) -> float:
-        """Unsigned distance from z to the sampled boundary (coarse)."""
-        return min(float(np.min(np.abs(c.points() - z))) for c in self.curves())
+    def boundary_gap(self, z):
+        """Unsigned distance from z (one point or an array) to the nearest boundary sample (coarse)."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        samples = np.concatenate([c.points() for c in self.curves()])
+        gap = np.empty(flat.shape)
+        step = max(1, _CHUNK // len(samples))
+        for s in range(0, len(flat), step):
+            gap[s : s + step] = np.min(np.abs(samples - flat[s : s + step, None]), axis=1)
+        return float(gap[0]) if z.ndim == 0 else gap.reshape(z.shape)
 
     def boundary_distance(self, z) -> DomainPoint:
         """Coarse scan over the curve samples, then Brent refinement on the parameterization."""
@@ -298,7 +368,8 @@ class PlanarDomain:
         p = self.outer.points()
         xy = rng.uniform((p.real.min(), p.imag.min()), (p.real.max(), p.imag.max()), size=(count, 2))
         z = xy.view(complex)[:, 0]  # each row read as x + iy, bit for bit
-        return np.array([q for q in z[self.contains(z)] if self.boundary_gap(q) > 1e-6], dtype=complex)
+        inner = z[self.contains(z)]
+        return inner[self.boundary_gap(inner) > 1e-6]
 
 
 def _refine_on_curve(curve: Curve, z: complex, t_lo: float, t_hi: float) -> tuple[float, complex]:

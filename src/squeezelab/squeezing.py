@@ -201,6 +201,8 @@ def squeeze_lower_planar(dom: PlanarDomain, z: complex, amap: AnnulusMap | None 
     """
     if not isinstance(dom, PlanarDomain):
         raise ConfigError(f"squeeze_lower_planar needs a planar domain, got {type(dom).__name__}")
+    if not dom.contains(z):
+        raise DomainError(f"point {complex(z)} is not in the {dom.name or 'planar'} domain")
     if dom.connectivity == 1:
         return SqueezeBound(at=z, lower=1.0, one_minus_lower=0.0,
                             witness={"kind": "riemann-family", "symbolic": True})

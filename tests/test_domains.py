@@ -4,8 +4,10 @@ Oracles: exact distances for the disc, ball, and ellipsoid; hand-evaluated
 values of the map z log z and its collisions outside the source lens.
 """
 
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezelab.domains import (
+    CircleCurve,
     OmegaPrimeParams,
+    PlanarDomain,
     annulus,
     ball,
     boundary_distance,
@@ -133,6 +137,19 @@ class TestUtilities:
         z = d.outer.points()[0]
         assert not d.contains(z)
 
+    def test_circle_curve_freed_without_cycle_collection(self):
+        # a curve caches its samples and edge index; a reference cycle through
+        # its parameterisation would keep them until a full collection
+        curve = CircleCurve(0.3j, 0.5, orientation=-1)
+        curve.crossings(np.array([0.3j]))
+        ref = weakref.ref(curve)
+        gc.disable()
+        try:
+            del curve
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_spec_roundtrip(self, omega_prime):
         spec = omega_prime.to_spec()
         dom2 = domain_from_spec(spec)
@@ -187,10 +204,6 @@ def _assert_batch_equals_points(dom, batch):
 
 
 class TestContainsProtocol:
-    # a point within ~1e-308 of a boundary sample (the lens has one at 0)
-    # overflows the winding ratios; the sum is NaN and the point is outside
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("name", ["disc", "omega_prime"])
     @settings(max_examples=40, deadline=None)
     @given(batch=_planar_batch)
@@ -229,6 +242,79 @@ class TestContainsProtocol:
         np.testing.assert_array_equal(rebuilt.contains(pts), inside)
 
 
+# ---------------------------------------------------------------------------
+# planar membership: the indexed even-odd kernel against a winding-number sum
+
+_PLANAR_DOMAINS = {
+    "disc": _PROTOCOL_DOMAINS["disc"],
+    "annulus": annulus(0.3),
+    "omega_prime": _PROTOCOL_DOMAINS["omega_prime"],
+    "omega_zlogz": build_omega(_PROTOCOL_DOMAINS["omega_prime"]),
+}
+
+
+def _winding_inside(dom, z: complex) -> bool:
+    """Reference: winding number 1 about the outer curve and 0 about every hole."""
+
+    def winding(points):
+        w = points - z
+        return np.sum(np.angle(np.roll(w, -1) / w)) / (2.0 * np.pi) if np.all(w != 0) else 0.0
+
+    return round(winding(dom.outer.points())) == 1 and all(round(winding(h.points())) == 0 for h in dom.holes)
+
+
+def _samples(dom) -> np.ndarray:
+    return np.concatenate([c.points() for c in dom.curves()])
+
+
+_unit_interval = st.floats(0.0, 1.0)
+
+
+class TestCrossingKernel:
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.lists(st.tuples(_unit_interval, _unit_interval), min_size=1, max_size=20))
+    def test_box_points_match_winding_sum(self, name, u):
+        dom = _PLANAR_DOMAINS[name]
+        p = dom.outer.points()
+        lo = complex(p.real.min(), p.imag.min())
+        size = complex(p.real.max(), p.imag.max()) - lo
+        z = np.array([lo - 0.1 * size + complex(1.2 * a * size.real, 1.2 * b * size.imag) for a, b in u])
+        np.testing.assert_array_equal(dom.contains(z), [_winding_inside(dom, q) for q in z])
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=60, deadline=None)
+    @given(near=st.lists(st.tuples(st.integers(0, 10**6), st.floats(1e-9, 1e-7), st.floats(0.0, 2.0 * np.pi)),
+                         min_size=1, max_size=20))
+    def test_points_near_samples_match_winding_sum(self, name, near):
+        dom = _PLANAR_DOMAINS[name]
+        samples = _samples(dom)
+        z = np.array([samples[i % len(samples)] + r * np.exp(1j * t) for i, r, t in near])
+        np.testing.assert_array_equal(dom.contains(z), [_winding_inside(dom, q) for q in z])
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    def test_samples_and_non_finite_points_are_outside(self, name, recwarn):
+        dom = _PLANAR_DOMAINS[name]
+        assert not dom.contains(_samples(dom)).any()
+        bad = np.array([complex(np.nan, 0.0), complex(0.05, np.nan), complex(np.inf, 0.0), complex(-np.inf, 0.1),
+                        complex(0.05, np.inf), complex(0.05, -np.inf), complex(np.nan, np.inf)])
+        assert not dom.contains(bad).any()
+        assert not any(dom.contains(q) for q in bad)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_batch_across_chunks_equals_pieces(self):
+        dom = _PLANAR_DOMAINS["omega_zlogz"]
+        xy = np.random.default_rng(11).uniform(-2.0, 1.0, size=(40_000, 2))
+        z = xy[:, 0] + 1j * xy[:, 1]
+        got = dom.contains(z)
+        assert got.any() and not got.all()
+        np.testing.assert_array_equal(got, np.concatenate([dom.contains(z[i : i + 997]) for i in range(0, len(z), 997)]))
+
+    def test_hole_outside_outer_rejected(self):
+        with pytest.raises(ConfigError):
+            PlanarDomain(CircleCurve(0.0, 1.0), [CircleCurve(3.0, 0.5, orientation=-1)])
+
+
 def _digest(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
@@ -240,6 +326,11 @@ class TestSamplerFrozen:
         pts = random_interior_points(build_omega_prime(), 200, seed=4)
         assert pts.dtype == complex and pts.shape == (200,)
         assert _digest(pts) == "9428574a4d5c27246bae4bc3216ba1ebea70b0d3e47cd751761a9d275a58c146"
+
+    def test_image_domain_points(self):
+        pts = random_interior_points(_PLANAR_DOMAINS["omega_zlogz"], 500, seed=3)
+        assert pts.dtype == complex and pts.shape == (500,)
+        assert _digest(pts) == "1ea1fb81ddbb17c9b56e63b7ca850cb004bba8b34e4ca31c8123c436aae40bd7"
 
     def test_ball_points(self):
         pts = random_interior_points(ball(2), 8, seed=1)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from squeezelab.cli import main
-from squeezelab.domains import ball
-from squeezelab.errors import ConfigError
+from squeezelab.domains import ball, preset
+from squeezelab.errors import ConfigError, DomainError
 from squeezelab.experiments import (
     ExperimentConfig,
     emit,
@@ -155,6 +155,15 @@ class TestCli:
             squeeze_lower_planar(ball(2), 0.1)
         assert main(["squeeze", "--preset", "ball", "--at", "0.1"]) == 2
         assert "planar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, at", [("disc", "5"), ("omega_prime", "0.5")])
+    def test_squeeze_rejects_point_outside_domain(self, name, at, capsys):
+        with pytest.raises(DomainError, match="is not in the"):
+            squeeze_lower_planar(preset(name), complex(at))
+        assert main(["squeeze", "--preset", name, "--at", at]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "is not in the" in captured.err
 
     def test_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):

@@ -97,6 +97,7 @@ class TestDistanceUpper:
         d = disc(512)
         b = distance_upper(d, -0.5, 0.5, PathSpec(waypoints=(0.2j,)))
         assert b.value >= exact_disc_distance(-0.5, 0.5) - 1e-9
+        assert repr(b.value) == "1.4783083711589913"  # frozen
         with pytest.raises(ConfigError):
             PathSpec(refinement=1)
 
