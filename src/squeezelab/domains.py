@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
     "Curve",
@@ -249,10 +248,13 @@ class MappedCurve(Curve):
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """Interior point with its boundary distance and a nearest boundary point."""
+    """Interior point with its boundary distance and a nearest boundary point.
+
+    A planar batch query fills each field with an array, one entry per point.
+    """
 
     z: complex | np.ndarray
-    d: float
+    d: float | np.ndarray
     nearest: complex | np.ndarray
 
 
@@ -321,35 +323,44 @@ class PlanarDomain:
             inside[idx] = (odd if k == 0 else ~odd) & ~on_sample
         return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
 
-    def boundary_gap(self, z):
-        """Unsigned distance from z (one point or an array) to the nearest boundary sample (coarse)."""
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
+    def boundary_gap(self, z) -> float:
+        """Unsigned distance from the point z to the nearest boundary sample (coarse)."""
         samples = np.concatenate([c.points() for c in self.curves()])
-        gap = np.empty(flat.shape)
-        step = max(1, _CHUNK // len(samples))
-        for s in range(0, len(flat), step):
-            gap[s : s + step] = np.min(np.abs(samples - flat[s : s + step, None]), axis=1)
-        return float(gap[0]) if z.ndim == 0 else gap.reshape(z.shape)
+        return float(np.min(np.abs(samples - complex(z))))
 
     def boundary_distance(self, z) -> DomainPoint:
-        """Coarse scan over the curve samples, then Brent refinement on the parameterization."""
-        z = complex(z)
-        if not self.contains(z):
-            gap = self.boundary_gap(z)
-            raise DomainError(f"point {z} is not interior (boundary gap {gap:.3e})")
-        d, nearest = min((_curve_distance(c, z) for c in self.curves()), key=lambda c: c[0])
-        return DomainPoint(z=z, d=float(d), nearest=nearest)
+        """Distance from one interior point (a float ``d``) or from each point of an array (arrays).
+
+        A coarse scan over the curve samples, then Brent refinement on the
+        parameterization, batched over the points; the nearest point is the
+        first strict minimum in curve order.
+        """
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        inside = self.contains(flat)
+        if not inside.all():
+            bad = complex(flat[np.argmin(inside)])
+            raise DomainError(f"point {bad} is not interior (boundary gap {self.boundary_gap(bad):.3e})")
+        d = np.full(flat.shape, np.inf)
+        nearest = np.zeros(flat.shape, dtype=complex)
+        for curve in self.curves():
+            dc, wc = _curve_distance(curve, flat)
+            closer = dc < d
+            d, nearest = np.where(closer, dc, d), np.where(closer, wc, nearest)
+        if z.ndim == 0:
+            return DomainPoint(z=complex(z), d=float(d[0]), nearest=nearest[0])
+        return DomainPoint(z=z, d=d.reshape(z.shape), nearest=nearest.reshape(z.shape))
 
     def inward_normal(self, p) -> complex:
         """Inward unit normal at a boundary point, from the deepest of 128 probes around it."""
         theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
         probes = complex(p) + (1e-4 * self.scale) * np.exp(1j * theta)
-        deepest = max((boundary_distance(self, q) for q in probes[self.contains(probes)]),
-                      key=lambda bp: bp.d, default=None)
-        if deepest is None:
+        probes = probes[self.contains(probes)]
+        if not len(probes):
             raise DomainError("no interior direction found at the boundary point")
-        return _unit(deepest.z - deepest.nearest)
+        bp = boundary_distance(self, probes)
+        k = np.argmax(bp.d)
+        return _unit(bp.z[k] - bp.nearest[k])
 
     def to_spec(self) -> dict:
         return {
@@ -369,43 +380,128 @@ class PlanarDomain:
         xy = rng.uniform((p.real.min(), p.imag.min()), (p.real.max(), p.imag.max()), size=(count, 2))
         z = xy.view(complex)[:, 0]  # each row read as x + iy, bit for bit
         inner = z[self.contains(z)]
-        return inner[self.boundary_gap(inner) > 1e-6]
+        # a sample within 1e-6 of a point is within 1e-6 of it in x: only the
+        # samples in an x-window twice that wide are measured exactly
+        s = np.concatenate([c.points() for c in self.curves()])
+        s = s[np.argsort(s.real)]
+        lo = np.searchsorted(s.real, inner.real - 2e-6)
+        width = np.searchsorted(s.real, inner.real + 2e-6, "right") - lo
+        owner = np.repeat(np.arange(len(inner)), width)
+        sample = np.repeat(lo - np.cumsum(width) + width, width) + np.arange(len(owner))
+        return np.delete(inner, owner[np.abs(s[sample] - inner[owner]) <= 1e-6])
 
 
-def _refine_on_curve(curve: Curve, z: complex, t_lo: float, t_hi: float) -> tuple[float, complex]:
-    """Brent refinement of min_t |curve(t) - z| on [t_lo, t_hi]."""
+# Brent's bounded minimiser (R. P. Brent, Algorithms for Minimization without
+# Derivatives, 1973), with the constants of scipy's ``fminbound``
+_SQRT_EPS = np.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
-    def obj(t):
-        w = curve.point(np.array([t]))[0] - z
+
+def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise ``f`` on every window ``[lo[j], hi[j]]`` at once, one lane per window.
+
+    Each lane takes the steps of scipy's bounded scalar minimiser, with the
+    same operations in the same order (its parabolic and golden-section
+    branches become masks), so its minimiser has the same bits; a lane that
+    has converged keeps its state. ``f`` maps one abscissa per lane to the
+    objective values. Returns the minimisers and their objective values.
+    Raises ``SolverError`` when an objective value is NaN or a lane still
+    moves after ``maxiter`` evaluations.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    xf = a + _GOLDEN * (b - a)
+    nfc, fulc = xf, xf
+    rat = e = np.zeros_like(xf)
+    fx = f(xf)
+    if np.isnan(fx).any():
+        raise SolverError("bounded Brent: objective is NaN at a window's first point")
+    fnfc = ffulc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    num = 1
+    while (active := np.abs(xf - xm) > tol2 - 0.5 * (b - a)).any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # parabola through the three best points, tried where the step before last was long
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (a - xf)) & (p < q * (b - xf)))
+            step = (p + 0.0) / q
+        x = xf + step
+        near_end = ((x - a) < tol2) | ((b - x) < tol2)
+        step = np.where(near_end, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
+        golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(parabolic, rat, golden)
+        rat = np.where(parabolic, step, _GOLDEN * golden)
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        x = np.where(active, x, xf)  # a converged lane evaluates its minimiser again
+        fu = f(x)
+        num += 1
+        if np.isnan(fu).any():
+            raise SolverError("bounded Brent: objective is NaN inside a window")
+
+        better = fu <= fx
+        lower = np.where(better, x >= xf, x < xf)  # the end that moves is a, else b
+        end = np.where(better, xf, x)
+        a, b = np.where(active & lower, end, a), np.where(active & ~lower, end, b)
+        to_nfc = active & (better | (fu <= fnfc) | (nfc == xf))
+        to_fulc = active & ~to_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc = np.where(to_nfc, nfc, np.where(to_fulc, x, fulc))
+        ffulc = np.where(to_nfc, fnfc, np.where(to_fulc, fu, ffulc))
+        nfc = np.where(to_nfc, end, nfc)
+        fnfc = np.where(to_nfc, np.where(better, fx, fu), fnfc)
+        xf = np.where(active & better, x, xf)
+        fx = np.where(active & better, fu, fx)
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            raise SolverError(f"bounded Brent: {int(active.sum())} windows unconverged after {maxiter} evaluations")
+    return xf, fx
+
+
+def _curve_distance(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each point of ``z`` to ``curve``, and the nearest curve point.
+
+    The windows between the neighbours of each point's four nearest samples
+    (two windows where one wraps past t = 0) are refined by one Brent run;
+    each point keeps its first strict minimum in window order.
+    """
+    t, pts = curve.params, curve.points()
+    n, k = len(t), min(4, len(t))
+    closest = np.empty((len(z), k), dtype=np.intp)
+    step = max(1, _CHUNK // n)
+    for s in range(0, len(z), step):
+        closest[s : s + step] = np.argsort(np.abs(pts - z[s : s + step, None]), axis=1)[:, :k]
+    lo, hi = t[(closest - 1) % n], t[(closest + 1) % n]
+    wrap = hi < lo
+    # two lanes per sample: a wrapped window splits into (lo, 1 + hi) and
+    # (lo - 1, hi), an unwrapped one leaves its second lane unused
+    lanes = np.stack([np.ones_like(wrap), wrap], axis=-1).reshape(len(z), 2 * k)
+    lo = np.stack([lo, lo - 1.0], axis=-1).reshape(len(z), 2 * k)[lanes]
+    hi = np.stack([np.where(wrap, 1.0 + hi, hi), hi], axis=-1).reshape(len(z), 2 * k)[lanes]
+    zl = np.broadcast_to(z[:, None], lanes.shape)[lanes]
+
+    def sq_dist(s):
+        w = curve.point(s) - zl
         return w.real * w.real + w.imag * w.imag
 
-    res = minimize_scalar(obj, bounds=(t_lo, t_hi), method="bounded",
-                          options={"xatol": 1e-15, "maxiter": 400})
-    t = float(res.x)
-    w = curve.point(np.array([t]))[0]
-    return abs(w - z), w
-
-
-def _curve_distance(curve: Curve, z: complex) -> tuple[float, complex]:
-    pts = curve.points()
-    t = curve.params
-    d2 = np.abs(pts - z)
-    order = np.argsort(d2)[:4]
-    best = (np.inf, None)
-    n = len(t)
-    for i in order:
-        lo = t[(i - 1) % n]
-        hi = t[(i + 1) % n]
-        if hi < lo:  # wrapped window
-            for a, b in ((lo, 1.0 + t[(i + 1) % n]), (lo - 1.0, hi)):
-                cand = _refine_on_curve(curve, z, a, b)
-                if cand[0] < best[0]:
-                    best = cand
-        else:
-            cand = _refine_on_curve(curve, z, lo, hi)
-            if cand[0] < best[0]:
-                best = cand
-    return best
+    w = curve.point(_bounded_brent(sq_dist, lo, hi, xatol=1e-15, maxiter=400)[0])
+    # np.hypot is the scalar abs; numpy's vectorised complex abs can differ in the last bit
+    dw = w - zl
+    d = np.full(lanes.shape, np.inf)
+    d[lanes] = np.hypot(dw.real, dw.imag)
+    at = np.zeros(lanes.shape, dtype=complex)
+    at[lanes] = w
+    best = np.argmin(d, axis=1)
+    rows = np.arange(len(z))
+    return d[rows, best], at[rows, best]
 
 
 def boundary_distance(dom, z) -> DomainPoint:

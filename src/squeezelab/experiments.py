@@ -270,21 +270,20 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
         raise DomainError(f"z log z injectivity certificate failed: {cert}")
 
     amap = canonical_annulus_map(omega_prime)
+    p = np.array([2.0 ** (-(k + 2)) for k in range(1, scales + 1)])
+    d = boundary_distance(omega, phi_map(p)).d
+    d_prime = boundary_distance(omega_prime, p).d
     rows = []
-    for k in range(1, scales + 1):
-        p_k = 2.0 ** (-(k + 2))
-        q_k = phi_map(p_k)
+    for k, p_k, d_k, dp_k in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist()):
         L = squeeze_lower_planar(omega_prime, p_k, amap=amap)
-        d_k = boundary_distance(omega, q_k).d
-        d_prime = boundary_distance(omega_prime, p_k).d
         rows.append({
             "k": k,
             "p_k": p_k,
-            "d_k": float(d_k),
+            "d_k": d_k,
             "L_k": L.lower,
             "one_minus_L": L.one_minus_lower,
             "R_k": float(L.one_minus_lower / d_k),
-            "distortion_ratio": float(d_k / d_prime),
+            "distortion_ratio": d_k / dp_k,
             "abs_phi_deriv": float(np.abs(phi_deriv(p_k))),
         })
 
@@ -298,16 +297,14 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     ]
 
     # informational: angular approaches p e^{i theta} (no assertion)
+    approach = [(theta, k, 2.0 ** (-(k + 2)) * np.exp(1j * theta)) for theta in (-0.3, 0.3) for k in (5, 10, 15, 20)]
+    inside = omega_prime.contains(np.array([p for _, _, p in approach]))
+    approach = [a for a, keep in zip(approach, inside) if keep]
+    d = boundary_distance(omega, phi_map(np.array([p for _, _, p in approach], dtype=complex))).d
     angular = []
-    for theta in (-0.3, 0.3):
-        for k in (5, 10, 15, 20):
-            p = 2.0 ** (-(k + 2)) * np.exp(1j * theta)
-            if omega_prime.contains(p):
-                q = phi_map(p)
-                L = squeeze_lower_planar(omega_prime, p, amap=amap)
-                d = boundary_distance(omega, q).d
-                angular.append({"theta": theta, "k": k,
-                                "R": float(L.one_minus_lower / d)})
+    for (theta, k, p), d_q in zip(approach, d.tolist()):
+        L = squeeze_lower_planar(omega_prime, p, amap=amap)
+        angular.append({"theta": theta, "k": k, "R": float(L.one_minus_lower / d_q)})
 
     tables = {"radial": rows, "angular": angular, "injectivity": cert,
               "modulus": amap.modulus}

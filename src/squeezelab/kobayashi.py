@@ -72,9 +72,9 @@ def _pt_diff_norm(a, b):
 # affine analytic discs
 
 
-def _ray_exit(dom, z, v, r_cap: float) -> float:
-    """Largest t with the segment {z + s v : 0 <= s < t} inside dom."""
-    t = min(max(boundary_distance(dom, z).d, 1e-14), r_cap)
+def _ray_exit(dom, z, v, r_cap: float, d0: float) -> float:
+    """Largest t with the segment {z + s v : 0 <= s < t} inside dom, where z is ``d0`` from the boundary."""
+    t = min(max(d0, 1e-14), r_cap)
     while t < r_cap and dom.contains(z + t * v):
         t *= 2.0
     hi = min(t, r_cap)
@@ -127,9 +127,9 @@ def infinitesimal_upper(dom, z, v) -> float:
     speed = float(np.linalg.norm(np.atleast_1d(v)))
     r_cap = 4.0 * dom.scale
 
-    rp = _ray_exit(dom, z, vhat, r_cap)
-    rm = _ray_exit(dom, z, -vhat, r_cap)
     d0 = boundary_distance(dom, z).d
+    rp = _ray_exit(dom, z, vhat, r_cap, d0)
+    rm = _ray_exit(dom, z, -vhat, r_cap, d0)
     if rp <= 0 or rm <= 0:
         return speed / max(d0, 1e-300)
 

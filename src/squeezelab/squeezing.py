@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .ball import BallAutomorphism, _psi_norms_batch, sphere_samples
 from .conformal import AnnulusMap, canonical_annulus_map
-from .domains import PlanarDomain, boundary_distance
+from .domains import PlanarDomain, _bounded_brent, boundary_distance
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -155,9 +154,8 @@ def _min_on_circle(a: complex, radius: float) -> float:
     vals = f(theta)
     k = int(np.argmin(vals))
     lo, hi = theta[k] - 2.0 * np.pi / 4096, theta[k] + 2.0 * np.pi / 4096
-    res = minimize_scalar(lambda t: float(f(np.array([t]))[0]), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-14})
-    return float(min(res.fun, vals[k]))
+    fun = _bounded_brent(f, np.array([lo]), np.array([hi]), xatol=1e-14, maxiter=500)[1][0]
+    return float(min(fun, vals[k]))
 
 
 def annulus_squeeze_lower(modulus: float, z: complex, cross_check: bool = False) -> SqueezeBound:

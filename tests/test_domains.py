@@ -7,17 +7,24 @@ values of the map z log z and its collisions outside the source lens.
 import gc
 import hashlib
 import json
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+import squeezelab
 from squeezelab.domains import (
     CircleCurve,
     OmegaPrimeParams,
+    ParamCurve,
     PlanarDomain,
+    _bounded_brent,
     annulus,
     ball,
     boundary_distance,
@@ -31,7 +38,7 @@ from squeezelab.domains import (
     preset,
     random_interior_points,
 )
-from squeezelab.errors import ConfigError, DomainError
+from squeezelab.errors import ConfigError, DomainError, SolverError
 
 
 class TestDiscDomain:
@@ -336,3 +343,103 @@ class TestSamplerFrozen:
         pts = random_interior_points(ball(2), 8, seed=1)
         assert pts.dtype == complex and pts.shape == (8, 2)
         assert _digest(pts) == "b0ce0736232c825a6001bbb8660269f6f6ea2e44177aefb8b31e548bbbd79c89"
+
+
+# ---------------------------------------------------------------------------
+# planar boundary distance: the lockstep bounded Brent kernel
+
+
+class TestBoundedBrent:
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.integers(0, 1),
+           picks=st.lists(st.tuples(st.integers(0, 10**6), st.floats(1e-10, 0.1), st.floats(0.0, 2.0 * np.pi)),
+                          min_size=1, max_size=12))
+    def test_argmin_matches_scipy_bit_for_bit(self, name, which, picks):
+        curves = _PLANAR_DOMAINS[name].curves()
+        curve = curves[which % len(curves)]
+        # points near chosen samples, each with the parameter window around its sample
+        t, n = curve.params, len(curve.params)
+        i = np.array([k % n for k, _, _ in picks])
+        z = curve.points()[i] + np.array([r * np.exp(1j * a) for _, r, a in picks])
+        lo, hi = t[(i - 1) % n], t[(i + 1) % n]
+        lo = np.where(hi < lo, lo - 1.0, lo)
+
+        def sq_dist(s):
+            w = curve.point(s) - z
+            return w.real * w.real + w.imag * w.imag
+
+        got, _ = _bounded_brent(sq_dist, lo, hi, xatol=1e-15, maxiter=400)
+        ref = []
+        for zj, a, b in zip(z, lo, hi):
+
+            def one(s, zj=zj):
+                w = curve.point(np.array([s]))[0] - zj
+                return w.real * w.real + w.imag * w.imag
+
+            res = minimize_scalar(one, bounds=(a, b), method="bounded", options={"xatol": 1e-15, "maxiter": 400})
+            assert res.status == 0
+            ref.append(float(res.x))
+        np.testing.assert_array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(SolverError):
+            _bounded_brent(lambda s: (s - 0.3) ** 2, np.array([0.0, 0.5]), np.array([1.0, 0.6]), xatol=1e-15,
+                           maxiter=5)
+
+    def test_nan_objective_raises(self):
+        # samples lie on the unit circle; between them the curve is undefined
+        grid = np.arange(64) / 64
+
+        def on_samples_only(t):
+            return np.where(np.isin(t, grid), np.exp(2j * np.pi * t), np.nan)
+
+        dom = PlanarDomain(ParamCurve(on_samples_only, n=64))
+        assert dom.contains(0.1)
+        with pytest.raises(SolverError):
+            boundary_distance(dom, 0.1)
+
+
+def _assert_distance_batch_equals_points(dom, z):
+    batch = boundary_distance(dom, z)
+    assert batch.d.shape == batch.nearest.shape == z.shape
+    for zj, dj, wj in zip(z, batch.d, batch.nearest):
+        one = boundary_distance(dom, zj)
+        assert type(one.d) is float and type(one.z) is complex
+        assert (one.d, one.nearest) == (dj, wj)
+
+
+class TestBoundaryDistanceBatch:
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), count=st.integers(1, 12))
+    def test_batch_equals_points(self, name, seed, count):
+        dom = _PLANAR_DOMAINS[name]
+        _assert_distance_batch_equals_points(dom, random_interior_points(dom, count, seed=seed))
+
+    @pytest.mark.parametrize("name", ["omega_prime", "omega_zlogz"])
+    def test_counterexample_points_batch_equals_points(self, name):
+        p = 2.0 ** -np.arange(3, 43)
+        _assert_distance_batch_equals_points(_PLANAR_DOMAINS[name], p if name == "omega_prime" else phi_map(p))
+
+    def test_polygon_with_three_samples(self):
+        triangle = domain_from_spec({"kind": "planar", "outer": [[0, 0], [1, 0], [0, 1]]})
+        _assert_distance_batch_equals_points(triangle, np.array([0.2 + 0.2j, 0.1 + 0.5j]))
+        assert boundary_distance(triangle, 0.1 + 0.5j).d == pytest.approx(0.1, abs=1e-15)
+
+    def test_outside_point_in_batch_raises(self):
+        with pytest.raises(DomainError, match="not interior"):
+            boundary_distance(disc(), np.array([0.1, 0.2j, 1.5, 0.3]))
+
+    def test_empty_batch(self):
+        bp = boundary_distance(_PLANAR_DOMAINS["omega_prime"], np.array([], dtype=complex))
+        assert bp.d.shape == bp.nearest.shape == (0,)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(squeezelab.__file__).resolve().parent.parent)
+    code = ("import sys, squeezelab.cli, squeezelab.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "[]"

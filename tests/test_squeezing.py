@@ -43,6 +43,12 @@ class TestAnnulusClosedForm:
         t2 = 0.1 / 0.15
         assert got.lower == pytest.approx((t2 - 0.1) / (1 - 0.1 * t2), abs=1e-12)
 
+    def test_cross_check_minimum_on_circle(self):
+        # the minimum of the Moebius modulus over the inner circle is the witness's own bound
+        for z in (0.5 * np.exp(0.7j), 0.15, 0.95j):
+            b = annulus_squeeze_lower(0.1, z, cross_check=True)
+            assert b.witness["sampled_min"] == pytest.approx(b.lower, abs=1e-12)
+
     def test_rotation_invariance(self):
         b1 = annulus_squeeze_lower(0.2, 0.5)
         b2 = annulus_squeeze_lower(0.2, 0.5 * np.exp(2.1j))
