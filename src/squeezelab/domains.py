@@ -1,4 +1,4 @@
-"""Bounded domains: planar curve-bounded regions and defining-function regions.
+"""Bounded domains: planar curve-bounded regions and weighted quadratic regions.
 
 Planar domains carry analytic boundary parameterizations (with cached
 samples) so boundary distances can be refined far below the sample
@@ -362,6 +362,34 @@ class PlanarDomain:
         k = np.argmax(bp.d)
         return _unit(bp.z[k] - bp.nearest[k])
 
+    def tangent_ball_radius(self, p, inward) -> float:
+        """Largest radius, by bisection, whose disc tangent at the boundary point ``p`` passes a distance test.
+
+        A disc of radius r centred at p + r ``inward`` passes when its centre
+        is at least r (1 - 1e-6) from the boundary.
+        """
+        r_max = 2.0 * self.scale
+        inward = _unit(inward)
+
+        def ok(r: float) -> bool:
+            center = p + r * inward
+            if not self.contains(center):
+                return False
+            return boundary_distance(self, center).d >= r * (1.0 - 1e-6)
+
+        lo, hi = 0.0, r_max
+        if ok(r_max):
+            return r_max
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            if ok(mid):
+                lo = mid
+            else:
+                hi = mid
+        if lo == 0.0:
+            raise DomainError("no interior tangent ball found at the given boundary point")
+        return lo
+
     def to_spec(self) -> dict:
         return {
             "kind": "planar",
@@ -515,178 +543,146 @@ def boundary_distance(dom, z) -> DomainPoint:
 
 
 # ---------------------------------------------------------------------------
-# defining-function domains
+# weighted quadratic domains
 
 
 class DefiningFunctionDomain:
-    """Region {rho < 0} in C^n with a smooth defining function."""
+    """Weighted quadratic domain {sum_j w_j |z_j|^2 < 1} in C^n, one positive weight per coordinate.
 
-    def __init__(self, rho, grad, bbox_radius: float, dim: int, name: str = "",
-                 witness=None, exact_distance=None, params=None):
-        self.rho = rho
-        self.grad = grad
-        self.bbox_radius = float(bbox_radius)
-        self.dim = int(dim)
+    The ball has ``w = 1`` and the ellipsoid ``w = (1, 1/b^2, ...)``; the
+    boundary distance, the inward normal and the tangent balls are closed
+    forms in ``w``.  Points are ``(n,)`` arrays.
+    """
+
+    def __init__(self, w, name: str = "", params=None):
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 1 or not len(w) or not np.all(np.isfinite(w) & (w > 0)):
+            raise ConfigError(f"weights must be a non-empty vector of positive finite numbers, not {w}")
+        self.w = w
+        self.dim = len(w)
         self.name = name
         # keyword arguments that rebuild this domain with ``preset(name, **params)``
         self.params = dict(params or {})
-        self.witness = np.zeros(dim, dtype=complex) if witness is None else np.asarray(witness, dtype=complex)
-        self.exact_distance = exact_distance
-        if self.rho(self.witness) >= 0:
-            raise ConfigError("interior witness point has rho >= 0")
 
     @property
     def scale(self) -> float:
-        return self.bbox_radius
+        """Longest semi-axis, 1/sqrt(min w)."""
+        return float(1.0 / np.sqrt(self.w.min()))
 
     def as_point(self, z) -> np.ndarray:
         return np.atleast_1d(np.asarray(z, dtype=complex))
 
     def contains(self, z):
-        """``rho < 0`` at one point ``(n,)`` (a bool) or at each row of ``(m, n)`` (a bool array)."""
-        inside = self.rho(np.asarray(z, dtype=complex)) < 0
-        return bool(inside) if np.ndim(inside) == 0 else inside
+        """``sum_j w_j |z_j|^2 < 1`` at one point ``(n,)`` (a bool) or at each row of ``(m, n)`` (a bool array).
+
+        A non-finite point is outside.
+        """
+        inside = np.add.reduce(self.w * np.abs(np.asarray(z, dtype=complex)) ** 2, axis=-1) < 1.0
+        return bool(inside) if inside.ndim == 0 else inside
 
     def inward_normal(self, p) -> np.ndarray:
-        return -_unit(self.grad(self.as_point(p)))
+        return -_unit(self.w * self.as_point(p))
 
     def to_spec(self) -> dict:
-        return {"kind": "defining", "rho": self.name, "bbox": [self.bbox_radius], "dim": self.dim,
-                "params": dict(self.params)}
+        return {"kind": "defining", "rho": self.name, "dim": self.dim, "params": dict(self.params)}
 
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
-        """Interior points among ``count`` uniform draws from the cube [-bbox, bbox]^(2 dim).
+        """Interior points among ``count`` uniform draws from the box |Re z_j|, |Im z_j| <= 1/sqrt(w_j).
 
         One draw is the real parts, then the imaginary parts, of one point.
         """
-        xy = rng.uniform(-self.bbox_radius, self.bbox_radius, size=(count, 2 * self.dim))
+        half = np.tile(1.0 / np.sqrt(self.w), 2)
+        xy = rng.uniform(-half, half, size=(count, 2 * self.dim))
         z = xy[:, : self.dim] + 1j * xy[:, self.dim :]
         return z[self.contains(z)]
 
-    def _project_newton(self, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Newton on the nearest-point conditions x-z = lam*grad, rho(x)=0."""
-        n = self.dim
-
-        def pack(x):
-            return np.concatenate([x.real, x.imag])
-
-        def unpack(v):
-            return v[:n] + 1j * v[n:]
-
-        x = x0.copy()
-        g = self.grad(x)
-        lam = float(np.real(np.vdot(pack(self.grad(x)), pack(x - z))) /
-                    max(np.vdot(pack(g), pack(g)).real, 1e-30))
-
-        def F(v):
-            x = unpack(v[:-1])
-            lam = v[-1]
-            g = self.grad(x)
-            top = pack(x - z) - lam * pack(g)
-            return np.concatenate([top, [self.rho(x)]])
-
-        v = np.concatenate([pack(x), [lam]])
-        for _ in range(60):
-            f = F(v)
-            if np.max(np.abs(f)) < 1e-13:
-                break
-            # finite-difference Jacobian; the system is tiny
-            m = len(v)
-            J = np.empty((m, m))
-            h = 1e-7
-            for j in range(m):
-                vp = v.copy()
-                vp[j] += h
-                J[:, j] = (F(vp) - f) / h
-            try:
-                step = np.linalg.solve(J, -f)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-            v = v + step
-        return unpack(v[:-1])
-
     def boundary_distance(self, z) -> DomainPoint:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.rho(z) >= 0:
-            raise DomainError(f"point not interior: rho(z) = {float(self.rho(z)):.6g} >= 0")
-        if self.exact_distance is not None:
-            d, nearest = self.exact_distance(z)
-            return DomainPoint(z=z, d=float(d), nearest=nearest)
-        # Newton from several outward rays; the nearest-point conditions have
-        # spurious stationary points (e.g. the far end of an axis), so keep
-        # the closest converged candidate.
-        directions = [z - self.witness]
-        for j in range(self.dim):
-            for s in (1.0, -1.0, 1.0j, -1.0j):
-                e = np.zeros(self.dim, dtype=complex)
-                e[j] = s
-                directions.append(e)
-        rng = np.random.default_rng(7)
-        for _ in range(4):
-            v = rng.normal(size=2 * self.dim)
-            directions.append(v[: self.dim] + 1j * v[self.dim:])
-        best = None
-        for direction in directions:
-            nrm = np.linalg.norm(direction)
-            if nrm < 1e-14:
-                continue
-            direction = direction / nrm
-            lo, hi = 0.0, 2.0 * self.bbox_radius
-            if self.rho(z + hi * direction) < 0:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if self.rho(z + mid * direction) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            x0 = z + 0.5 * (lo + hi) * direction
-            x = self._project_newton(z, x0)
-            if abs(self.rho(x)) > 1e-8:
-                continue
-            d = float(np.linalg.norm(x - z))
-            if best is None or d < best[0]:
-                best = (d, x)
-        if best is None:
-            raise DomainError("nearest-point solve failed from every start direction")
-        return DomainPoint(z=z, d=best[0], nearest=best[1])
+        """Distance from one interior point ``(n,)`` to the boundary, with a nearest boundary point."""
+        z = self.as_point(z)
+        if not self.contains(z):
+            raise DomainError(f"point {z} is not interior")
+        d, nearest = self.exact_distance(z)
+        return DomainPoint(z=z, d=d, nearest=nearest)
+
+    def exact_distance(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        """Distance from the interior point ``z`` to the boundary, and a nearest boundary point.
+
+        The nearest point is x_j = z_j / (1 - t w_j), where t in [0, 1/max w)
+        solves sum_j w_j |z_j|^2 / (1 - t w_j)^2 = 1, whose left side
+        increases with t (D. Eberly, "Distance from a point to an ellipse, an
+        ellipsoid, or a hyperellipsoid", Geometric Tools, 2011).  Bisection
+        runs in u = 1 - t max w, where each denominator c_j + u r_j keeps its
+        relative precision near the pole, until the bracket stops shrinking
+        or meets an exact root, and returns the end inside the domain.  When
+        every coordinate of the largest weight is zero and the root would lie
+        past the pole, t = 1/max w and the nearest points form a sphere in
+        those coordinates.  Equal weights give the round formula.
+        """
+        w, m = self.w, self.w.max()
+        top = w == m
+        k = w * np.abs(z) ** 2
+        r = w / m
+        c = 1.0 - r
+        if not k[top].any():
+            excess = np.sum(k[~top] / c[~top] ** 2) - 1.0  # at u = 0
+            if excess <= 0.0:
+                nearest = np.zeros(self.dim, dtype=complex)
+                nearest[~top] = z[~top] / c[~top]
+                nearest[np.argmax(top)] = np.sqrt(-excess / m)
+                return float(np.linalg.norm(nearest - z)), nearest
+        if top.all():  # a ball of radius 1/sqrt(w)
+            radius, nz = 1.0 / np.sqrt(w[0]), np.linalg.norm(z)
+            return float(radius - nz), z / nz * radius
+        lo, hi = 0.0, 1.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while lo < (u := 0.5 * (lo + hi)) < hi:
+                excess = np.sum(k / (c + u * r) ** 2) - 1.0
+                if excess == 0.0:
+                    break
+                lo, hi = (u, hi) if excess > 0.0 else (lo, u)
+            else:
+                u = hi
+        nearest = z / (c + u * r)
+        return float(np.linalg.norm(nearest - z)), nearest
+
+    def tangent_ball_radius(self, p, inward) -> float:
+        """Radius of the largest ball in the domain tangent at the boundary point ``p``.
+
+        Its centre lies on the inward normal, and the radius is
+        R = |w p| / max w: with c = p - w p / max w, every z has
+        sum_j w_j |z_j|^2 - 1 <= max w (|z - c|^2 - R^2).  Raises
+        ``DomainError`` when ``p`` is off the boundary or ``inward`` is not
+        the inward normal there.
+        """
+        p = self.as_point(p)
+        level = np.sum(self.w * np.abs(p) ** 2)
+        if abs(level - 1.0) > 1e-12:
+            raise DomainError(f"point {p} is off the boundary (sum w|p|^2 = {level!r})")
+        wp = self.w * p
+        if np.linalg.norm(_unit(self.as_point(inward)) + _unit(wp)) > 1e-6:
+            raise DomainError(f"direction {inward} is not the inward normal at {p}")
+        return float(np.linalg.norm(wp) / self.w.max())
+
+
+def _dimension(dim) -> int:
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ConfigError(f"dimension must be a positive integer, not {dim!r}")
+    return int(dim)
 
 
 def ball(dim: int = 2) -> DefiningFunctionDomain:
     """Unit ball of C^dim."""
-
-    def rho(z):
-        return float(np.sum(np.abs(z) ** 2) - 1.0) if np.ndim(z) == 1 else np.sum(np.abs(z) ** 2, axis=-1) - 1.0
-
-    def grad(z):
-        return 2.0 * np.asarray(z, dtype=complex)
-
-    def exact(z):
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            nearest = np.zeros(dim, dtype=complex)
-            nearest[0] = 1.0
-            return 1.0, nearest
-        return 1.0 - nz, z / nz
-
-    return DefiningFunctionDomain(rho, grad, bbox_radius=1.0, dim=dim, name="ball",
-                                  exact_distance=exact, params={"dim": dim})
+    return DefiningFunctionDomain(np.ones(_dimension(dim)), name="ball", params={"dim": dim})
 
 
 def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDomain:
     """Ellipsoid {|z1|^2 + |z2|^2/b^2 + ... < 1}, contained in the ball for b < 1."""
-    w = np.ones(dim)
-    w[1:] = 1.0 / b**2
-
-    def rho(z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(w * np.abs(z) ** 2, axis=-1) - 1.0
-
-    def grad(z):
-        return 2.0 * w * np.asarray(z, dtype=complex)
-
-    return DefiningFunctionDomain(rho, grad, bbox_radius=1.0, dim=dim, name="ellipsoid",
-                                  params={"b": float(b), "dim": dim})
+    if not (np.isfinite(b) and b > 0):
+        raise ConfigError(f"ellipsoid semi-axis b must be positive and finite, not {b!r}")
+    w = np.ones(_dimension(dim))
+    with np.errstate(over="ignore", divide="ignore"):  # a weight out of range is rejected below
+        w[1:] = 1.0 / np.float64(b) ** 2
+    return DefiningFunctionDomain(w, name="ellipsoid", params={"b": float(b), "dim": dim})
 
 
 # ---------------------------------------------------------------------------

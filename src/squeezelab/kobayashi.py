@@ -239,29 +239,13 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
 # boundary geometry helpers
 
 
-def tangent_ball_radius(dom, boundary_pt, inward, r_max: float | None = None) -> float:
-    """Largest certified radius of an interior ball tangent at boundary_pt."""
-    r_max = r_max or 2.0 * dom.scale
-    inward = _unit(inward)
+def tangent_ball_radius(dom, boundary_pt, inward) -> float:
+    """Radius of the largest interior ball tangent at ``boundary_pt`` along ``inward``.
 
-    def ok(r: float) -> bool:
-        center = boundary_pt + r * inward
-        if not dom.contains(center):
-            return False
-        return boundary_distance(dom, center).d >= r * (1.0 - 1e-6)
-
-    lo, hi = 0.0, r_max
-    if ok(r_max):
-        return r_max
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise DomainError("no interior tangent ball found at the given boundary point")
-    return lo
+    Weighted quadratic domains give it in closed form, planar domains by a
+    bisection on the boundary distance; see each domain's method.
+    """
+    return dom.tangent_ball_radius(boundary_pt, inward)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,80 @@ class TestDefiningFunctionDomains:
         assert e.contains(np.array([0.9, 0.0], dtype=complex))
         assert not e.contains(np.array([0.0, 0.9], dtype=complex))
 
+    def test_axis_points_exact(self):
+        # the nearest point of (1 - 2^-i, 0) is the vertex (1, 0)
+        for i in range(1, 53):
+            for dom in (ball(2), ellipsoid()):
+                bp = boundary_distance(dom, np.array([1.0 - 2.0**-i, 0.0]))
+                assert bp.d == 2.0**-i, (dom.name, i)
+
+    def test_degenerate_branch(self):
+        # for |x| <= 1/2 the nearest points of (x, 0) form a circle in z2,
+        # and d^2 = |x|^2 + (1 - 4|x|^2)/2 = 1/2 - |x|^2
+        e = ellipsoid()
+        for x in np.linspace(-0.5, 0.5, 41):
+            for phase in (1.0, np.exp(0.7j)):
+                bp = boundary_distance(e, np.array([x * phase, 0.0]))
+                assert bp.d == pytest.approx(np.sqrt(0.5 - x * x), abs=1e-15)
+                assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-15)
+                assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
+                # the distance is 1-Lipschitz, so next to the degenerate set it
+                # stays within |z2| of the limit; there the root nears the pole
+                for z2 in (1e-6, 1e-9, 1e-12, 1e-15):
+                    near = boundary_distance(e, np.array([x * phase, z2]))
+                    assert abs(near.d - np.sqrt(0.5 - x * x)) <= z2 + 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.floats(0.2, 2.0), rho=st.floats(0.0, 0.999), alpha=st.floats(0.0, np.pi / 2),
+           phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)))
+    @example(b=1.0 / np.sqrt(2.0), rho=0.3, alpha=0.0, phases=(0.0, 0.0))
+    @example(b=1.0 / np.sqrt(2.0), rho=0.4, alpha=1e-12, phases=(0.5, -2.0))
+    @example(b=1.5, rho=0.5, alpha=np.pi / 2, phases=(0.0, 1.0))
+    @example(b=1.5, rho=0.9, alpha=np.pi / 2 - 1e-13, phases=(0.0, 1.0))
+    def test_ellipse_oracle(self, b, rho, alpha, phases):
+        # the nearest point keeps each coordinate's phase, so the distance is
+        # the planar distance from (|z1|, |z2|) to the ellipse s1^2 + s2^2/b^2 = 1
+        a1, a2 = rho * np.cos(alpha), b * rho * np.sin(alpha)
+        e = ellipsoid(b=b)
+        bp = boundary_distance(e, np.array([a1 * np.exp(1j * phases[0]), a2 * np.exp(1j * phases[1])]))
+
+        def sq_dist(theta):
+            return (np.cos(theta) - a1) ** 2 + (b * np.sin(theta) - a2) ** 2
+
+        grid = np.linspace(0.0, np.pi / 2, 2001)
+        k = int(np.argmin(sq_dist(grid)))
+        res = minimize_scalar(sq_dist, bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 2000)]), method="bounded",
+                              options={"xatol": 1e-14, "maxiter": 500})
+        assert res.status == 0
+        ref = np.sqrt(min(res.fun, sq_dist(grid[k])))
+        assert bp.d == pytest.approx(ref, abs=1e-12)
+        assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
+
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    def test_non_finite_point_raises(self, make, recwarn):
+        dom = make()
+        for z in ([np.nan, 0.0], [0.0, complex(0.0, np.inf)], [-np.inf, np.nan]):
+            assert not dom.contains(np.array(z, dtype=complex))
+            with pytest.raises(DomainError, match="not interior"):
+                boundary_distance(dom, np.array(z, dtype=complex))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("make, kw", [
+        (ellipsoid, {"b": 0.0}), (ellipsoid, {"b": -0.5}), (ellipsoid, {"b": np.nan}), (ellipsoid, {"b": np.inf}),
+        (ellipsoid, {"b": -np.inf}), (ellipsoid, {"b": 1e-200}), (ellipsoid, {"dim": 0}),
+        (ball, {"dim": 0}), (ball, {"dim": -1}), (ball, {"dim": 2.5}),
+    ])
+    def test_bad_parameters_raise_config_error(self, make, kw):
+        with pytest.raises(ConfigError):
+            make(**kw)
+
+    def test_sampling_box_reaches_the_long_axis(self):
+        # ellipsoid(b=1.5) reaches |z2| = 1.5, beyond the unit cube
+        pts = random_interior_points(ellipsoid(b=1.5), 400, seed=2)
+        assert np.max(np.abs(pts[:, 1].real)) > 1.0 and np.max(np.abs(pts[:, 1].imag)) > 1.0
+        assert ellipsoid(b=1.5).contains(pts).all()
+
 
 class TestLensDomain:
     def test_structure(self, omega_prime):

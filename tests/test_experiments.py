@@ -101,10 +101,11 @@ class TestSerialization:
         assert float(first[1]) == 0.125
 
     def test_pipeline_report_bytes_frozen(self):
-        # any change to how boundary images are evaluated must keep these bytes
+        # any change to how boundary images are evaluated must keep these bytes;
+        # ellipsoid row 1 has the closed-form distance d = 0.5 (Newton gave 0.4999999999999999)
         text = emit(run_pipeline(ExperimentConfig("pipeline", scales=3, seed=1)), "json", None)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "6385abb05bede973c1db123153026bad613bcbf9b994dcbf3eed08c77bca2229")
+            "95052624a2a8d82b53177026f0a0f56f428f1df28884c15513edb1d273fb3fa3")
 
     def test_counterexample_report_bytes_frozen(self):
         text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")

@@ -115,6 +115,35 @@ class TestTangentBall:
         r0 = tangent_ball_radius(e, bp, np.array([-1.0, 0.0], dtype=complex))
         assert 0.45 < r0 < 0.55
 
+    def test_quadratic_radius_is_exact(self):
+        # R = |w p| / max w: b^2 at the ellipsoid vertex, where the weight 1/b^2
+        # of b = 1/sqrt(2) rounds to 2 + 4.4e-16; the ball's own radius 1
+        assert tangent_ball_radius(ball(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 1.0
+        e = ellipsoid()
+        assert tangent_ball_radius(e, np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 1.0 / e.w.max()
+        assert 1.0 / e.w.max() == pytest.approx(0.5, abs=2e-16)
+        # at the co-vertex (0, ib) the ball centred at 0 of radius b touches
+        b = 1.0 / np.sqrt(e.w[1])
+        assert tangent_ball_radius(e, np.array([0.0, 1j * b]), np.array([0.0, -1j])) == pytest.approx(b, abs=1e-15)
+
+    def test_quadratic_tangent_ball_lies_inside(self):
+        e = ellipsoid()
+        for z in random_interior_points(e, 20, seed=3):
+            p = boundary_distance(e, z).nearest
+            inward = e.inward_normal(p)
+            r0 = tangent_ball_radius(e, p, inward)
+            center = p + r0 * inward
+            assert boundary_distance(e, center).d == pytest.approx(r0, rel=1e-9)
+
+    def test_quadratic_rejects_off_boundary_point_and_wrong_normal(self):
+        e = ellipsoid()
+        with pytest.raises(DomainError, match="off the boundary"):
+            tangent_ball_radius(e, np.array([0.9, 0.0]), np.array([-1.0, 0.0]))
+        with pytest.raises(DomainError, match="not the inward normal"):
+            tangent_ball_radius(e, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="not the inward normal"):
+            tangent_ball_radius(ball(2), np.array([1.0, 0.0]), np.array([-1.0, 0.1]))
+
     def test_inward_normal_disc(self):
         n = disc().inward_normal(1.0 + 0.0j)
         np.testing.assert_allclose(n, -1.0, atol=1e-3)
