@@ -554,15 +554,13 @@ class DefiningFunctionDomain:
     forms in ``w``.  Points are ``(n,)`` arrays.
     """
 
-    def __init__(self, w, name: str = "", params=None):
+    def __init__(self, w, name: str = ""):
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or not len(w) or not np.all(np.isfinite(w) & (w > 0)):
             raise ConfigError(f"weights must be a non-empty vector of positive finite numbers, not {w}")
         self.w = w
         self.dim = len(w)
         self.name = name
-        # keyword arguments that rebuild this domain with ``preset(name, **params)``
-        self.params = dict(params or {})
 
     @property
     def scale(self) -> float:
@@ -584,7 +582,7 @@ class DefiningFunctionDomain:
         return -_unit(self.w * self.as_point(p))
 
     def to_spec(self) -> dict:
-        return {"kind": "defining", "rho": self.name, "dim": self.dim, "params": dict(self.params)}
+        return {"kind": "defining", "name": self.name, "w": self.w.tolist()}
 
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
         """Interior points among ``count`` uniform draws from the box |Re z_j|, |Im z_j| <= 1/sqrt(w_j).
@@ -672,7 +670,7 @@ def _dimension(dim) -> int:
 
 def ball(dim: int = 2) -> DefiningFunctionDomain:
     """Unit ball of C^dim."""
-    return DefiningFunctionDomain(np.ones(_dimension(dim)), name="ball", params={"dim": dim})
+    return DefiningFunctionDomain(np.ones(_dimension(dim)), name="ball")
 
 
 def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDomain:
@@ -682,7 +680,7 @@ def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDo
     w = np.ones(_dimension(dim))
     with np.errstate(over="ignore", divide="ignore"):  # a weight out of range is rejected below
         w[1:] = 1.0 / np.float64(b) ** 2
-    return DefiningFunctionDomain(w, name="ellipsoid", params={"b": float(b), "dim": dim})
+    return DefiningFunctionDomain(w, name="ellipsoid")
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +864,7 @@ def domain_from_spec(spec: dict):
         holes = [PolylineCurve([complex(a, b) for a, b in h]) for h in spec.get("holes", [])]
         return PlanarDomain(outer, holes, smoothness=spec.get("smoothness", "C2"))
     if spec["kind"] == "defining":
-        return preset(spec["rho"], **spec.get("params", {}))
+        return DefiningFunctionDomain(spec["w"], name=spec.get("name", ""))
     raise ConfigError(f"unknown domain kind {spec.get('kind')!r}")
 
 

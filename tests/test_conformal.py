@@ -5,12 +5,23 @@ canonical map, so the recovered modulus must match the construction
 parameter to near machine precision.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from squeezelab.cli import main
 from squeezelab.conformal import canonical_annulus_map
-from squeezelab.domains import annulus, disc, random_interior_points
+from squeezelab.domains import annulus, disc, phi_map, preset, random_interior_points
 from squeezelab.errors import ConfigError
+from squeezelab.squeezing import squeeze_lower_planar
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 class TestRoundAnnulusOracle:
@@ -61,7 +72,7 @@ class TestLensMap:
         # the thin channel crushes angles below double precision; invert
         # only where the derivative is not exponentially small
         pts = random_interior_points(omega_prime, 120, seed=5)
-        deriv = np.abs([lens_map._eval_deriv(p) for p in pts])
+        deriv = np.abs([lens_map.derivative(p) for p in pts])
         pts = pts[deriv > 1e-3]
         assert len(pts) >= 60
         back = lens_map.backward(lens_map.forward(pts))
@@ -70,3 +81,66 @@ class TestLensMap:
     def test_hole_maps_to_inner_circle(self, omega_prime, lens_map):
         w = lens_map.forward(omega_prime.holes[0].points()[::32])
         np.testing.assert_allclose(np.abs(w), lens_map.modulus, atol=1e-6)
+
+
+class TestFrozenBits:
+    """Digests recorded with the per-column basis evaluation that the basis matrix replaced.
+
+    A batch goes through numpy's array loops and a lone point through its
+    scalar arithmetic, so both paths are pinned.
+    """
+
+    @pytest.mark.parametrize("which, digest", [
+        ("lens", "d7f28636a730b229ba62189e7683005080815a8894c5e522a41e290912b28b49"),
+        ("annulus", "393b27a4fa94369c24f8cd2a80722591773fd9c27a03110b5cf2059ef9f85391"),
+    ])
+    def test_batch_forward_gap(self, which, digest, request):
+        dom = request.getfixturevalue("omega_prime" if which == "lens" else "round_annulus")
+        amap = request.getfixturevalue("lens_map" if which == "lens" else "round_annulus_map")
+        pts = random_interior_points(dom, 300, seed=2)
+        assert _sha256(*amap.forward_gap(pts)) == digest
+
+    @pytest.mark.parametrize("which, digest", [
+        ("lens", "7bf3ef75c7ac4e5739179f26cda9648d4858c1e0fb545fafeaa25069254e2d4d"),
+        ("annulus", "93397e8c9a7662af6bf7385257589df08d5ce9493df90f765e7f0fd71e6a7312"),
+    ])
+    def test_batch_derivative(self, which, digest, request):
+        dom = request.getfixturevalue("omega_prime" if which == "lens" else "round_annulus")
+        amap = request.getfixturevalue("lens_map" if which == "lens" else "round_annulus_map")
+        assert _sha256(amap.derivative(random_interior_points(dom, 300, seed=2))) == digest
+
+    def test_lone_forward_gap_on_radial_points(self, lens_map):
+        # the counterexample's p_k, each passed alone: the k = 2 powers take
+        # numpy's general power here, not the square of the batch path
+        out = [lens_map.forward_gap(complex(2.0 ** -(k + 2))) for k in range(1, 41)]
+        assert _sha256(np.array([o[0] for o in out]), np.array([o[1] for o in out])) == (
+            "e967ff3d3ea64ee78f8b878c5da15d45025d1a43a9db7300346b396ab3664d3a")
+
+    def test_lone_derivative(self, omega_prime, lens_map):
+        pts = random_interior_points(omega_prime, 50, seed=2)
+        assert _sha256(np.array([lens_map.derivative(complex(p)) for p in pts])) == (
+            "927f5fea0573d63f9da37cf5ff4094e13e0f5ea23ae8351299515d59e50a393d")
+
+
+class TestChargeDoubling:
+    def test_image_domain_squeeze_matches_lens(self, capsys):
+        # 64 charges leave the z log z image off by 9.5e-2 between the
+        # collocation nodes; the map doubles them until it fits
+        at = complex(phi_map(0.05))
+        assert at == -0.14978661367769955
+        assert main(["squeeze", "--preset", "omega_zlogz", "--at", repr(at.real)]) == 0
+        assert "one_minus_lower" in capsys.readouterr().out
+        image = squeeze_lower_planar(preset("omega_zlogz"), at)
+        lens = squeeze_lower_planar(preset("omega_prime"), 0.05)
+        assert image.one_minus_lower == pytest.approx(lens.one_minus_lower, rel=1e-4)
+
+    def test_deviation_measured_between_nodes(self, lens_map, round_annulus_map):
+        assert 0 < lens_map.boundary_deviation < 1e-7
+        assert 0 < round_annulus_map.boundary_deviation < 1e-12
+
+    def test_backward_seeds_drawn_on_first_call(self):
+        amap = canonical_annulus_map(annulus(0.5))
+        assert amap._seeds is None
+        z = 0.7 + 0.1j
+        assert amap.backward(amap.forward(z)) == pytest.approx(z, abs=1e-9)
+        assert len(amap._seeds[0]) == 400

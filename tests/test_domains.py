@@ -21,6 +21,7 @@ from scipy.optimize import minimize_scalar
 import squeezelab
 from squeezelab.domains import (
     CircleCurve,
+    DefiningFunctionDomain,
     OmegaPrimeParams,
     ParamCurve,
     PlanarDomain,
@@ -244,6 +245,13 @@ class TestUtilities:
         assert not dom2.contains(np.array([0.0, 0.5]))
         assert dom2.contains(np.array([0.0, 0.25]))
         assert domain_from_spec(ball(3).to_spec()).dim == 3
+
+    def test_defining_spec_roundtrip_from_weights_alone(self):
+        dom = DefiningFunctionDomain([1.0, 3.0])
+        rebuilt = domain_from_spec(json.loads(json.dumps(dom.to_spec())))
+        assert rebuilt.w.tobytes() == dom.w.tobytes()
+        e = ellipsoid(b=0.3)
+        assert domain_from_spec(json.loads(json.dumps(e.to_spec()))).w.tobytes() == e.w.tobytes()
 
     def test_random_interior_points(self, omega_prime):
         pts = random_interior_points(omega_prime, 100, seed=4)
