@@ -10,10 +10,11 @@ multivalued log cancels against exp, so the map is evaluated branch-free
 as (z - z_h) * exp(single-valued part).
 
 Domains symmetric in no particular way use the plain basis.  For domains
-whose outer boundary contains a segment of the imaginary axis, a mirrored
-basis (every element minus its Schwarz reflection across the axis) makes
-u = 1 exact on the whole axis, which preserves relative accuracy of
-1 - |w| for points exponentially close to that segment.
+in the closed right half-plane whose outer curve reaches the imaginary
+axis (the lens's contains a segment of it), a mirrored basis (every
+element minus its Schwarz reflection across the axis) makes u = 1 exact
+on the whole axis, which preserves relative accuracy of 1 - |w| for
+points exponentially close to that segment.
 """
 
 from __future__ import annotations
@@ -283,7 +284,8 @@ def canonical_annulus_map(dom: PlanarDomain, resolution: int = 1) -> AnnulusMap:
     zi = hole.points()
     if len(zo) < 1024 or len(zi) < 256:
         raise ConfigError("boundary resolution too low for the harmonic solve")
-    mirror = bool(np.min(np.abs(zo.real)) < 1e-9 and dom.name.startswith("omega_prime"))
+    # read from the curve, not the name, so that a domain rebuilt from its spec gets the same basis
+    mirror = bool(-1e-12 <= zo.real.min() < 1e-9)
     mid_o, mid_i = _midpoints(outer), _midpoints(hole)
 
     for charges in _CHARGES:

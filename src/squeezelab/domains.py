@@ -265,6 +265,15 @@ def _unit(v):
     return v / n
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex ``(m, n)`` array, bit for bit.
+
+    That norm takes one dot product of the real parts and one of the
+    imaginary parts; ``np.vecdot`` runs the same dot product on each row.
+    """
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 class PlanarDomain:
     """Bounded planar domain: one outer curve and zero or more holes.
 
@@ -595,15 +604,19 @@ class DefiningFunctionDomain:
         return z[self.contains(z)]
 
     def boundary_distance(self, z) -> DomainPoint:
-        """Distance from one interior point ``(n,)`` to the boundary, with a nearest boundary point."""
+        """Distance from one interior point ``(n,)`` (a float ``d``) or from each row of ``(m, n)`` (arrays).
+
+        Each row gets the bits of its one-point query, with a nearest boundary point.
+        """
         z = self.as_point(z)
-        if not self.contains(z):
-            raise DomainError(f"point {z} is not interior")
+        inside = self.contains(z)
+        if not np.all(inside):
+            raise DomainError(f"point {z if z.ndim == 1 else z[np.argmin(inside)]} is not interior")
         d, nearest = self.exact_distance(z)
         return DomainPoint(z=z, d=d, nearest=nearest)
 
-    def exact_distance(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Distance from the interior point ``z`` to the boundary, and a nearest boundary point.
+    def exact_distance(self, z: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        """Distance from the interior point ``z``, or from each row of ``z``, to the boundary, and a nearest boundary point.
 
         The nearest point is x_j = z_j / (1 - t w_j), where t in [0, 1/max w)
         solves sum_j w_j |z_j|^2 / (1 - t w_j)^2 = 1, whose left side
@@ -611,37 +624,51 @@ class DefiningFunctionDomain:
         ellipsoid, or a hyperellipsoid", Geometric Tools, 2011).  Bisection
         runs in u = 1 - t max w, where each denominator c_j + u r_j keeps its
         relative precision near the pole, until the bracket stops shrinking
-        or meets an exact root, and returns the end inside the domain.  When
-        every coordinate of the largest weight is zero and the root would lie
-        past the pole, t = 1/max w and the nearest points form a sphere in
-        those coordinates.  Equal weights give the round formula.
+        or meets an exact root, and returns the end inside the domain; rows
+        bisect in lockstep, each stopping on its own.  When every coordinate
+        of the largest weight is zero, or too small to square, and the root
+        would lie at or past the pole, t = 1/max w and the nearest points
+        form a sphere in those coordinates.  Equal weights give the round
+        formula.
         """
+        rows = np.atleast_2d(z)
         w, m = self.w, self.w.max()
         top = w == m
-        k = w * np.abs(z) ** 2
+        k = w * np.abs(rows) ** 2
         r = w / m
         c = 1.0 - r
-        if not k[top].any():
-            excess = np.sum(k[~top] / c[~top] ** 2) - 1.0  # at u = 0
-            if excess <= 0.0:
-                nearest = np.zeros(self.dim, dtype=complex)
-                nearest[~top] = z[~top] / c[~top]
-                nearest[np.argmax(top)] = np.sqrt(-excess / m)
-                return float(np.linalg.norm(nearest - z)), nearest
+        nearest = np.zeros(rows.shape, dtype=complex)
+        excess = np.sum(k[:, ~top] / c[~top] ** 2, axis=-1) - 1.0  # at u = 0
+        # top coordinates whose squares are subnormal have lost digits, which
+        # the bisection's root u ~ 1e-154 would inherit; such rows take the
+        # limit u = 0 instead, on the sphere point in their direction
+        sphere = (k[:, top] < np.finfo(float).tiny).all(axis=-1) & (excess <= 0.0)
+        nearest[np.ix_(sphere, ~top)] = rows[np.ix_(sphere, ~top)] / c[~top]
+        nearest[sphere, np.argmax(top)] = np.sqrt(-excess[sphere] / m)
+        lift = np.flatnonzero(sphere & (rows[:, top] != 0).any(axis=-1))
+        zt = rows[np.ix_(lift, top)] * 2.0**600  # exact, and now safe to square
+        nearest[np.ix_(lift, top)] = zt / _row_norms(zt)[:, None] * np.sqrt(-excess[lift] / m)[:, None]
+        rest = ~sphere
         if top.all():  # a ball of radius 1/sqrt(w)
-            radius, nz = 1.0 / np.sqrt(w[0]), np.linalg.norm(z)
-            return float(radius - nz), z / nz * radius
-        lo, hi = 0.0, 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            while lo < (u := 0.5 * (lo + hi)) < hi:
-                excess = np.sum(k / (c + u * r) ** 2) - 1.0
-                if excess == 0.0:
-                    break
-                lo, hi = (u, hi) if excess > 0.0 else (lo, u)
-            else:
-                u = hi
-        nearest = z / (c + u * r)
-        return float(np.linalg.norm(nearest - z)), nearest
+            radius, nz = 1.0 / np.sqrt(w[0]), _row_norms(rows[rest])
+            nearest[rest] = rows[rest] / nz[:, None] * radius
+        else:
+            kr = k[rest]
+            lo, hi = np.zeros(len(kr)), np.ones(len(kr))
+            root = np.zeros(len(kr), dtype=bool)
+            u = 0.5 * (lo + hi)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                while (run := ~root & (lo < u) & (u < hi)).any():
+                    excess = np.sum(kr[run] / (c + u[run, None] * r) ** 2, axis=-1) - 1.0
+                    root[run] = excess == 0.0
+                    lo[run] = np.where(excess > 0.0, u[run], lo[run])
+                    hi[run] = np.where(excess >= 0.0, hi[run], u[run])  # a NaN excess lowers hi
+                    u = np.where(root, u, 0.5 * (lo + hi))
+            nearest[rest] = rows[rest] / (c + np.where(root, u, hi)[:, None] * r)
+        d = _row_norms(nearest - rows)
+        if top.all():
+            d[rest] = radius - nz
+        return (float(d[0]), nearest[0]) if z.ndim == 1 else (d, nearest)
 
     def tangent_ball_radius(self, p, inward) -> float:
         """Radius of the largest ball in the domain tangent at the boundary point ``p``.

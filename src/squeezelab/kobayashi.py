@@ -72,79 +72,91 @@ def _pt_diff_norm(a, b):
 # affine analytic discs
 
 
-def _ray_exit(dom, z, v, r_cap: float, d0: float) -> float:
-    """Largest t with the segment {z + s v : 0 <= s < t} inside dom, where z is ``d0`` from the boundary."""
-    t = min(max(d0, 1e-14), r_cap)
-    while t < r_cap and dom.contains(z + t * v):
-        t *= 2.0
-    hi = min(t, r_cap)
-    lo = 0.0
+def _lanes(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One value per lane, shaped to scale the points ``z`` (one row per lane)."""
+    return x.reshape(x.shape + (1,) * (z.ndim - 1))
+
+
+def _ray_exit(dom, z, v, r_cap: float, d0: np.ndarray) -> np.ndarray:
+    """Largest t per lane with {z + s v : 0 <= s < t} inside dom, where the lane's z is ``d0`` from the boundary.
+
+    Each lane (a row of ``z`` and of ``v``) doubles t from d0 until it
+    leaves dom or reaches r_cap, then bisects 60 times; the lanes step together.
+    """
+    t = np.minimum(np.maximum(d0, 1e-14), r_cap)
+    grow = t < r_cap
+    while grow.any():
+        grow &= dom.contains(z + _lanes(t, z) * v)
+        t[grow] *= 2.0
+        grow &= t < r_cap
+    lo, hi = np.zeros_like(t), np.minimum(t, r_cap)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if dom.contains(z + mid * v):
-            lo = mid
-        else:
-            hi = mid
+        inside = dom.contains(z + _lanes(mid, z) * v)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     return lo
 
 
-# unit roots pulled 1e-12 inside the circle: the sampled circle of each disc check
-_CIRCLE = {n: np.exp(2j * np.pi * np.arange(n) / n) * (1.0 - 1e-12) for n in (64, 128)}
+# unit roots pulled 1e-12 inside the circle: the sampled circle of each disc
+# check (its even roots are the 64 roots of a former first check, bit for bit)
+_CIRCLE = np.exp(2j * np.pi * np.arange(128) / 128) * (1.0 - 1e-12)
 
 
-def _certified_disc_scale(dom, center, v, radius: float) -> float:
-    """Largest shrink factor whose disc {center + zeta v, |zeta|<radius} passes the circle samples."""
+def _certified_disc_scale(dom, center, v, radius: np.ndarray) -> np.ndarray:
+    """Largest shrink factor per lane whose disc {center + zeta v, |zeta| < radius} passes the circle samples.
 
-    def circle_inside(r: float, samples: int) -> bool:
-        return bool(np.all(dom.contains(center + np.multiply.outer(r * _CIRCLE[samples], v))))
+    The lanes whose full disc fails bisect their factors 40 times, together.
+    """
 
-    if circle_inside(radius, 64) and circle_inside(radius, 128):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
+    def circle_inside(lanes, r):
+        return dom.contains(center[lanes, None] + np.multiply.outer(r[:, None] * _CIRCLE, v)).all(axis=1)
+
+    scale = np.ones_like(radius)
+    fail = np.flatnonzero(~circle_inside(slice(None), radius))
+    lo, hi = np.zeros(len(fail)), np.ones(len(fail))
+    for _ in range(40 if len(fail) else 0):
         mid = 0.5 * (lo + hi)
-        if circle_inside(mid * radius, 128):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        inside = circle_inside(fail, mid * radius[fail])
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    scale[fail] = lo
+    return scale
 
 
-def infinitesimal_upper(dom, z, v) -> float:
-    """Upper bound for the infinitesimal Kobayashi metric at z in direction v.
+def infinitesimal_upper(dom, z, v):
+    """Upper bound for the infinitesimal Kobayashi metric at z in direction v (sampled, not certified).
 
     Uses the Poincare metric of the largest affine disc through z in the
     complex line z + C v that passes the sampled circle check: first the
     disc whose diameter is the chord of the line through z (exact for
     convex slices), shrunk until its sampled circle lies inside, with the
-    boundary-distance disc as the final fallback.
+    boundary-distance disc as the final fallback.  One point gives a float;
+    rows of points (1-d on a planar domain, ``(m, n)`` on a quadratic one)
+    give an array, searched in lockstep, whose entries have the bits of the
+    one-point calls.
     """
-    z = dom.as_point(z)
-    if not dom.contains(z):
-        raise DomainError("base point of the disc is not interior")
     v = dom.as_point(v)
-    vhat = _unit(v)
-    speed = float(np.linalg.norm(np.atleast_1d(v)))
-    r_cap = 4.0 * dom.scale
-
+    z = np.asarray(z, dtype=complex)
+    single = z.ndim <= np.ndim(v)
+    z = z.reshape((-1,) + np.shape(v))
+    if not np.all(dom.contains(z)):
+        raise DomainError("base point of the disc is not interior")
+    vhat, speed = _unit(v), float(np.linalg.norm(np.atleast_1d(v)))
     d0 = boundary_distance(dom, z).d
-    rp = _ray_exit(dom, z, vhat, r_cap, d0)
-    rm = _ray_exit(dom, z, -vhat, r_cap, d0)
-    if rp <= 0 or rm <= 0:
-        return speed / max(d0, 1e-300)
-
-    center = z + (0.5 * (rp - rm)) * vhat
+    sides = np.concatenate([np.broadcast_to(vhat, z.shape), np.broadcast_to(-vhat, z.shape)])
+    rp, rm = np.split(_ray_exit(dom, np.concatenate([z, z]), sides, 4.0 * dom.scale, np.concatenate([d0, d0])), 2)
+    out = speed / np.maximum(d0, 1e-300)  # kept where the line leaves at once on one side
+    c = np.flatnonzero((rp > 0) & (rm > 0))
+    rp, rm, z, d0 = rp[c], rm[c], z[c], d0[c]
+    off = 0.5 * np.abs(rp - rm)
     radius = 0.5 * (rp + rm)
-    scale = _certified_disc_scale(dom, center, vhat, radius)
-    off = 0.5 * abs(rp - rm)
-    if scale * radius <= off + 1e-15:
-        # chord disc not certifiable around z; fall back to the centered disc
-        center, radius, off = z, min(rp, rm, d0), 0.0
-        scale = _certified_disc_scale(dom, center, vhat, radius)
-        radius *= max(scale, 1e-15)
-    else:
-        radius *= scale
-    return speed * radius / (radius * radius - off * off)
+    radius *= _certified_disc_scale(dom, z + _lanes(0.5 * (rp - rm), z) * vhat, vhat, radius)
+    # chord disc not certifiable around z: fall back to the centered disc
+    f = np.flatnonzero(radius <= off + 1e-15)
+    radius[f] = np.minimum(np.minimum(rp[f], rm[f]), d0[f])
+    radius[f] *= np.maximum(_certified_disc_scale(dom, z[f], vhat, radius[f]), 1e-15)
+    off[f] = 0.0
+    out[c] = speed * radius / (radius * radius - off * off)
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +171,14 @@ def _segment_bound(dom, a, b, refinement: int) -> tuple[float, float]:
     direction = _unit(b - a)
 
     cache = {}
-
-    def kappa(s: float) -> float:
-        if s not in cache:
-            cache[s] = infinitesimal_upper(dom, a + s * (b - a), direction)
-        return cache[s]
-
     m = refinement
     val = None
     for _ in range(5):
-        s = np.linspace(0.0, 1.0, m + 1)
-        f = np.array([kappa(float(x)) for x in s])
+        s = np.linspace(0.0, 1.0, m + 1).tolist()
+        fresh = [x for x in s if x not in cache]
+        # one call per level through the module attribute, which a tracer may wrap
+        cache.update(zip(fresh, infinitesimal_upper(dom, a + np.multiply.outer(fresh, b - a), direction).tolist()))
+        f = np.array([cache[x] for x in s])
         new = float(np.trapezoid(f, s) * length)
         if val is not None and abs(new - val) <= 1e-4 * max(abs(new), 1e-12):
             return new, abs(new - val)
@@ -196,9 +205,7 @@ def _terminal_closed_form(dom, anchor, b) -> tuple[float, dict]:
         raise DomainError("terminal segment is not aligned with the inward normal")
     r0 = tangent_ball_radius(dom, bp.nearest, inward)
     if delta0 > r0 * (1.0 + 1e-9):
-        raise DomainError(
-            f"terminal segment depth {delta0:.3e} exceeds the tangent ball radius {r0:.3e}"
-        )
+        raise DomainError(f"terminal segment depth {delta0:.3e} exceeds the tangent ball radius {r0:.3e}")
     value = 0.5 * np.log(delta0 * (2.0 * r0 - d) / (d * (2.0 * r0 - delta0)))
     return float(value), {"d": d, "delta0": delta0, "tangent_radius": r0}
 
@@ -211,8 +218,7 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
     tangent-ball closed form when ``terminal_normal`` is set.
     """
     path = path or PathSpec()
-    a = dom.as_point(a)
-    b = dom.as_point(b)
+    a, b = dom.as_point(a), dom.as_point(b)
     nodes = [a] + [dom.as_point(w) for w in path.waypoints] + [b]
     if _pt_diff_norm(a, b) == 0:
         return DistanceBound(0.0, "upper", (), 0.0)
@@ -252,15 +258,8 @@ def tangent_ball_radius(dom, boundary_pt, inward) -> float:
 # the log(1/d) + C verifier
 
 
-def lemma_log_bound_verify(
-    dom,
-    base,
-    boundary_target,
-    num_scales: int = 20,
-    inward=None,
-    delta_frac: float = 0.8,
-    waypoints: tuple = (),
-) -> dict:
+def lemma_log_bound_verify(dom, base, boundary_target, num_scales: int = 20, inward=None,
+                           delta_frac: float = 0.8, waypoints: tuple = ()) -> dict:
     """Check d_K(base, p) <= (1/2) log(1/d(p)) + C along a normal approach.
 
     Points p_k sit at depths d_k = delta0 * 2^(-k) along the inward normal

@@ -12,7 +12,7 @@ import pytest
 
 from squeezelab.cli import main
 from squeezelab.conformal import canonical_annulus_map
-from squeezelab.domains import annulus, disc, phi_map, preset, random_interior_points
+from squeezelab.domains import annulus, disc, domain_from_spec, phi_map, preset, random_interior_points
 from squeezelab.errors import ConfigError
 from squeezelab.squeezing import squeeze_lower_planar
 
@@ -120,6 +120,25 @@ class TestFrozenBits:
         pts = random_interior_points(omega_prime, 50, seed=2)
         assert _sha256(np.array([lens_map.derivative(complex(p)) for p in pts])) == (
             "927f5fea0573d63f9da37cf5ff4094e13e0f5ea23ae8351299515d59e50a393d")
+
+
+class TestBasisChoice:
+    def test_rebuilt_lens_gets_the_mirrored_basis(self, omega_prime, lens_map, round_annulus_map):
+        # the lens rebuilt from its spec has no name; its outer curve still
+        # lies in the closed right half-plane and touches the imaginary axis
+        rebuilt = domain_from_spec(omega_prime.to_spec())
+        assert rebuilt.name == ""
+        assert canonical_annulus_map(rebuilt).mirrored and lens_map.mirrored
+        assert not round_annulus_map.mirrored
+        for k in (12, 20, 30):
+            lens = squeeze_lower_planar(omega_prime, 2.0**-k, amap=lens_map)
+            assert squeeze_lower_planar(rebuilt, 2.0**-k).one_minus_lower == lens.one_minus_lower
+
+    def test_image_domain_keeps_the_plain_basis(self):
+        # the z log z image reaches Re z = -1.41, left of the axis
+        image = preset("omega_zlogz")
+        assert image.outer.points().real.min() < -1.0
+        assert not canonical_annulus_map(image).mirrored
 
 
 class TestChargeDoubling:

@@ -127,6 +127,22 @@ class TestDefiningFunctionDomains:
         assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
 
+    @pytest.mark.parametrize("b, z, d", [
+        (1.0, [1.5891830067814317e-156, 0.0], 1.0),
+        (1.0, [1.5891830067814317e-156 * np.exp(2.59j), 0.0], 1.0),
+        (1.0, [1e-170, 1e-160j], 1.0),
+        (2.0, [1.1241e-157, 3.1701e-156], 1.0),
+        (1.0 / np.sqrt(2.0), [0.3, 1e-158j], np.sqrt(0.41)),  # the degenerate d^2 = 1/2 - x^2
+    ])
+    def test_tiny_top_coordinates(self, b, z, d):
+        # |z_j|^2 is subnormal for the coordinates of the largest weight; the
+        # nearest point must still lie on the boundary, at distance d
+        e = ellipsoid(b=b)
+        bp = boundary_distance(e, np.array(z, dtype=complex))
+        assert bp.d == pytest.approx(d, abs=1e-15)
+        assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
+
     @pytest.mark.parametrize("make", [ball, ellipsoid])
     def test_non_finite_point_raises(self, make, recwarn):
         dom = make()
@@ -516,6 +532,51 @@ class TestBoundaryDistanceBatch:
     def test_empty_batch(self):
         bp = boundary_distance(_PLANAR_DOMAINS["omega_prime"], np.array([], dtype=complex))
         assert bp.d.shape == bp.nearest.shape == (0,)
+
+
+def _assert_quadratic_batch_equals_points(dom, z):
+    batch = boundary_distance(dom, z)
+    assert batch.d.shape == (len(z),) and batch.nearest.shape == z.shape
+    for zj, dj, wj in zip(z, batch.d, batch.nearest):
+        one = boundary_distance(dom, zj)
+        assert type(one.d) is float and one.d == dj
+        assert np.array_equal(one.nearest, wj)
+
+
+class TestQuadraticDistanceBatch:
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), count=st.integers(1, 12))
+    def test_batch_equals_points(self, make, seed, count):
+        dom = make()
+        _assert_quadratic_batch_equals_points(dom, random_interior_points(dom, count, seed=seed))
+
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    def test_special_rows_batch_equals_points(self, make):
+        # the degenerate rows (x, 0) with |x| <= 1/2 (a sphere of nearest
+        # points on the ellipsoid), their neighbours next to the pole and too
+        # small to square, the centre, the axis vertices, mixed with generic rows
+        x = np.linspace(-0.5, 0.5, 21) * np.exp(0.7j)
+        rows = [np.column_stack([x, np.zeros_like(x)]), np.column_stack([x, np.full_like(x, 1e-12)]),
+                np.column_stack([x, np.full_like(x, 1e-158j)]), [[1e-170, 1e-160j]],
+                np.zeros((1, 2)), [[1.0 - 2.0**-i, 0.0] for i in range(1, 53)],
+                random_interior_points(make(), 5, seed=4)]
+        _assert_quadratic_batch_equals_points(make(), np.concatenate(rows).astype(complex))
+
+    def test_centre_of_ball(self):
+        bp = boundary_distance(ball(2), np.zeros((3, 2)))
+        assert bp.d.tolist() == [1.0, 1.0, 1.0]
+        assert bp.nearest.tolist() == [[1.0, 0.0]] * 3
+
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    def test_outside_row_raises(self, make):
+        with pytest.raises(DomainError, match=r"point \[0\.\+0\.j 1\.\+0\.j\] is not interior"):
+            boundary_distance(make(), np.array([[0.1, 0.0], [0.0, 1.0], [0.2, 0.0]]))
+
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    def test_empty_batch(self, make):
+        bp = boundary_distance(make(), np.zeros((0, 2), dtype=complex))
+        assert bp.d.shape == (0,) and bp.nearest.shape == (0, 2)
 
 
 def test_import_loads_no_scipy():

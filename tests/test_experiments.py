@@ -15,6 +15,7 @@ from squeezelab.experiments import (
     report_csv,
     report_json,
     run_counterexample,
+    run_lemma22,
     run_lemma24_25,
     run_pipeline,
 )
@@ -111,6 +112,17 @@ class TestSerialization:
         text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "00e0354ffc4ecce292c06982725169ea2647e66a9f875e7b993cdf1a22887661")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("disc", "f269e8558ee516fc1bb3b9adbbde3edc9c8acee68e37d27d671f33cd7fe64bb6"),
+        ("ball", "269f816cc996c7a8625d9e87f4954ce07d11cb8980c03e65118305dc396ae6e1"),
+        ("ellipsoid", "493d08dcac7b163d5fd660474db0f08614f57aef09beaa85456faa562cd06bac"),
+        ("omega_prime", "44b4c9947450d63851ec8ac3b93b038723f86b79605427e97d2f3f153d5e0f2f"),
+    ])
+    def test_lemma22_report_bytes_frozen(self, name, digest):
+        # digests recorded with the one-point disc search of infinitesimal_upper
+        text = emit(run_lemma22(ExperimentConfig("lemma22", domain_preset=name, scales=20)), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_emit_format_validation(self, small_margin_report):
         with pytest.raises(ConfigError):

@@ -10,8 +10,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from squeezelab.domains import ball, boundary_distance, disc, ellipsoid, random_interior_points
+from squeezelab import kobayashi
+from squeezelab.domains import (
+    ball,
+    boundary_distance,
+    build_omega_prime,
+    disc,
+    ellipsoid,
+    random_interior_points,
+)
 from squeezelab.errors import ConfigError, DomainError
 from squeezelab.kobayashi import (
     DistanceBound,
@@ -69,6 +79,76 @@ class TestInfinitesimalBound:
             assert got <= 6.0 * exact  # certified disc is lossy but bounded
 
 
+_KAPPA_DOMAINS = {"ball": ball(2), "ellipsoid": ellipsoid(), "disc": disc(), "lens": build_omega_prime()}
+
+
+def _direction(dom, angles):
+    if dom.name in ("disc", "omega_prime"):
+        return np.exp(1j * angles[0])
+    return np.array([np.cos(angles[1]) * np.exp(1j * angles[0]), np.sin(angles[1]) * np.exp(1j * angles[2])])
+
+
+def _assert_kappa_batch_equals_points(dom, z, v):
+    batch = infinitesimal_upper(dom, z, v)
+    assert batch.shape == (len(z),)
+    for zj, kj in zip(z, batch):
+        one = infinitesimal_upper(dom, zj, v)
+        assert type(one) is float and one == kj
+
+
+class TestInfinitesimalBatch:
+    @pytest.mark.parametrize("name", sorted(_KAPPA_DOMAINS))
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), count=st.integers(1, 6),
+           angles=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3))
+    @example(seed=0, count=1, angles=(0.0, 0.0, 0.0))
+    def test_batch_equals_points(self, name, seed, count, angles):
+        dom = _KAPPA_DOMAINS[name]
+        _assert_kappa_batch_equals_points(dom, random_interior_points(dom, count, seed=seed), _direction(dom, angles))
+
+    # one point per branch of the disc search and domain kind: the chord disc
+    # certified whole, the chord disc shrunk by bisection, and the centred
+    # disc taken when the shrunk chord disc no longer holds z
+    @pytest.mark.parametrize("name, z, v, branch", [
+        ("disc", 0.0, 1.0, "certified at 1"),
+        ("disc", 0.3 + 0.5j, 1.0, "bisected scale"),
+        ("disc", 0.8 + 0.5j, 1.0, "centred fallback"),
+        ("lens", 0.05, 1.0, "certified at 1"),
+        ("lens", 0.05, 1j, "bisected scale"),
+        ("ball", [0.0, 0.0], [1.0, 0.0], "certified at 1"),
+        ("ball", [0.3 + 0.2j, 0.4], [1.0, 0.0], "bisected scale"),
+        ("ball", [0.8 + 0.3j, 0.4], [1.0, 0.0], "centred fallback"),
+        ("ellipsoid", [0.0, 0.0], [1.0, 0.0], "certified at 1"),
+        ("ellipsoid", [0.3 + 0.2j, 0.3], [1.0, 0.0], "bisected scale"),
+        ("ellipsoid", [0.8 + 0.3j, 0.3], [1.0, 0.0], "centred fallback"),
+    ])
+    def test_each_branch_batch_equals_point(self, monkeypatch, name, z, v, branch):
+        scales = []
+        certify = kobayashi._certified_disc_scale
+
+        def spy(*args):
+            scales.append(certify(*args))
+            return scales[-1]
+
+        monkeypatch.setattr(kobayashi, "_certified_disc_scale", spy)
+        dom = _KAPPA_DOMAINS[name]
+        z, v = dom.as_point(z), dom.as_point(v)
+        infinitesimal_upper(dom, z, v)
+        chord, centred = scales
+        hit = "centred fallback" if len(centred) else "certified at 1" if chord[0] == 1.0 else "bisected scale"
+        assert hit == branch
+        others = random_interior_points(dom, 4, seed=3)
+        _assert_kappa_batch_equals_points(dom, np.concatenate([others[:2], [z], others[2:]]), v)
+
+    def test_outside_row_raises(self):
+        with pytest.raises(DomainError, match="not interior"):
+            infinitesimal_upper(ball(2), np.array([[0.1, 0.0], [0.9, 0.9]]), np.array([1.0, 0.0]))
+
+    def test_empty_batch(self):
+        assert infinitesimal_upper(ball(2), np.zeros((0, 2)), np.array([1.0, 0.0])).shape == (0,)
+        assert infinitesimal_upper(disc(), np.zeros(0, dtype=complex), 1.0).shape == (0,)
+
+
 class TestDistanceUpper:
     def test_disc_segment_close_to_exact(self):
         b = distance_upper(disc(), 0.0, 0.5)
@@ -92,6 +172,37 @@ class TestDistanceUpper:
                            "decomposition": bound.decomposition}, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "3e323ca322b157975b7f34db06abfcf050d8559c70b7e20d32961c49c63cb77b")
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "98d7d18d43eb1327d0d204f880ac8a2660a23957c7fa33712aacc53b71b59693"),
+        (2, "d605b49c71c6b48ffab751ac77aa95837155052711f8854720d915b3c7e2b758"),
+        (3, "08d24b04a061b7a8a30831584a955e69e3916733c9a400fdc6ae02a808ac7145"),
+    ])
+    def test_ball_pair_bytes_frozen(self, seed, digest):
+        # the four pairs of one seed of the ball_distance benchmark workload;
+        # digests recorded with the one-point integrand
+        pts = random_interior_points(ball(2), 8, seed=seed)
+        bounds = [distance_upper(ball(2), pts[i], pts[i + 1], PathSpec(refinement=8)) for i in range(0, 8, 2)]
+        text = json.dumps([{"value": b.value, "kind": b.kind, "quad_error": b.quad_error,
+                            "decomposition": b.decomposition} for b in bounds], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_one_integrand_call_per_level(self, monkeypatch):
+        # a tracer wraps the module attribute, so each refinement level must
+        # reach it once, with only the nodes its cache does not hold yet
+        sizes = []
+        kappa = kobayashi.infinitesimal_upper
+
+        def counting(dom, z, v):
+            sizes.append(len(z))
+            return kappa(dom, z, v)
+
+        monkeypatch.setattr(kobayashi, "infinitesimal_upper", counting)
+        pts = random_interior_points(ball(2), 8, seed=1)
+        bound = distance_upper(ball(2), pts[0], pts[1], PathSpec(refinement=8))
+        assert sizes == [9, 8, 16, 32, 64]
+        monkeypatch.undo()
+        assert distance_upper(ball(2), pts[0], pts[1], PathSpec(refinement=8)) == bound
 
     def test_waypoints_and_validation(self):
         d = disc(512)
