@@ -399,6 +399,10 @@ class PlanarDomain:
             raise DomainError("no interior tangent ball found at the given boundary point")
         return lo
 
+    def slice_distance(self, z, v):
+        """Distance to the boundary inside the complex line through ``z``: the plane, so the boundary distance."""
+        return boundary_distance(self, z).d
+
     def to_spec(self) -> dict:
         return {
             "kind": "planar",
@@ -687,6 +691,21 @@ class DefiningFunctionDomain:
         if np.linalg.norm(_unit(self.as_point(inward)) + _unit(wp)) > 1e-6:
             raise DomainError(f"direction {inward} is not the inward normal at {p}")
         return float(np.linalg.norm(wp) / self.w.max())
+
+    def slice_distance(self, z, v):
+        """Distance from one interior point ``(n,)`` (a float) or each row of ``(m, n)`` to the boundary in z + C v.
+
+        With a unit v, A = sum w|v|^2, b = |sum w conj(z) v| / A and g = (1 - sum w|z|^2) / A, that slice is
+        the disc of radius sqrt(g + b^2) about a centre b from z, whose edge is g / (sqrt(g + b^2) + b) from z.
+        """
+        z, v = self.as_point(z), _unit(self.as_point(v))
+        q = 1.0 - np.add.reduce(self.w * np.abs(z) ** 2, axis=-1)  # > 0 exactly where ``contains`` holds
+        if not np.all(q > 0.0):
+            raise DomainError(f"point {z if z.ndim == 1 else z[np.argmin(q > 0.0)]} is not interior")
+        a = np.add.reduce(self.w * np.abs(v) ** 2)
+        b, g = np.abs(np.add.reduce(self.w * np.conj(z) * v, axis=-1)) / a, q / a
+        s = g / (np.sqrt(g + b * b) + b)
+        return float(s) if s.ndim == 0 else s
 
 
 def _dimension(dim) -> int:

@@ -56,7 +56,7 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class DistanceBound:
-    """A certified Kobayashi distance bound with its per-segment makeup."""
+    """A Kobayashi distance upper bound with its per-segment makeup; ``quad_error`` is an estimate, not a bound."""
 
     value: float
     kind: str  # "upper" or "exact"
@@ -97,42 +97,17 @@ def _ray_exit(dom, z, v, r_cap: float, d0: np.ndarray) -> np.ndarray:
     return lo
 
 
-# unit roots pulled 1e-12 inside the circle: the sampled circle of each disc
-# check (its even roots are the 64 roots of a former first check, bit for bit)
-_CIRCLE = np.exp(2j * np.pi * np.arange(128) / 128) * (1.0 - 1e-12)
-
-
-def _certified_disc_scale(dom, center, v, radius: np.ndarray) -> np.ndarray:
-    """Largest shrink factor per lane whose disc {center + zeta v, |zeta| < radius} passes the circle samples.
-
-    The lanes whose full disc fails bisect their factors 40 times, together.
-    """
-
-    def circle_inside(lanes, r):
-        return dom.contains(center[lanes, None] + np.multiply.outer(r[:, None] * _CIRCLE, v)).all(axis=1)
-
-    scale = np.ones_like(radius)
-    fail = np.flatnonzero(~circle_inside(slice(None), radius))
-    lo, hi = np.zeros(len(fail)), np.ones(len(fail))
-    for _ in range(40 if len(fail) else 0):
-        mid = 0.5 * (lo + hi)
-        inside = circle_inside(fail, mid * radius[fail])
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    scale[fail] = lo
-    return scale
-
-
 def infinitesimal_upper(dom, z, v):
-    """Upper bound for the infinitesimal Kobayashi metric at z in direction v (sampled, not certified).
+    """Upper bound for the infinitesimal Kobayashi metric at z in direction v.
 
-    Uses the Poincare metric of the largest affine disc through z in the
-    complex line z + C v that passes the sampled circle check: first the
-    disc whose diameter is the chord of the line through z (exact for
-    convex slices), shrunk until its sampled circle lies inside, with the
-    boundary-distance disc as the final fallback.  One point gives a float;
-    rows of points (1-d on a planar domain, ``(m, n)`` on a quadratic one)
-    give an array, searched in lockstep, whose entries have the bits of the
-    one-point calls.
+    Uses the Poincare metric of an affine disc through z in the line
+    z + C v: the disc whose diameter is the chord of the line through z
+    (exact for convex slices), clipped to its centre's ``slice_distance``
+    so that it lies in the domain, or, when the clipped disc misses z, the
+    centred disc of radius min(both ray exits, boundary distance of z).
+    One point gives a float; rows of points (1-d on a planar domain,
+    ``(m, n)`` on a quadratic one) give an array, searched in lockstep,
+    whose entries have the bits of the one-point calls.
     """
     v = dom.as_point(v)
     z = np.asarray(z, dtype=complex)
@@ -148,12 +123,14 @@ def infinitesimal_upper(dom, z, v):
     c = np.flatnonzero((rp > 0) & (rm > 0))
     rp, rm, z, d0 = rp[c], rm[c], z[c], d0[c]
     off = 0.5 * np.abs(rp - rm)
-    radius = 0.5 * (rp + rm)
-    radius *= _certified_disc_scale(dom, z + _lanes(0.5 * (rp - rm), z) * vhat, vhat, radius)
-    # chord disc not certifiable around z: fall back to the centered disc
+    center = z + _lanes(0.5 * (rp - rm), z) * vhat
+    inner = dom.contains(center)
+    reach = np.zeros(len(c))  # a centre outside the domain reaches nothing
+    reach[inner] = dom.slice_distance(center[inner], vhat)
+    radius = np.minimum(0.5 * (rp + rm), reach)
+    # clipped chord disc no longer holds z: fall back to the centred disc
     f = np.flatnonzero(radius <= off + 1e-15)
     radius[f] = np.minimum(np.minimum(rp[f], rm[f]), d0[f])
-    radius[f] *= np.maximum(_certified_disc_scale(dom, z[f], vhat, radius[f]), 1e-15)
     off[f] = 0.0
     out[c] = speed * radius / (radius * radius - off * off)
     return float(out[0]) if single else out
@@ -164,7 +141,7 @@ def infinitesimal_upper(dom, z, v):
 
 
 def _segment_bound(dom, a, b, refinement: int) -> tuple[float, float]:
-    """Trapezoid integral of the disc bound along [a, b] with refinement control."""
+    """Trapezoid integral along [a, b] and |T_2m - T_m|, returned after five levels even when unconverged."""
     length = _pt_diff_norm(a, b)
     if length == 0:
         return 0.0, 0.0
@@ -215,7 +192,10 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
 
     The bound integrates :func:`infinitesimal_upper` along the piecewise
     linear path a -> waypoints -> b, with the final segment replaced by the
-    tangent-ball closed form when ``terminal_normal`` is set.
+    tangent-ball closed form when ``terminal_normal`` is set.  The integrand
+    is certified, since every disc lies in the domain; the quadrature is
+    not: a segment may stop unconverged after five trapezoid levels, and
+    ``quad_error`` is an a-posteriori estimate, not a bound.
     """
     path = path or PathSpec()
     a, b = dom.as_point(a), dom.as_point(b)

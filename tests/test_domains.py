@@ -579,6 +579,57 @@ class TestQuadraticDistanceBatch:
         assert bp.d.shape == (0,) and bp.nearest.shape == (0, 2)
 
 
+_weights = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4)
+_complex_coord = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestSliceDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), w=_weights, level=st.floats(0.0, 0.99))
+    def test_quadratic_slice_circle_touches_the_boundary(self, data, w, level):
+        # z at sum w|z|^2 = level, any direction v: the circle of radius s in the
+        # line z + C v touches the boundary at the point opposite the slice
+        # disc's centre and lies inside just below that radius
+        dom = DefiningFunctionDomain(w)
+        n = dom.dim
+        vectors = st.lists(_complex_coord, min_size=n, max_size=n)
+        z = np.array(data.draw(vectors))
+        v = np.array(data.draw(vectors.filter(lambda c: np.linalg.norm(c) > 1e-3)))
+        q = np.sum(dom.w * np.abs(z) ** 2)
+        z = z * np.sqrt(level / q) if q > 0 else z
+        s = dom.slice_distance(z, v)
+        vhat = v / np.linalg.norm(v)
+        beta = np.sum(dom.w * np.conj(z) * vhat)
+        toward = np.conj(beta) / abs(beta) if beta != 0 else 1.0
+        assert abs(np.sum(dom.w * np.abs(z + s * toward * vhat) ** 2) - 1.0) <= 1e-12
+        circle = np.exp(2j * np.pi * np.arange(4096) / 4096) * s * (1.0 - 1e-12)
+        assert dom.contains(z + np.multiply.outer(circle, vhat)).all()
+
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    def test_quadratic_batch_equals_rows(self, make):
+        dom = make()
+        z = np.concatenate([random_interior_points(dom, 12, seed=6), np.zeros((1, 2))])
+        for v in (np.array([1.0, 0.0]), np.array([0.3 - 0.2j, 1j])):
+            batch = dom.slice_distance(z, v)
+            assert batch.shape == (len(z),)
+            for zj, sj in zip(z, batch):
+                one = dom.slice_distance(zj, v)
+                assert type(one) is float and one == sj
+        assert dom.slice_distance(np.zeros((0, 2)), v).shape == (0,)
+
+    @pytest.mark.parametrize("name", ["disc", "omega_prime"])
+    def test_planar_is_boundary_distance(self, name):
+        dom = _PLANAR_DOMAINS[name]
+        z = random_interior_points(dom, 6, seed=2)
+        assert np.array_equal(dom.slice_distance(z, 1j), boundary_distance(dom, z).d)
+        assert dom.slice_distance(z[0], 1.0) == boundary_distance(dom, z[0]).d
+
+    @pytest.mark.parametrize("make", [ball, ellipsoid])
+    def test_outside_row_raises(self, make):
+        with pytest.raises(DomainError, match="not interior"):
+            make().slice_distance(np.array([[0.1, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
+
+
 def test_import_loads_no_scipy():
     src = str(Path(squeezelab.__file__).resolve().parent.parent)
     code = ("import sys, squeezelab.cli, squeezelab.experiments; "

@@ -106,39 +106,82 @@ class TestInfinitesimalBatch:
         dom = _KAPPA_DOMAINS[name]
         _assert_kappa_batch_equals_points(dom, random_interior_points(dom, count, seed=seed), _direction(dom, angles))
 
-    # one point per branch of the disc search and domain kind: the chord disc
-    # certified whole, the chord disc shrunk by bisection, and the centred
-    # disc taken when the shrunk chord disc no longer holds z
+    # one point per branch of the disc choice and domain kind: the chord disc
+    # whole (certified at scale 1), the chord disc clipped to the distance
+    # from its centre to the boundary inside the line, and the centred
+    # disc taken when the clipped chord disc no longer holds z
     @pytest.mark.parametrize("name, z, v, branch", [
         ("disc", 0.0, 1.0, "certified at 1"),
-        ("disc", 0.3 + 0.5j, 1.0, "bisected scale"),
+        ("disc", 0.3 + 0.5j, 1.0, "clipped to slice"),
         ("disc", 0.8 + 0.5j, 1.0, "centred fallback"),
         ("lens", 0.05, 1.0, "certified at 1"),
-        ("lens", 0.05, 1j, "bisected scale"),
+        ("lens", 0.05, 1j, "clipped to slice"),
         ("ball", [0.0, 0.0], [1.0, 0.0], "certified at 1"),
-        ("ball", [0.3 + 0.2j, 0.4], [1.0, 0.0], "bisected scale"),
+        ("ball", [0.3 + 0.2j, 0.4], [1.0, 0.0], "clipped to slice"),
         ("ball", [0.8 + 0.3j, 0.4], [1.0, 0.0], "centred fallback"),
         ("ellipsoid", [0.0, 0.0], [1.0, 0.0], "certified at 1"),
-        ("ellipsoid", [0.3 + 0.2j, 0.3], [1.0, 0.0], "bisected scale"),
+        ("ellipsoid", [0.3 + 0.2j, 0.3], [1.0, 0.0], "clipped to slice"),
         ("ellipsoid", [0.8 + 0.3j, 0.3], [1.0, 0.0], "centred fallback"),
     ])
     def test_each_branch_batch_equals_point(self, monkeypatch, name, z, v, branch):
-        scales = []
-        certify = kobayashi._certified_disc_scale
-
-        def spy(*args):
-            scales.append(certify(*args))
-            return scales[-1]
-
-        monkeypatch.setattr(kobayashi, "_certified_disc_scale", spy)
+        exits, reach = [], []
+        ray_exit = kobayashi._ray_exit
         dom = _KAPPA_DOMAINS[name]
+        slice_distance = dom.slice_distance
+
+        def exit_spy(*args):
+            exits.append(ray_exit(*args))
+            return exits[-1]
+
+        def reach_spy(*args):
+            reach.append(slice_distance(*args))
+            return reach[-1]
+
+        monkeypatch.setattr(kobayashi, "_ray_exit", exit_spy)
+        monkeypatch.setattr(dom, "slice_distance", reach_spy)
         z, v = dom.as_point(z), dom.as_point(v)
         infinitesimal_upper(dom, z, v)
-        chord, centred = scales
-        hit = "centred fallback" if len(centred) else "certified at 1" if chord[0] == 1.0 else "bisected scale"
+        (rp, rm), (s,) = exits[0], reach[0]
+        hit = ("certified at 1" if s >= 0.5 * (rp + rm) else
+               "clipped to slice" if s > 0.5 * abs(rp - rm) + 1e-15 else "centred fallback")
         assert hit == branch
+        monkeypatch.undo()
         others = random_interior_points(dom, 4, seed=3)
         _assert_kappa_batch_equals_points(dom, np.concatenate([others[:2], [z], others[2:]]), v)
+
+    def test_lens_disc_stays_inside(self, omega_prime):
+        # the sampled circle search accepted a chord disc that leaves the lens
+        # here (3366.08); the reference is the largest disc about the chord
+        # centre whose 20,000 circle points pass the membership test
+        z, v = random_interior_points(omega_prime, 200, seed=5)[45], 1j
+        rp, rm = kobayashi._ray_exit(omega_prime, np.array([z, z]), np.array([v, -v]), 4.0 * omega_prime.scale,
+                                     np.full(2, boundary_distance(omega_prime, z).d))
+        center, circle = z + 0.5 * (rp - rm) * v, np.exp(2j * np.pi * np.arange(20_000) / 20_000)
+        lo, hi = 0.0, 0.5 * (rp + rm)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if omega_prime.contains(center + mid * circle).all() else (lo, mid)
+        off = 0.5 * abs(rp - rm)
+        assert lo > off
+        reference = lo / (lo * lo - off * off)
+        assert infinitesimal_upper(omega_prime, z, v) == pytest.approx(reference, rel=1e-3)
+
+    @pytest.mark.parametrize("real_product", [False, True])
+    def test_ball_kobayashi_royden_oracle(self, real_product):
+        # F^2 = |v|^2 / (1 - |z|^2) + |<z, v>|^2 / (1 - |z|^2)^2 is the exact
+        # metric of the ball; when <z, v> is real the chord disc is the slice
+        # disc, a complex geodesic, so the bound is F itself
+        rng = np.random.default_rng(7)
+        for z in random_interior_points(ball(2), 400, seed=8):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            if real_product:
+                v -= 1j * np.vdot(z, v).imag / np.vdot(z, z).real * z
+            q = 1.0 - np.vdot(z, z).real
+            f = np.sqrt(np.vdot(v, v).real / q + abs(np.vdot(z, v)) ** 2 / q**2)
+            kappa = infinitesimal_upper(ball(2), z, v)
+            assert kappa >= f * (1.0 - 1e-12)
+            if real_product:
+                assert kappa == pytest.approx(f, rel=1e-12)
 
     def test_outside_row_raises(self):
         with pytest.raises(DomainError, match="not interior"):
@@ -165,22 +208,22 @@ class TestDistanceUpper:
         assert exact - 1e-9 <= b.value <= exact * 1.05
 
     def test_ball_bound_bytes_frozen(self):
-        # the batched disc and segment checks must give the bound of the pointwise loops
+        # recorded with the chord disc clipped to its slice distance
         pts = random_interior_points(ball(2), 8, seed=1)
         bound = distance_upper(ball(2), pts[0], pts[1], PathSpec(refinement=8))
         text = json.dumps({"value": bound.value, "kind": bound.kind, "quad_error": bound.quad_error,
                            "decomposition": bound.decomposition}, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "3e323ca322b157975b7f34db06abfcf050d8559c70b7e20d32961c49c63cb77b")
+            "1d55d8585659b7f193274f3568b4db67489991d5ba657e3c33c64bdb175227fb")
 
     @pytest.mark.parametrize("seed, digest", [
-        (1, "98d7d18d43eb1327d0d204f880ac8a2660a23957c7fa33712aacc53b71b59693"),
-        (2, "d605b49c71c6b48ffab751ac77aa95837155052711f8854720d915b3c7e2b758"),
-        (3, "08d24b04a061b7a8a30831584a955e69e3916733c9a400fdc6ae02a808ac7145"),
+        (1, "cd404891ee0cca0e20ef59fe15aded5ab8d4fdf51b768673ad3b320d293bed07"),
+        (2, "cb06746876bf0eeab8f30f538b0b741f7b9b0479c9ae12c94ef2bf83ea359dc4"),
+        (3, "5ecc8e8da7becdfe14b13a2b4f01166469b959303dd3116c23c06c46cf7a686c"),
     ])
     def test_ball_pair_bytes_frozen(self, seed, digest):
         # the four pairs of one seed of the ball_distance benchmark workload;
-        # digests recorded with the one-point integrand
+        # digests recorded with the chord disc clipped to its slice distance
         pts = random_interior_points(ball(2), 8, seed=seed)
         bounds = [distance_upper(ball(2), pts[i], pts[i + 1], PathSpec(refinement=8)) for i in range(0, 8, 2)]
         text = json.dumps([{"value": b.value, "kind": b.kind, "quad_error": b.quad_error,
@@ -208,7 +251,7 @@ class TestDistanceUpper:
         d = disc(512)
         b = distance_upper(d, -0.5, 0.5, PathSpec(waypoints=(0.2j,)))
         assert b.value >= exact_disc_distance(-0.5, 0.5) - 1e-9
-        assert repr(b.value) == "1.4783083711589913"  # frozen
+        assert repr(b.value) == "1.4783072573823541"  # frozen: discs certified against the round circle
         with pytest.raises(ConfigError):
             PathSpec(refinement=1)
 
