@@ -259,7 +259,11 @@ class DomainPoint:
 
 
 def _unit(v):
+    """``v`` over its norm; a direction whose norm underflows is first scaled up by 2^1022, which is exact."""
     n = float(np.linalg.norm(np.atleast_1d(np.asarray(v))))
+    if n < np.finfo(float).tiny:  # the squares in the norm lost their digits
+        v = v * 2.0**1022
+        n = float(np.linalg.norm(np.atleast_1d(np.asarray(v))))
     if n == 0:
         raise DomainError("zero direction")
     return v / n
@@ -280,10 +284,11 @@ class PlanarDomain:
     Points are complex numbers; ``contains`` also takes an array of them.
     """
 
-    def __init__(self, outer: Curve, holes=(), smoothness: str = "Cinf", name: str = ""):
+    geodesic_slices = False  # a slice disc is a disc inside the plane, not the plane
+
+    def __init__(self, outer: Curve, holes=(), name: str = ""):
         self.outer = outer
         self.holes = list(holes)
-        self.smoothness = smoothness
         self.name = name
         if outer.signed_area() <= 0:
             raise ConfigError("outer curve must be positively oriented")
@@ -361,54 +366,105 @@ class PlanarDomain:
         return DomainPoint(z=z, d=d.reshape(z.shape), nearest=nearest.reshape(z.shape))
 
     def inward_normal(self, p) -> complex:
-        """Inward unit normal at a boundary point, from the deepest of 128 probes around it."""
-        theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-        probes = complex(p) + (1e-4 * self.scale) * np.exp(1j * theta)
-        probes = probes[self.contains(probes)]
-        if not len(probes):
-            raise DomainError("no interior direction found at the boundary point")
-        bp = boundary_distance(self, probes)
-        k = np.argmax(bp.d)
-        return _unit(bp.z[k] - bp.nearest[k])
+        """Inward unit normal of the boundary curve at a boundary point."""
+        return complex(self._frames(np.array([complex(p)]))[1][0])
 
-    def tangent_ball_radius(self, p, inward) -> float:
-        """Largest radius, by bisection, whose disc tangent at the boundary point ``p`` passes a distance test.
+    def tangent_ball_radius(self, p, inward):
+        """Radius of the largest disc in the domain tangent at the boundary point ``p`` with inward normal n = ``inward``.
 
-        A disc of radius r centred at p + r ``inward`` passes when its centre
-        is at least r (1 - 1e-6) from the boundary.
+        The shrinking-ball minimum of |q - p|^2 / (2 <q - p, n>) over boundary
+        points q with <q - p, n> > 0 (Ma, Bae & Choi, Visual Computer 28, 2012):
+        over the samples, then around each curve's four smallest sample ratios
+        by one lockstep Brent run on the parameter.  Samples within 1e-3
+        ``scale`` of p, where <q - p, n> has lost its digits, are left out.
+        Batch-first like ``contains``; raises ``DomainError`` for a centre outside.
         """
-        r_max = 2.0 * self.scale
-        inward = _unit(inward)
+        p, n = np.broadcast_arrays(np.asarray(p, dtype=complex), np.asarray(inward, dtype=complex))
+        shape, p, n = p.shape, p.ravel(), n.ravel() / np.abs(n.ravel())
+        near = (1e-3 * self.scale) ** 2
 
-        def ok(r: float) -> bool:
-            center = p + r * inward
-            if not self.contains(center):
-                return False
-            return boundary_distance(self, center).d >= r * (1.0 - 1e-6)
+        def ratio(q, rows):
+            w = q - p[rows]
+            along = w.real * n[rows].real + w.imag * n[rows].imag
+            sq = w.real * w.real + w.imag * w.imag
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where((along > 0.0) & (sq > near), sq / (2.0 * along), np.inf)
 
-        lo, hi = 0.0, r_max
-        if ok(r_max):
-            return r_max
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        if lo == 0.0:
+        r = np.full(len(p), np.inf)
+        curves, lanes = self.curves(), []  # each curve's Brent windows (start, width) and their rows
+        for curve in curves:
+            t, q = curve.params, curve.points()
+            k = min(4, len(t))
+            best = np.empty((len(p), k), dtype=np.intp)
+            step = max(1, _CHUNK // len(t))
+            for s in range(0, len(p), step):
+                f = ratio(q, np.arange(s, min(s + step, len(p)))[:, None])
+                best[s : s + step] = np.argpartition(f, k - 1, axis=1)[:, :k]
+                r[s : s + step] = np.minimum(r[s : s + step], f.min(axis=1))
+            lo = t[best - 1].ravel()
+            lanes.append((lo, (t[(best + 1).ravel() % len(t)] - lo) % 1.0, np.repeat(np.arange(len(p)), k)))
+        lo, width, rows = (np.concatenate(x) for x in zip(*lanes))
+        cuts = np.cumsum([0] + [len(x[0]) for x in lanes])
+
+        def objective(x):  # ``point`` reads its parameter modulo 1, so a window may pass t = 1
+            return np.concatenate([ratio(c.point(x[a:b]), rows[a:b]) for c, a, b in zip(curves, cuts, cuts[1:])])
+
+        np.minimum.at(r, rows, _bounded_brent(objective, lo, lo + width, xatol=1e-12, maxiter=400)[1])
+        if not np.all(self.contains(p + r * n)):
             raise DomainError("no interior tangent ball found at the given boundary point")
-        return lo
+        return float(r[0]) if not shape else r.reshape(shape)
 
-    def slice_distance(self, z, v):
-        """Distance to the boundary inside the complex line through ``z``: the plane, so the boundary distance."""
-        return boundary_distance(self, z).d
+    def _frames(self, p):
+        """A curve point next to each boundary point of the 1-d array ``p``, and the inward unit normal there.
+
+        The point is the curve where ``p`` projects on a chord about its nearest
+        sample, so it agrees with its normal whatever the error in ``p``; the
+        normal turns a central difference left, where each curve has the domain.
+        """
+        gap = np.full(p.shape, np.inf)
+        foot, normal = np.zeros_like(p), np.zeros_like(p)
+        for curve in self.curves():
+            t, q = curve.params, curve.points()
+            k = np.empty(len(p), dtype=np.intp)
+            step = max(1, _CHUNK // len(t))
+            for s in range(0, len(p), step):
+                k[s : s + step] = np.argmin(np.abs(q - p[s : s + step, None]), axis=1)
+            h = 0.125 / len(t)
+            chord = curve.point(t[k] + h) - curve.point(t[k] - h)
+            at = t[k] + 2.0 * h * (np.conj(chord) * (p - q[k])).real / (chord.real**2 + chord.imag**2)
+            tangent = curve.point(at + h) - curve.point(at - h)
+            d = np.abs(q[k] - p)
+            closer = d < gap
+            gap = np.where(closer, d, gap)
+            foot = np.where(closer, curve.point(at), foot)
+            normal = np.where(closer, 1j * tangent / np.abs(tangent), normal)
+        return foot, normal
+
+    def slice_disc(self, z, v):
+        """Radius R and centre offset c (centre z + c v/|v|) of the disc through one point (floats) or each point of an array.
+
+        The line z + C v is the plane.  The disc is tangent at the nearest
+        boundary point p, its centre ``tangent_ball_radius`` along the curve's
+        normal there, and R is the centre's boundary distance, which certifies
+        it.  Raises ``DomainError`` when the disc misses z, as at a corner.
+        """
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        foot, normal = self._frames(boundary_distance(self, flat).nearest)
+        center = foot + self.tangent_ball_radius(foot, normal) * normal
+        radius = boundary_distance(self, center).d
+        offset = (center - flat) * np.conj(_unit(self.as_point(v)))
+        if np.any(radius <= np.abs(offset)):
+            raise DomainError(f"the tangent disc misses the point {complex(flat[np.argmax(radius <= np.abs(offset))])}")
+        if z.ndim == 0:
+            return float(radius[0]), complex(offset[0])
+        return radius.reshape(z.shape), offset.reshape(z.shape)
 
     def to_spec(self) -> dict:
         return {
             "kind": "planar",
             "outer": [[float(p.real), float(p.imag)] for p in self.outer.points()],
             "holes": [[[float(p.real), float(p.imag)] for p in h.points()] for h in self.holes],
-            "smoothness": {"Cinf": "Cinf", "C2": "C2", "C1": "C1"}[self.smoothness],
         }
 
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
@@ -567,6 +623,8 @@ class DefiningFunctionDomain:
     forms in ``w``.  Points are ``(n,)`` arrays.
     """
 
+    geodesic_slices = True  # each slice disc is the whole slice, a complex geodesic (see ``slice_disc``)
+
     def __init__(self, w, name: str = ""):
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or not len(w) or not np.all(np.isfinite(w) & (w > 0)):
@@ -692,20 +750,22 @@ class DefiningFunctionDomain:
             raise DomainError(f"direction {inward} is not the inward normal at {p}")
         return float(np.linalg.norm(wp) / self.w.max())
 
-    def slice_distance(self, z, v):
-        """Distance from one interior point ``(n,)`` (a float) or each row of ``(m, n)`` to the boundary in z + C v.
+    def slice_disc(self, z, v):
+        """Radius R and centre offset c (centre z + c u, u = v/|v|) of the slice z + C u through one point ``(n,)`` or each row.
 
-        With a unit v, A = sum w|v|^2, b = |sum w conj(z) v| / A and g = (1 - sum w|z|^2) / A, that slice is
-        the disc of radius sqrt(g + b^2) about a centre b from z, whose edge is g / (sqrt(g + b^2) + b) from z.
+        With A = sum w|u|^2, beta = sum w conj(z) u and g = (1 - sum w|z|^2) / A
+        the slice is |s + conj(beta)/A|^2 < g + |beta/A|^2, so c = -conj(beta)/A
+        and R = sqrt(g + |c|^2).  It is a complex geodesic, the image of one of
+        the ball's (L. Lempert, Bull. SMF 109, 1981) under diag(1/sqrt(w)).
         """
         z, v = self.as_point(z), _unit(self.as_point(v))
         q = 1.0 - np.add.reduce(self.w * np.abs(z) ** 2, axis=-1)  # > 0 exactly where ``contains`` holds
         if not np.all(q > 0.0):
             raise DomainError(f"point {z if z.ndim == 1 else z[np.argmin(q > 0.0)]} is not interior")
         a = np.add.reduce(self.w * np.abs(v) ** 2)
-        b, g = np.abs(np.add.reduce(self.w * np.conj(z) * v, axis=-1)) / a, q / a
-        s = g / (np.sqrt(g + b * b) + b)
-        return float(s) if s.ndim == 0 else s
+        offset = -np.conj(np.add.reduce(self.w * np.conj(z) * v, axis=-1)) / a
+        radius = np.sqrt(q / a + np.abs(offset) ** 2)
+        return (float(radius), complex(offset)) if radius.ndim == 0 else (radius, offset)
 
 
 def _dimension(dim) -> int:
@@ -731,21 +791,6 @@ def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDo
 
 # ---------------------------------------------------------------------------
 # the half-plane annulus and its z log z image
-
-
-def _smoothstep(x):
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
-    x = np.asarray(x, dtype=float)
-
-    def g(t):
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = np.exp(-1.0 / t[pos])
-        return out
-
-    a = g(x)
-    b = g(1.0 - x)
-    return a / (a + b)
 
 
 @dataclass(frozen=True)
@@ -826,7 +871,7 @@ def build_omega_prime(params: OmegaPrimeParams | None = None) -> PlanarDomain:
     dmin = np.min(np.abs(hole.points()[:, None] - outer_curve.points()[None, ::4]))
     if dmin < 1e-6:
         raise ConfigError("hole touches the outer boundary")
-    dom = PlanarDomain(outer_curve, [hole], smoothness="Cinf", name="omega_prime")
+    dom = PlanarDomain(outer_curve, [hole], name="omega_prime")
     dom.params = p
     if np.min(outer_curve.points().real) < -1e-12:
         raise ConfigError("outer curve crossed into the left half plane")
@@ -868,7 +913,7 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
     extra = np.concatenate([0.75 + dt, 0.75 - dt])
     outer = MappedCurve(omega_prime.outer, phi_map, extra_params=extra)
     holes = [MappedCurve(h, phi_map) for h in omega_prime.holes]
-    return PlanarDomain(outer, holes, smoothness="C1", name="omega_zlogz")
+    return PlanarDomain(outer, holes, name="omega_zlogz")
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +921,7 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
 
 
 def disc(n: int = 2048) -> PlanarDomain:
-    return PlanarDomain(CircleCurve(0.0, 1.0, orientation=1, n=n), [], smoothness="Cinf", name="disc")
+    return PlanarDomain(CircleCurve(0.0, 1.0, orientation=1, n=n), [], name="disc")
 
 
 def annulus(modulus: float, center: complex = 0.0, scale: float = 1.0, n: int = 2048) -> PlanarDomain:
@@ -884,7 +929,7 @@ def annulus(modulus: float, center: complex = 0.0, scale: float = 1.0, n: int = 
         raise ConfigError("annulus modulus must lie in (0, 1)")
     outer = CircleCurve(center, scale, orientation=1, n=n)
     inner = CircleCurve(center, scale * modulus, orientation=-1, n=n)
-    return PlanarDomain(outer, [inner], smoothness="Cinf", name=f"annulus_{modulus}")
+    return PlanarDomain(outer, [inner], name=f"annulus_{modulus}")
 
 
 def preset(name: str, **kw):
@@ -908,7 +953,7 @@ def domain_from_spec(spec: dict):
     if spec["kind"] == "planar":
         outer = PolylineCurve([complex(a, b) for a, b in spec["outer"]])
         holes = [PolylineCurve([complex(a, b) for a, b in h]) for h in spec.get("holes", [])]
-        return PlanarDomain(outer, holes, smoothness=spec.get("smoothness", "C2"))
+        return PlanarDomain(outer, holes)
     if spec["kind"] == "defining":
         return DefiningFunctionDomain(spec["w"], name=spec.get("name", ""))
     raise ConfigError(f"unknown domain kind {spec.get('kind')!r}")

@@ -210,7 +210,7 @@ def _ellipsoid_embeddings(points, b, seed):
     maps = []
     for p in points:
         aut = BallAutomorphism.centering(np.asarray(p, dtype=complex))
-        maps.append(EmbeddingMap(forward=aut.apply, boundary_sets=(samples,), ordered=False,
+        maps.append(EmbeddingMap(forward=aut.apply, boundary_sets=(samples,),
                                  name="ellipsoid-centering", params={"p": str(np.asarray(p))}))
     return maps
 

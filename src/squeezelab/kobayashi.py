@@ -1,11 +1,13 @@
 """Upper bounds for the Kobayashi distance on bounded domains.
 
 The infinitesimal metric is bounded above by the Poincare metric of any
-analytic disc through the point; we use affine discs inside the domain,
-improved by a two-sided chord construction, and integrate along explicit
-paths.  The terminal approach to a smooth boundary point is evaluated in
-closed form against an interior tangent ball, which isolates the
-(1/2) log(1/d) leading term analytically instead of through quadrature.
+analytic disc through the point; each domain gives one certified affine disc
+per point and direction (``slice_disc``).  On weighted quadratic domains it
+is the whole slice, a complex geodesic, so the metric and the distance along
+a straight segment are exact closed forms; on planar domains the bound is
+integrated along explicit paths.  The terminal approach to a smooth boundary
+point is evaluated in closed form against an interior tangent ball, which
+isolates the (1/2) log(1/d) leading term analytically.
 """
 
 from __future__ import annotations
@@ -72,68 +74,17 @@ def _pt_diff_norm(a, b):
 # affine analytic discs
 
 
-def _lanes(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One value per lane, shaped to scale the points ``z`` (one row per lane)."""
-    return x.reshape(x.shape + (1,) * (z.ndim - 1))
-
-
-def _ray_exit(dom, z, v, r_cap: float, d0: np.ndarray) -> np.ndarray:
-    """Largest t per lane with {z + s v : 0 <= s < t} inside dom, where the lane's z is ``d0`` from the boundary.
-
-    Each lane (a row of ``z`` and of ``v``) doubles t from d0 until it
-    leaves dom or reaches r_cap, then bisects 60 times; the lanes step together.
-    """
-    t = np.minimum(np.maximum(d0, 1e-14), r_cap)
-    grow = t < r_cap
-    while grow.any():
-        grow &= dom.contains(z + _lanes(t, z) * v)
-        t[grow] *= 2.0
-        grow &= t < r_cap
-    lo, hi = np.zeros_like(t), np.minimum(t, r_cap)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        inside = dom.contains(z + _lanes(mid, z) * v)
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    return lo
-
-
 def infinitesimal_upper(dom, z, v):
-    """Upper bound for the infinitesimal Kobayashi metric at z in direction v.
+    """Upper bound |v| R / (R^2 - |c|^2) for the infinitesimal Kobayashi metric at z in direction v.
 
-    Uses the Poincare metric of an affine disc through z in the line
-    z + C v: the disc whose diameter is the chord of the line through z
-    (exact for convex slices), clipped to its centre's ``slice_distance``
-    so that it lies in the domain, or, when the clipped disc misses z, the
-    centred disc of radius min(both ray exits, boundary distance of z).
-    One point gives a float; rows of points (1-d on a planar domain,
-    ``(m, n)`` on a quadratic one) give an array, searched in lockstep,
-    whose entries have the bits of the one-point calls.
+    R and c are the radius and centre offset of the domain's ``slice_disc``,
+    so the bound is exact on weighted quadratic domains.  One point gives a
+    float; rows of points give an array with the bits of the one-point calls.
     """
     v = dom.as_point(v)
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim <= np.ndim(v)
-    z = z.reshape((-1,) + np.shape(v))
-    if not np.all(dom.contains(z)):
-        raise DomainError("base point of the disc is not interior")
-    vhat, speed = _unit(v), float(np.linalg.norm(np.atleast_1d(v)))
-    d0 = boundary_distance(dom, z).d
-    sides = np.concatenate([np.broadcast_to(vhat, z.shape), np.broadcast_to(-vhat, z.shape)])
-    rp, rm = np.split(_ray_exit(dom, np.concatenate([z, z]), sides, 4.0 * dom.scale, np.concatenate([d0, d0])), 2)
-    out = speed / np.maximum(d0, 1e-300)  # kept where the line leaves at once on one side
-    c = np.flatnonzero((rp > 0) & (rm > 0))
-    rp, rm, z, d0 = rp[c], rm[c], z[c], d0[c]
-    off = 0.5 * np.abs(rp - rm)
-    center = z + _lanes(0.5 * (rp - rm), z) * vhat
-    inner = dom.contains(center)
-    reach = np.zeros(len(c))  # a centre outside the domain reaches nothing
-    reach[inner] = dom.slice_distance(center[inner], vhat)
-    radius = np.minimum(0.5 * (rp + rm), reach)
-    # clipped chord disc no longer holds z: fall back to the centred disc
-    f = np.flatnonzero(radius <= off + 1e-15)
-    radius[f] = np.minimum(np.minimum(rp[f], rm[f]), d0[f])
-    off[f] = 0.0
-    out[c] = speed * radius / (radius * radius - off * off)
-    return float(out[0]) if single else out
+    radius, offset = dom.slice_disc(z, v)
+    kappa = float(np.linalg.norm(np.atleast_1d(v))) * radius / (radius * radius - np.abs(offset) ** 2)
+    return float(kappa) if np.ndim(kappa) == 0 else kappa
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +115,15 @@ def _segment_bound(dom, a, b, refinement: int) -> tuple[float, float]:
     return val, abs(val - prev)
 
 
+def _slice_segment(dom, a, b) -> float:
+    """Poincare distance artanh(L R / |R^2 - |c|^2 + conj(c) L|) of a and b = a + L u in a's slice disc along u."""
+    length = _pt_diff_norm(a, b)
+    if length == 0:
+        return 0.0
+    radius, offset = dom.slice_disc(a, b - a)
+    return float(np.arctanh(length * radius / abs(radius * radius - abs(offset) ** 2 + np.conj(offset) * length)))
+
+
 def _terminal_closed_form(dom, anchor, b) -> tuple[float, dict]:
     """Closed-form disc integral for the normal approach to the boundary.
 
@@ -190,12 +150,13 @@ def _terminal_closed_form(dom, anchor, b) -> tuple[float, dict]:
 def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
     """Upper bound for the Kobayashi distance d_K(a, b) along a given path.
 
-    The bound integrates :func:`infinitesimal_upper` along the piecewise
-    linear path a -> waypoints -> b, with the final segment replaced by the
-    tangent-ball closed form when ``terminal_normal`` is set.  The integrand
-    is certified, since every disc lies in the domain; the quadrature is
-    not: a segment may stop unconverged after five trapezoid levels, and
-    ``quad_error`` is an a-posteriori estimate, not a bound.
+    The path is piecewise linear, a -> waypoints -> b, its final segment the
+    tangent-ball closed form when ``terminal_normal`` is set.  Where slices are
+    complex geodesics a segment is the distance in its slice disc, and a
+    one-segment path is ``kind`` "exact".  Elsewhere :func:`infinitesimal_upper`
+    is integrated: the integrand is certified, the quadrature is not (a segment
+    may stop unconverged after five trapezoid levels), and ``quad_error`` is an
+    a-posteriori estimate, not a bound.
     """
     path = path or PathSpec()
     a, b = dom.as_point(a), dom.as_point(b)
@@ -213,12 +174,15 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
         if path.terminal_normal and i == len(nodes) - 2:
             val, meta = _terminal_closed_form(dom, start, end)
             parts.append({"segment": i, "value": val, "method": "closed-form", **meta})
+        elif dom.geodesic_slices:
+            parts.append({"segment": i, "value": _slice_segment(dom, start, end), "method": "slice-disc"})
         else:
             val, err = _segment_bound(dom, start, end, path.refinement)
             parts.append({"segment": i, "value": val, "method": "trapezoid"})
             quad += err
     total = float(sum(p["value"] for p in parts))
-    return DistanceBound(total, "upper", tuple(parts), quad)
+    exact = len(parts) == 1 and parts[0]["method"] == "slice-disc"
+    return DistanceBound(total, "exact" if exact else "upper", tuple(parts), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +192,7 @@ def distance_upper(dom, a, b, path: PathSpec | None = None) -> DistanceBound:
 def tangent_ball_radius(dom, boundary_pt, inward) -> float:
     """Radius of the largest interior ball tangent at ``boundary_pt`` along ``inward``.
 
-    Weighted quadratic domains give it in closed form, planar domains by a
-    bisection on the boundary distance; see each domain's method.
+    A closed form on both domain kinds; see each domain's method.
     """
     return dom.tangent_ball_radius(boundary_pt, inward)
 

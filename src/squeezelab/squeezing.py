@@ -38,14 +38,11 @@ class EmbeddingMap:
     ``forward`` is batch-first: it maps an ``(m, n)`` array of rows (one
     point per row) to their images in one call, and a point ``(n,)`` to its
     image.  ``boundary_sets`` are samples of the domain boundary (one array per
-    boundary component); ``ordered`` marks whether consecutive samples are
-    adjacent on the curve, which enables a curvature-based resolution
-    margin for sampled minima.
+    boundary component).
     """
 
     forward: object
     boundary_sets: tuple
-    ordered: bool = True
     name: str = ""
     params: dict = field(default_factory=dict)
     certificate: dict | None = None
@@ -93,16 +90,8 @@ def certify_injective(forward, sample_points, pairs: int = 10_000, seed: int = 0
     }
 
 
-def _resolution_margin(norms: np.ndarray, ordered: bool) -> float:
-    """Sagitta-style safety margin for a sampled minimum along a curve."""
-    if not ordered or len(norms) < 8:
-        return 0.0
-    second = np.abs(np.diff(norms, n=2, append=norms[:2]))
-    return float(np.max(second) / 8.0)
-
-
 def _inscribed_after(aut: BallAutomorphism, emb: EmbeddingMap) -> float:
-    """Min norm of the boundary image after recentring, minus the margin."""
+    """Min norm of the sampled boundary image after recentring."""
     lows = []
     for pts in emb.boundary_sets:
         imgs = emb.forward(pts)
@@ -110,16 +99,16 @@ def _inscribed_after(aut: BallAutomorphism, emb: EmbeddingMap) -> float:
         norms = _psi_norms_batch(aut.r, rotated)
         if np.any(norms >= 1.0 + 1e-12):
             raise DomainError("boundary image escapes the closed ball")
-        lows.append(float(np.min(norms)) - _resolution_margin(norms, emb.ordered))
+        lows.append(float(np.min(norms)))
     return min(lows)
 
 
 def squeeze_lower_from_embedding(dom, z, emb: EmbeddingMap) -> SqueezeBound:
     """Inscribed-radius bound after normalizing the embedding to send z to 0.
 
-    Post-composes with the ball automorphism centering f(z); the distance
-    from the origin to the normalized boundary image, minus a resolution
-    margin, is a lower bound for the squeezing function at z.
+    Post-composes with the ball automorphism centering f(z); the least norm
+    of the normalized boundary samples is the lower bound for the squeezing
+    function at z, a sampled minimum with no resolution margin.
     """
     w0 = np.atleast_1d(np.asarray(emb.forward(z), dtype=complex))
     if np.linalg.norm(w0) >= 1.0:
@@ -248,7 +237,6 @@ def ball_centering_embeddings(points, dim: int = 2, boundary_count: int = 20_000
             EmbeddingMap(
                 forward=aut.apply,
                 boundary_sets=(sphere,),
-                ordered=False,
                 name="ball-centering",
                 params={"p": str(np.asarray(p))},
             )

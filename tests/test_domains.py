@@ -26,6 +26,7 @@ from squeezelab.domains import (
     ParamCurve,
     PlanarDomain,
     _bounded_brent,
+    _unit,
     annulus,
     ball,
     boundary_distance,
@@ -253,6 +254,8 @@ class TestUtilities:
         dom2 = domain_from_spec(spec)
         assert dom2.connectivity == 2
         assert dom2.contains(0.05) and not dom2.contains(0.5)
+        # specs written before the smoothness label was dropped still load
+        assert domain_from_spec({**spec, "smoothness": "C2"}).connectivity == 2
 
     def test_defining_spec_roundtrip_keeps_parameters(self):
         e = ellipsoid(b=0.3)
@@ -583,13 +586,25 @@ _weights = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4)
 _complex_coord = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
+def _assert_slice_circle_touches_the_boundary(dom, z, v):
+    # the circle of radius s = R - |offset| about z in the line z + C v touches
+    # the boundary at the point opposite the slice disc's centre and lies
+    # inside just below that radius
+    radius, offset = dom.slice_disc(z, v)
+    s = radius - abs(offset)
+    vhat = v / np.linalg.norm(v)
+    beta = np.sum(dom.w * np.conj(z) * vhat)
+    toward = np.exp(-1j * np.angle(beta))  # conj(beta) / |beta|, without dividing by a subnormal |beta|
+    assert abs(np.sum(dom.w * np.abs(z + s * toward * vhat) ** 2) - 1.0) <= 1e-12
+    circle = np.exp(2j * np.pi * np.arange(4096) / 4096) * s * (1.0 - 1e-12)
+    assert dom.contains(z + np.multiply.outer(circle, vhat)).all()
+
+
 class TestSliceDistance:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), w=_weights, level=st.floats(0.0, 0.99))
     def test_quadratic_slice_circle_touches_the_boundary(self, data, w, level):
-        # z at sum w|z|^2 = level, any direction v: the circle of radius s in the
-        # line z + C v touches the boundary at the point opposite the slice
-        # disc's centre and lies inside just below that radius
+        # z at sum w|z|^2 = level, any direction v
         dom = DefiningFunctionDomain(w)
         n = dom.dim
         vectors = st.lists(_complex_coord, min_size=n, max_size=n)
@@ -597,37 +612,59 @@ class TestSliceDistance:
         v = np.array(data.draw(vectors.filter(lambda c: np.linalg.norm(c) > 1e-3)))
         q = np.sum(dom.w * np.abs(z) ** 2)
         z = z * np.sqrt(level / q) if q > 0 else z
-        s = dom.slice_distance(z, v)
-        vhat = v / np.linalg.norm(v)
-        beta = np.sum(dom.w * np.conj(z) * vhat)
-        toward = np.conj(beta) / abs(beta) if beta != 0 else 1.0
-        assert abs(np.sum(dom.w * np.abs(z + s * toward * vhat) ** 2) - 1.0) <= 1e-12
-        circle = np.exp(2j * np.pi * np.arange(4096) / 4096) * s * (1.0 - 1e-12)
-        assert dom.contains(z + np.multiply.outer(circle, vhat)).all()
+        _assert_slice_circle_touches_the_boundary(dom, z, v)
+
+    def test_quadratic_slice_circle_at_a_subnormal_point(self):
+        # <z, v> is subnormal here, and conj(beta) / |beta| overflowed once
+        dom = DefiningFunctionDomain([1.0])
+        _assert_slice_circle_touches_the_boundary(dom, np.array([2.225073858507e-311 + 0j]), np.array([1.0 + 0j]))
 
     @pytest.mark.parametrize("make", [ball, ellipsoid])
     def test_quadratic_batch_equals_rows(self, make):
         dom = make()
         z = np.concatenate([random_interior_points(dom, 12, seed=6), np.zeros((1, 2))])
         for v in (np.array([1.0, 0.0]), np.array([0.3 - 0.2j, 1j])):
-            batch = dom.slice_distance(z, v)
-            assert batch.shape == (len(z),)
-            for zj, sj in zip(z, batch):
-                one = dom.slice_distance(zj, v)
-                assert type(one) is float and one == sj
-        assert dom.slice_distance(np.zeros((0, 2)), v).shape == (0,)
+            radius, offset = dom.slice_disc(z, v)
+            assert radius.shape == offset.shape == (len(z),)
+            for zj, rj, cj in zip(z, radius, offset):
+                one = dom.slice_disc(zj, v)
+                assert type(one[0]) is float and type(one[1]) is complex and one == (rj, cj)
+        assert all(x.shape == (0,) for x in dom.slice_disc(np.zeros((0, 2)), v))
 
     @pytest.mark.parametrize("name", ["disc", "omega_prime"])
     def test_planar_is_boundary_distance(self, name):
+        # the disc is tangent at the nearest boundary point, and z lies on its
+        # normal there, so the edge of the disc is the boundary distance from z
         dom = _PLANAR_DOMAINS[name]
         z = random_interior_points(dom, 6, seed=2)
-        assert np.array_equal(dom.slice_distance(z, 1j), boundary_distance(dom, z).d)
-        assert dom.slice_distance(z[0], 1.0) == boundary_distance(dom, z[0]).d
+        radius, offset = dom.slice_disc(z, 1j)
+        d = boundary_distance(dom, z).d
+        np.testing.assert_allclose(radius - np.abs(offset), d, rtol=1e-6)
+        assert np.all(radius - np.abs(offset) <= d + 1e-12)
+        assert dom.slice_disc(z[0], 1.0)[0] == radius[0]
+
+    def test_planar_disc_at_a_corner_raises(self):
+        # in the unit square the disc tangent at an edge's midpoint is the
+        # inscribed circle, while at a corner no tangent disc holds the point
+        square = domain_from_spec({"kind": "planar", "outer": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+        radius, offset = square.slice_disc(0.5 + 0.1j, 1.0)
+        assert radius == pytest.approx(0.5, abs=1e-12) and offset == pytest.approx(0.4j, abs=1e-12)
+        with pytest.raises(DomainError, match="tangent disc misses"):
+            square.slice_disc(0.01 + 0.01j, 1.0)
 
     @pytest.mark.parametrize("make", [ball, ellipsoid])
     def test_outside_row_raises(self, make):
         with pytest.raises(DomainError, match="not interior"):
-            make().slice_distance(np.array([[0.1, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
+            make().slice_disc(np.array([[0.1, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
+
+    def test_underflowing_direction(self):
+        # the norm of [5e-324, 0] squares to 0, yet the direction is e_1
+        assert np.array_equal(_unit(np.array([5e-324, 0.0])), [1.0, 0.0])
+        assert _unit(5e-324j) == 1j
+        with pytest.raises(DomainError, match="zero direction"):
+            _unit(np.zeros(2))
+        z = np.array([0.3 + 0.1j, 0.2])
+        assert ball(2).slice_disc(z, np.array([5e-324, 0.0])) == ball(2).slice_disc(z, np.array([1.0, 0.0]))
 
 
 def test_import_loads_no_scipy():

@@ -114,13 +114,14 @@ class TestSerialization:
             "00e0354ffc4ecce292c06982725169ea2647e66a9f875e7b993cdf1a22887661")
 
     @pytest.mark.parametrize("name, digest", [
-        ("disc", "f269e8558ee516fc1bb3b9adbbde3edc9c8acee68e37d27d671f33cd7fe64bb6"),
-        ("ball", "269f816cc996c7a8625d9e87f4954ce07d11cb8980c03e65118305dc396ae6e1"),
-        ("ellipsoid", "493d08dcac7b163d5fd660474db0f08614f57aef09beaa85456faa562cd06bac"),
-        ("omega_prime", "44b4c9947450d63851ec8ac3b93b038723f86b79605427e97d2f3f153d5e0f2f"),
+        pytest.param("disc", "206bfbbc991be0488ed40f819199d6f54fbed8e90d4de66a8a31c8c3c31066c5", id="disc"),
+        pytest.param("ball", "d169de14160690698c46b74811316200de1027f537a1674cbe2aac158cf744ec", id="ball"),
+        pytest.param("ellipsoid", "0ae8ba7a2e50460caf0c57854a5a02d7feef92b9d7e4c7141c9794d2cac28f89", id="ellipsoid"),
+        pytest.param("omega_prime", "9d9239865f8d7a4de182073af2dfe8aadfbfb6b2b2c3f1bfaadf09e522afb31e", id="omega_prime"),
     ])
     def test_lemma22_report_bytes_frozen(self, name, digest):
-        # digests recorded with the one-point disc search of infinitesimal_upper
+        # digests recorded with the shrinking-ball tangent radius and, on the
+        # quadratic presets, the closed-form distance in the slice disc
         text = emit(run_lemma22(ExperimentConfig("lemma22", domain_preset=name, scales=20)), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

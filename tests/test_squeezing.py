@@ -161,7 +161,7 @@ class TestPipeline:
         from squeezelab.ball import BallAutomorphism
 
         aut = BallAutomorphism.centering(p)
-        emb = EmbeddingMap(forward=aut.apply, boundary_sets=(samples,), ordered=False)
+        emb = EmbeddingMap(forward=aut.apply, boundary_sets=(samples,))
         rep = theorem21_pipeline(ellipsoid(), [emb], [p], C=0.5)
         row = rep["rows"][0]
         assert row["confinement_margin"] >= 0
