@@ -28,10 +28,12 @@ __all__ = [
 
 def _as_points(z) -> np.ndarray:
     """Coerce ``z`` to one point ``(n,)`` or rows ``(m, n)`` of C^n and validate finiteness."""
-    p = np.atleast_1d(np.asarray(z, dtype=complex))
+    p = np.asarray(z, dtype=complex)
+    if p.ndim == 0:
+        p = p.reshape(1)
     if p.ndim > 2 or p.shape[-1] < 1:
         raise DomainError("points of C^n must be an (n,) or (m, n) array with n >= 1")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise DomainError("point has non-finite coordinates")
     return p
 
@@ -52,9 +54,11 @@ def _check_r(r: float) -> float:
 
 
 def _check_in_ball(z: np.ndarray, what: str = "point") -> np.ndarray:
-    norms = np.linalg.norm(z, axis=-1)
-    if np.any(norms >= 1.0):
-        raise DomainError(f"{what} has norm {np.max(norms):.17g} >= 1")
+    # the squared norms of ``np.linalg.norm(z, axis=-1)``; a double's square
+    # root is >= 1 exactly when the double is, so no root is needed to decide
+    sq = np.add.reduce((z.conj() * z).real, axis=-1)
+    if (sq >= 1.0).any():
+        raise DomainError(f"{what} has norm {np.sqrt(np.max(sq)):.17g} >= 1")
     return z
 
 
@@ -132,19 +136,17 @@ def norm_psi_identity(r: float, z) -> tuple[float, float]:
     round-off near r, ||z|| -> 1.
     """
     r = _check_r(r)
-    z = _check_in_ball(as_point(z))
-    x = z.real.astype(np.longdouble)
-    y = z.imag.astype(np.longdouble)
+    z = _check_in_ball(as_point(z)).astype(np.clongdouble)
+    x, y = z.real, z.imag
     rl = np.longdouble(r)
     den = (1.0 - x[0] * rl) ** 2 + (y[0] * rl) ** 2
     one_m_r2 = (1.0 - rl) * (1.0 + rl)
+    sq = x**2 + y**2
     # direct route
     num1 = (x[0] - rl) ** 2 + y[0] ** 2
-    tail = np.sum(x[1:] ** 2 + y[1:] ** 2)
-    lhs = (num1 + one_m_r2 * tail) / den
+    lhs = (num1 + one_m_r2 * np.add.reduce(sq[1:])) / den
     # closed-form route
-    nz2 = np.sum(x**2 + y**2)
-    rhs = 1.0 - one_m_r2 * (1.0 - nz2) / den
+    rhs = 1.0 - one_m_r2 * (1.0 - np.add.reduce(sq)) / den
     return float(lhs), float(rhs)
 
 
@@ -206,23 +208,17 @@ def _psi_norms_batch(r: float, zs: np.ndarray) -> np.ndarray:
     return np.sqrt(num / denom)
 
 
-def lemma25_bound(
-    C: float,
-    eps: float,
-    d: float,
-    r: float | None = None,
-    sphere_count: int = 10_000,
-    dim: int = 2,
-    seed: int = 0,
-) -> dict:
-    """Inscribed-radius margin sweep for the recentring automorphism.
+def lemma25_bound(C: float, eps: float, d: float, r: float | None = None) -> dict:
+    """Inscribed-radius margin of the recentring automorphism, in closed form.
 
-    Samples the sphere ||z|| = 1 - 2 eps d and reports the minimum of
-    ||psi_r(z)|| - (1 - 6 C eps) together with the intermediate squared
-    bound 1 - 10 C eps.  Admissible r means r <= 1 - d/C: that is the
-    restriction the inequality chain actually consumes (through
-    1/(1-r) <= C/d); under the weaker confinement radius 1 - d/exp(2C)
-    the final bound is numerically false, so that range is rejected here.
+    On the sphere ||z|| = rho = 1 - 2 eps d, ||psi_r(z)||^2 =
+    1 - (1 - r^2)(1 - rho^2)/|1 - r z1|^2 is least at z1 = rho, where
+    ||psi_r(z)|| = |rho - r|/(1 - r rho).  Reports that minimum minus
+    1 - 6 C eps, and its square minus the intermediate bound 1 - 10 C eps.
+    Admissible r means r <= 1 - d/C: that is the restriction the inequality
+    chain actually consumes (through 1/(1-r) <= C/d); under the weaker
+    confinement radius 1 - d/exp(2C) the final bound is numerically false,
+    so that range is rejected here.
     """
     c = float(C)
     if not c > 0:
@@ -242,27 +238,14 @@ def lemma25_bound(
         raise ConfigError(f"r={r} exceeds the admissible bound 1 - d/C = {r_max}")
 
     radius = 1.0 - 2.0 * eps * d
-    zs = sphere_samples(dim, sphere_count, radius, seed)
-    norms = _psi_norms_batch(r, zs)
-    floor = 1.0 - 6.0 * c * eps
-    floor_sq = 1.0 - 10.0 * c * eps
-
-    # closed-form worst case: z1 = ||z|| real positive
-    worst = np.zeros(dim, dtype=complex)
-    worst[0] = radius
-    worst_norm = _psi_norms_batch(r, worst[None, :])[0]
-
-    margins = norms - floor
-    sq_margins = norms**2 - floor_sq
+    worst_norm = abs(radius - r) / (1.0 - r * radius)
     return {
         "C": c,
         "eps": eps,
         "d": d,
         "r": r,
         "radius": radius,
-        "min_margin": float(np.min(margins)),
-        "min_margin_sq": float(np.min(sq_margins)),
-        "worst_axis_margin": float(worst_norm - floor),
-        "worst_axis_margin_sq": float(worst_norm**2 - floor_sq),
-        "samples": int(sphere_count),
+        "min_margin": float(worst_norm - (1.0 - 6.0 * c * eps)),
+        "min_margin_sq": float(worst_norm**2 - (1.0 - 10.0 * c * eps)),
+        "evidence": "closed form",
     }

@@ -1,10 +1,12 @@
 """Certified lower bounds for the squeezing function.
 
-Every number reported here is a true lower bound witnessed by an explicit
-injective holomorphic map into the unit ball: inclusions composed with
-ball automorphisms for annuli, canonical-annulus transport for planar ring
-domains, and the recentring pipeline (embedding -> axis Moebius map) whose
+Each bound is witnessed by an explicit injective holomorphic map into the
+unit ball: inclusions composed with ball automorphisms for annuli,
+canonical-annulus transport for planar ring domains, and the recentring
+pipeline (centering automorphism -> axis Moebius map), a closed form whose
 inscribed-radius margins mirror the confinement estimates it is built on.
+``squeeze_lower_from_embedding`` alone is a minimum over boundary samples,
+and its witness says so.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from .ball import BallAutomorphism, _psi_norms_batch, sphere_samples
 from .conformal import AnnulusMap, canonical_annulus_map
-from .domains import PlanarDomain, _bounded_brent, boundary_distance
-from .errors import ConfigError, DomainError
+from .domains import DefiningFunctionDomain, PlanarDomain, _bounded_brent, boundary_distance
+from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
     "EmbeddingMap",
@@ -121,7 +123,8 @@ def squeeze_lower_from_embedding(dom, z, emb: EmbeddingMap) -> SqueezeBound:
         at=z,
         lower=lower,
         one_minus_lower=1.0 - lower,
-        witness={"kind": "embedding", "name": emb.name, "center_r": float(aut.r), **emb.params},
+        witness={"kind": "embedding", "name": emb.name, "center_r": float(aut.r), **emb.params,
+                 "evidence": "sampled"},
     )
 
 
@@ -255,46 +258,78 @@ def ellipsoid_boundary_samples(b: float, count: int = 20_000, seed: int = 0,
     return (1.0 - inset) * np.column_stack([z1, z2])
 
 
-def theorem21_pipeline(dom, maps, points, C, tol: float = 1e-6) -> dict:
-    """Confinement + recentring chain for a family of normalized embeddings.
+def _centering_gap(w: np.ndarray, p: np.ndarray) -> float:
+    """Largest 1 - ||F(zeta)||^2 over the boundary of {sum_j w_j |zeta_j|^2 < 1}, every w_j >= 1.
 
-    For each embedding F with F(p_i) = 0 the pipeline measures eps_i from
-    the boundary image, checks the confinement of F(0) inside the ball of
-    radius 1 - d(p_i)/e^(2C), recentres with the axis Moebius map, and
-    certifies the inscribed radius 1 - 6 C eps_i of the composed image.
+    F = psi_r o U is the ball automorphism centering p, with r = ||p|| and p
+    on axis k (any axis when the weights are equal, where U preserves the
+    domain).  With s = |zeta_k| and the rest of the boundary mass on the
+    largest other weight w_o, 1 - ||F(zeta)||^2 = (1 - r^2)(A - B s^2)/(1 - r s)^2,
+    A = 1 - 1/w_o, B = 1 - w_k/w_o.  Its maximum over s in [0, 1/sqrt(w_k)]
+    is at s* = min(r A/B, 1/sqrt(w_k)), or at 1/sqrt(w_k) when B <= 0.  At
+    s* = r A/B the quotient is A/(1 + r^2 (B - A)/(B (1 - r^2))), which is A
+    exactly when w_k = 1.
+    """
+    r = float(np.linalg.norm(p))
+    k = int(np.argmax(np.abs(p)))
+    others = np.delete(w, k)
+    wk = float(w[k])
+    wo = float(others.max()) if len(others) else wk  # one coordinate: s = 1/sqrt(w_k) is forced
+    a, b = 1.0 - 1.0 / wo, 1.0 - wk / wo
+    q = (1.0 - r) * (1.0 + r)
+    if b > 0.0 and r * a < b / np.sqrt(wk):
+        return float(a / (1.0 + r * r * (1.0 - wk) / (wo * b * q)))
+    return float(q * (1.0 - 1.0 / wk) / (1.0 - r / np.sqrt(wk)) ** 2)
+
+
+def theorem21_pipeline(dom, points, C, tol: float = 1e-6) -> dict:
+    """Confinement + recentring chain for the centering automorphisms of a family of points.
+
+    ``dom`` is a weighted quadratic domain {sum_j w_j |z_j|^2 < 1} with every
+    w_j >= 1, so that it lies in the unit ball.  For each point p_i the
+    embedding is the ball automorphism F = psi_r o U with F(p_i) = 0, and
+    every row is a closed form on the true boundary:
+
+    * eps_i = (1 - min ||F||)/d_i over the boundary, from the largest gap
+      1 - ||F||^2 (``_centering_gap``) as gap/(1 + sqrt(1 - gap))/d_i;
+    * the confinement of F(0) inside the ball of radius 1 - d_i/e^(2C);
+    * the recentring psi with psi(F(0)) = 0, which is checked to 1e-12: psi o F
+      fixes 0, so by Cartan's theorem it is unitary, and the inscribed radius
+      of (psi o F)(dom) is the least boundary norm 1/sqrt(max w), certified
+      against 1 - 6 C eps_i.
+
+    A point off the coordinate axes on a domain whose weights are not all
+    equal, or a weight below 1, raises ``ConfigError``.
     """
     c = float(C)
     if not c > 0:
         raise ConfigError(f"C must be positive, got {c}")
-    if len(maps) != len(points):
-        raise ConfigError("one embedding per point required")
-    origin = np.zeros(getattr(dom, "dim", 1), dtype=complex)
+    if not isinstance(dom, DefiningFunctionDomain):
+        raise ConfigError(f"theorem21_pipeline needs a weighted quadratic domain, got {type(dom).__name__}")
+    w = dom.w
+    if w.min() < 1.0:
+        raise ConfigError(f"weights must be >= 1 so that the domain lies in the unit ball, not {w}")
+    inscribed = float(1.0 / np.sqrt(w.max()))
+    origin = np.zeros(dom.dim, dtype=complex)
 
     rows = []
-    for i, (emb, p) in enumerate(zip(maps, points), start=1):
-        p = np.asarray(p, dtype=complex)
-        zero_img = np.atleast_1d(np.asarray(emb.forward(p), dtype=complex))
-        if np.linalg.norm(zero_img) > 1e-10:
-            raise ConfigError(f"map {i} does not send its point to the origin "
-                              f"(||F(p)|| = {np.linalg.norm(zero_img):.3e})")
+    for i, p in enumerate(points, start=1):
+        p = dom.as_point(p)
+        if np.count_nonzero(p) > 1 and w.min() < w.max():
+            raise ConfigError(f"point {i} = {p} is off the coordinate axes of a domain that is not a ball")
         d_i = float(boundary_distance(dom, p).d)
+        gap = _centering_gap(w, p)
+        eps_i = float(gap / (1.0 + np.sqrt(1.0 - gap)) / d_i)
 
-        # measured eps: the boundary image must contain B(0, 1 - eps*d)
-        min_norm = np.inf
-        for pts in emb.boundary_sets:
-            imgs = emb.forward(pts)
-            min_norm = min(min_norm, float(np.min(np.linalg.norm(imgs, axis=1))))
-        eps_i = max((1.0 - min_norm) / d_i, 0.0)
-
-        phi0 = np.atleast_1d(np.asarray(emb.forward(origin), dtype=complex))
+        phi0 = BallAutomorphism.centering(p).apply(origin)
         r = float(np.linalg.norm(phi0))
         confinement_radius = 1.0 - d_i / np.exp(2.0 * c)
         confinement_margin = confinement_radius - r
 
-        psi = BallAutomorphism.centering(phi0) if r > 0 else BallAutomorphism(0.0, np.eye(len(phi0), dtype=complex))
-        # inscribed radius of (psi o F)(dom), evaluated without composing
-        # through the strict open-ball check (boundary norms may round to 1)
-        inscribed = _inscribed_after(psi, emb)
+        psi = BallAutomorphism.centering(phi0)
+        residual = float(np.linalg.norm(psi.apply(phi0)))
+        if residual > 1e-12:
+            raise SolverError(f"row {i}: the recentring leaves ||psi(F(0))|| = {residual:.3e} > 1e-12")
         floor = 1.0 - 6.0 * c * eps_i
         inscribed_margin = inscribed - floor + tol
 
@@ -312,6 +347,7 @@ def theorem21_pipeline(dom, maps, points, C, tol: float = 1e-6) -> dict:
             "one_minus_bound": 1.0 - inscribed,
             "trend_margin": 6.0 * c * eps_i + tol - (1.0 - inscribed),
             "weak_radius_warning": not weak_radius_ok,
+            "evidence": "closed form",
         })
 
     return {

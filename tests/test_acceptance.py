@@ -30,7 +30,7 @@ from squeezelab.experiments import (
     run_pipeline,
 )
 from squeezelab.kobayashi import lemma_log_bound_verify
-from squeezelab.squeezing import annulus_squeeze_lower, ball_centering_embeddings, theorem21_pipeline
+from squeezelab.squeezing import annulus_squeeze_lower, theorem21_pipeline
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -90,8 +90,7 @@ def test_criterion_03_inscribed_radius_sweep():
         for d in (1e-1, 1e-2, 1e-3):
             for eps in (1.0 / (18.0 * C), 1.0 / (36.0 * C)):
                 for r in np.linspace(0.0, 1.0 - d / C, 5):
-                    rep = lemma25_bound(C, eps, d, r=float(r),
-                                        sphere_count=10_000, seed=103)
+                    rep = lemma25_bound(C, eps, d, r=float(r))
                     worst = min(worst, rep["min_margin"])
     elapsed = time.perf_counter() - t0
     ok = worst >= 0.0 and elapsed < 60.0
@@ -171,8 +170,7 @@ def test_criterion_08_pipeline_on_ball():
         num_scales=20, inward=np.array([-1.0, 0.0], dtype=complex),
     )
     pts = [np.array([1.0 - 2.0 ** (-i), 0.0], dtype=complex) for i in range(1, 11)]
-    maps = ball_centering_embeddings(pts, boundary_radius=1.0 - 1e-14, seed=108)
-    rep = theorem21_pipeline(ball(2), maps, pts, C=fit["C_fit"])
+    rep = theorem21_pipeline(ball(2), pts, C=fit["C_fit"])
     eps_max = max(r["eps"] for r in rep["rows"])
     inscribed_min = min(r["inscribed"] for r in rep["rows"])
     conf_min = min(r["confinement_margin"] for r in rep["rows"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from squeezelab.ball import (
     BallAutomorphism,
+    _psi_norms_batch,
     kobayashi_ball,
     lemma25_bound,
     norm_psi_identity,
@@ -209,6 +210,20 @@ class TestInscribedRadiusBound:
         rep = lemma25_bound(1.0, 1.0 / 18.0, 1e-2, r=0.99)
         assert rep["min_margin"] >= 0.0
         assert rep["min_margin_sq"] >= 0.0
+
+    @pytest.mark.parametrize("C, eps, d, r", [(1.0, 1 / 18, 1e-2, 0.99), (0.5, 1 / 36, 1e-3, 0.5),
+                                              (2.0, 1 / 36, 1e-1, 0.0), (2.0, 1 / 36, 1e-1, 0.95)])
+    def test_margin_is_the_sphere_minimum(self, C, eps, d, r):
+        # the closed form is attained at z1 = ||z||, and no sample of the sphere goes below it
+        rep = lemma25_bound(C, eps, d, r=r)
+        assert rep["evidence"] == "closed form"
+        floor = 1.0 - 6.0 * C * eps
+        axis = np.zeros((1, 2), dtype=complex)
+        axis[0, 0] = rep["radius"]
+        norms = _psi_norms_batch(r, np.vstack([axis, sphere_samples(2, 20_000, rep["radius"], seed=3)]))
+        assert rep["min_margin"] == pytest.approx(norms[0] - floor, abs=1e-15)
+        assert rep["min_margin"] <= np.min(norms[1:]) - floor + 1e-15
+        assert rep["min_margin_sq"] == pytest.approx(norms[0] ** 2 - (1.0 - 10.0 * C * eps), abs=1e-15)
 
     def test_rejects_oversized_eps(self):
         with pytest.raises(ConfigError):

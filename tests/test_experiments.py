@@ -102,11 +102,16 @@ class TestSerialization:
         assert float(first[1]) == 0.125
 
     def test_pipeline_report_bytes_frozen(self):
-        # any change to how boundary images are evaluated must keep these bytes;
-        # ellipsoid row 1 has the closed-form distance d = 0.5 (Newton gave 0.4999999999999999)
+        # every row is a closed form on the true boundary: eps = 0 and inscribed = 1 on
+        # the ball, eps d = 1 - 1/sqrt(2) and inscribed = 1/sqrt(2) on the ellipsoid
         text = emit(run_pipeline(ExperimentConfig("pipeline", scales=3, seed=1)), "json", None)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "95052624a2a8d82b53177026f0a0f56f428f1df28884c15513edb1d273fb3fa3")
+            "757f45d319a4ba2c45403c87b3052129c5ab8f4153373664dc76d1dd51ffe46f")
+
+    def test_pipeline_seed_enters_only_the_provenance(self):
+        a, b = (run_pipeline(ExperimentConfig("pipeline", scales=3, seed=s)) for s in (1, 2))
+        assert a.tables == b.tables and a.verdicts == b.verdicts
+        assert a.provenance != b.provenance
 
     def test_counterexample_report_bytes_frozen(self):
         text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezelab.ball import BallAutomorphism, _psi_norms_batch
 from squeezelab.domains import annulus, ball, disc, ellipsoid
-from squeezelab.errors import ConfigError
+from squeezelab.errors import ConfigError, SolverError
 from squeezelab.squeezing import (
-    EmbeddingMap,
     SqueezeBound,
+    _centering_gap,
     annulus_squeeze_lower,
     ball_centering_embeddings,
     certify_injective,
@@ -124,20 +125,103 @@ class TestInjectivityCertificate:
         assert not cert["injective"]
 
 
+def _on_boundary(w, count, seed):
+    """Points exactly on the boundary sum w |z|^2 = 1: Gaussian directions scaled onto it."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, len(w))) + 1j * rng.normal(size=(count, len(w)))
+    return v / np.sqrt(np.sum(w * np.abs(v) ** 2, axis=1))[:, None]
+
+
+def _axis_point(dim, k, x):
+    p = np.zeros(dim, dtype=complex)
+    p[k] = x
+    return p
+
+
+# (weights, point): both branches of the maximiser s*, every axis kind
+# (largest, smallest and middle weight), complex and zero points, one coordinate
+GAP_CASES = [
+    pytest.param([1.0, 1.0], _axis_point(2, 0, 0.5), id="ball-axis"),
+    pytest.param([1.0, 1.0], np.array([0.3j, 0.4]), id="ball-off-axis"),
+    pytest.param([1.0, 2.0], _axis_point(2, 0, 0.5), id="ellipsoid-r0.5"),
+    pytest.param([1.0, 2.0], _axis_point(2, 0, 0.999), id="ellipsoid-r0.999"),
+    pytest.param([1.0, 2.0], _axis_point(2, 0, 0.3 - 0.4j), id="ellipsoid-complex"),
+    pytest.param([1.0, 2.0], _axis_point(2, 1, 0.5), id="ellipsoid-minor-axis"),
+    pytest.param([1.0, 1.0 / 0.09, 1.0 / 0.09], _axis_point(3, 0, 0.7), id="thin-ellipsoid"),
+    pytest.param([1.0, 1.0 / 0.09, 1.0 / 0.09], _axis_point(3, 2, 0.2), id="thin-ellipsoid-minor"),
+    pytest.param([2.0, 1.0, 5.0], _axis_point(3, 0, 0.3), id="interior-s"),
+    pytest.param([2.0, 1.0, 5.0], _axis_point(3, 0, 0.6), id="boundary-s"),
+    pytest.param([2.0, 1.0, 5.0], _axis_point(3, 1, 0.9), id="unit-weight-axis"),
+    pytest.param([2.0, 1.0, 5.0], np.zeros(3, dtype=complex), id="origin"),
+    pytest.param([3.0, 3.0], np.array([0.2, 0.3j]), id="small-ball-off-axis"),
+]
+
+
+class TestClosedFormPipeline:
+    @pytest.mark.parametrize("w, p", GAP_CASES + [
+        pytest.param([1.5], np.array([0.4 + 0.2j]), id="one-coordinate")])
+    def test_below_every_boundary_sample(self, w, p):
+        w = np.asarray(w)
+        aut = BallAutomorphism.centering(p)
+        sampled = _psi_norms_batch(aut.r, _on_boundary(w, 20_000, seed=4) @ aut.align.T)
+        assert np.sqrt(1.0 - _centering_gap(w, p)) <= np.min(sampled) + 1e-12
+
+    @pytest.mark.parametrize("w, p", GAP_CASES)
+    def test_matches_a_longdouble_scan(self, w, p):
+        # maximise (1 - r^2)(A - B s^2)/(1 - r s)^2 over s in [0, 1/sqrt(w_k)] by a
+        # grid scan zoomed in around its best node, in extended precision
+        ld = np.longdouble
+        w = np.asarray(w, dtype=ld)
+        k = int(np.argmax(np.abs(p)))
+        r = ld(np.linalg.norm(p))
+        wo = np.max(np.delete(w, k))
+        a, b = 1 - 1 / wo, 1 - w[k] / wo
+
+        def gap(s):
+            return (1 - r * r) * (a - b * s * s) / (1 - r * s) ** 2
+
+        lo, hi = ld(0), 1 / np.sqrt(w[k])
+        best = ld(0)
+        for _ in range(40):
+            s = np.linspace(lo, hi, 1001, dtype=ld)
+            g = gap(s)
+            j = int(np.argmax(g))
+            best = max(best, g[j])
+            lo, hi = s[max(j - 1, 0)], s[min(j + 1, 1000)]
+        exact = np.sqrt(1.0 - _centering_gap(np.asarray(w, dtype=float), p))
+        assert abs(exact - float(np.sqrt(1 - best))) <= 1e-12
+
+    def test_exact_values_on_ball_and_ellipsoid(self):
+        pts = [np.array([1.0 - 2.0 ** (-i), 0.0], dtype=complex) for i in range(1, 11)]
+        for row in theorem21_pipeline(ball(2), pts, C=0.35)["rows"]:
+            assert (row["eps"], row["inscribed"], row["evidence"]) == (0.0, 1.0, "closed form")
+        for row in theorem21_pipeline(ellipsoid(), pts, C=0.5)["rows"]:
+            assert row["eps"] * row["d"] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), rel=1e-14)
+            assert row["inscribed"] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
+            assert row["evidence"] == "closed form"
+
+    def test_rejects_what_the_closed_form_does_not_cover(self):
+        with pytest.raises(ConfigError, match="off the coordinate axes"):
+            theorem21_pipeline(ellipsoid(), [np.array([0.3, 0.2])], C=0.5)
+        with pytest.raises(ConfigError, match="weights must be >= 1"):
+            theorem21_pipeline(ellipsoid(2.0), [np.array([0.3, 0.0])], C=0.5)
+        with pytest.raises(ConfigError, match="weighted quadratic"):
+            theorem21_pipeline(disc(), [0.3], C=0.5)
+
+    def test_recentring_residual_is_checked(self, monkeypatch):
+        apply = BallAutomorphism.apply
+        monkeypatch.setattr(BallAutomorphism, "apply", lambda self, z: apply(self, z) + 1e-9)
+        with pytest.raises(SolverError, match="psi"):
+            theorem21_pipeline(ball(2), [np.array([0.5, 0.0])], C=0.35)
+
+
 class TestPipeline:
     def test_ball_small(self):
         pts = [np.array([1.0 - 2.0 ** (-i), 0.0], dtype=complex) for i in (1, 2, 3)]
-        maps = ball_centering_embeddings(pts, boundary_radius=1.0 - 1e-14, seed=0)
-        rep = theorem21_pipeline(ball(2), maps, pts, C=0.35)
+        rep = theorem21_pipeline(ball(2), pts, C=0.35)
         assert rep["all_confined"] and rep["all_inscribed"] and rep["trend_ok"]
         assert min(r["inscribed"] for r in rep["rows"]) >= 1.0 - 1e-6
         assert max(r["eps"] for r in rep["rows"]) < 1e-8
-
-    def test_requires_normalized_maps(self):
-        pts = [np.array([0.5, 0.0], dtype=complex)]
-        maps = ball_centering_embeddings([np.zeros(2)], seed=0)  # centers 0, not p
-        with pytest.raises(ConfigError):
-            theorem21_pipeline(ball(2), maps, pts, C=0.35)
 
     def test_lower_from_ball_centering_embedding(self):
         # the ball's squeezing function is 1; recentring the embedding at a
@@ -148,6 +232,7 @@ class TestPipeline:
         b = squeeze_lower_from_embedding(ball(2), z, emb)
         assert b.lower >= 1.0 - 1e-9
         assert b.witness["center_r"] == pytest.approx(np.linalg.norm(emb.forward(z)), abs=1e-15)
+        assert b.witness["evidence"] == "sampled"
 
     def test_ellipsoid_boundary_samples_on_surface(self):
         b = 1.0 / np.sqrt(2.0)
@@ -157,12 +242,7 @@ class TestPipeline:
 
     def test_ellipsoid_pipeline_row(self):
         p = np.array([0.5, 0.0], dtype=complex)
-        samples = ellipsoid_boundary_samples(1.0 / np.sqrt(2.0), count=5000, seed=2)
-        from squeezelab.ball import BallAutomorphism
-
-        aut = BallAutomorphism.centering(p)
-        emb = EmbeddingMap(forward=aut.apply, boundary_sets=(samples,))
-        rep = theorem21_pipeline(ellipsoid(), [emb], [p], C=0.5)
+        rep = theorem21_pipeline(ellipsoid(), [p], C=0.5)
         row = rep["rows"][0]
         assert row["confinement_margin"] >= 0
         assert row["inscribed_margin"] >= 0

@@ -1,0 +1,42 @@
+"""The benchmark tracer (``perfbench/tracing.py``) against the current package.
+
+The tracer looks up each entry point it wraps by name, so a renamed or
+deleted function makes ``perfbench/run.py --trace 1`` raise
+``AttributeError``.  It must also put back every attribute it replaced.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from squeezelab import ball, conformal, domains, experiments
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+
+def _attributes():
+    owners = [m for n, m in sys.modules.items()
+              if m is not None and (n == "squeezelab" or n.startswith("squeezelab."))]
+    owners += [ball.BallAutomorphism, domains.PlanarDomain, domains.DefiningFunctionDomain,
+               conformal.AnnulusMap]
+    return {(id(o), k): v for o in owners for k, v in list(vars(o).items())}
+
+
+def test_install_finds_every_entry_point_and_restores_it():
+    before = _attributes()
+    tracer = tracing.Tracer()
+    with tracing.Patcher(tracer) as patcher:
+        tracing.install(patcher)
+        assert patcher.saved
+        report = experiments.run_pipeline(experiments.ExperimentConfig("pipeline", scales=3, seed=1))
+    after = _attributes()
+    assert before.keys() == after.keys()
+    assert [key for key in before if before[key] is not after[key]] == []
+    assert report.passed
+    # the closed-form pipeline builds no boundary samples
+    assert tracer.calls("squeezing.theorem21_pipeline") == 2
+    assert tracer.calls("squeezing.ball_centering_embeddings") == 0
+    assert tracer.calls("squeezing.ellipsoid_boundary_samples") == 0
