@@ -80,30 +80,39 @@ class _Basis:
         step = max(1, _CHUNK // self.size)
         return [slice(i, i + step) for i in range(0, n, step)]
 
-    def _raw(self, z, deriv: bool, lone: bool):
+    def _raw(self, z, deriv: bool, lone: bool, poles_only: bool):
+        dq = z[..., None] - self.poles
+        if deriv:
+            poles = -self.strengths / (np.power(dq, 2) if lone else np.square(dq))
+        else:
+            poles = self.strengths / dq
+        if poles_only:
+            return poles
         dz = z - self.z_h
         laurent = _powers(self.r_h / dz, _LAURENT, lone)
         v = (z - self.z_c) / self.r_c
-        dq = z[..., None] - self.poles
         if not deriv:
-            return np.concatenate([laurent, _powers(v, _TAYLOR, lone), self.strengths / dq], axis=-1)
+            return np.concatenate([laurent, _powers(v, _TAYLOR, lone), poles], axis=-1)
         return np.concatenate([
             -_LAURENT * laurent / dz[..., None],
             (_TAYLOR / self.r_c) * _powers(v, _TAYLOR - 1, lone),
-            -self.strengths / (np.power(dq, 2) if lone else np.square(dq)),
+            poles,
         ], axis=-1)
 
-    def __call__(self, z, deriv: bool = False):
-        """The columns (or their derivatives) at ``z``, along a new last axis."""
+    def __call__(self, z, deriv: bool = False, poles_only: bool = False):
+        """The columns (or their derivatives) at ``z``, along a new last axis.
+
+        ``poles_only`` keeps only the trailing columns, those of the poles.
+        """
         lone = z.ndim == 0
-        g = self._raw(z, deriv, lone)
+        g = self._raw(z, deriv, lone, poles_only)
         out = np.empty(g.shape[:-1] + (2 * g.shape[-1],), dtype=complex)
         if not self.mirrored:
             out[..., 0::2] = g
             out[..., 1::2] = 1j * g
             return out
         # the reflection h(z) = conj(g(-conj(z))) has h'(z) = -conj(g'(-conj(z)))
-        h = np.conj(self._raw(-np.conj(z), deriv, lone))
+        h = np.conj(self._raw(-np.conj(z), deriv, lone, poles_only))
         if deriv:
             h = -h
         out[..., 0::2] = g - h
@@ -235,31 +244,36 @@ def _midpoints(curve: Curve) -> np.ndarray:
     return curve.point((t + np.append(t[1:], t[0] + 1.0)) / 2)
 
 
-def _fit(dom: PlanarDomain, zo, zi, mirror: bool, charges: int) -> AnnulusMap:
-    """Least-squares harmonic measure with ``charges`` poles; deviation not yet measured."""
-    z_h = complex(np.mean(zi))
-    r_h = float(np.mean(np.abs(zi - z_h)))
-    z_c = complex(np.mean(zo))
-    r_c = float(np.max(np.abs(zo - z_c)))
-    if mirror:
-        z_c = complex(0.0, z_c.imag)  # keep the Taylor center on the axis
-    basis = _Basis(z_h, r_h, z_c, r_c, *_outer_charges(dom, zo, charges, mirror), mirror)
+def _matrix(basis: _Basis, pts, last: np.ndarray | None) -> np.ndarray:
+    """The least-squares matrix of ``basis`` at the collocation points ``pts``.
 
-    pts = np.concatenate([zo, zi])
-    off = 0 if mirror else 1
+    Its leading columns, the constant (plain basis only), the log term and
+    the Laurent and Taylor tails, do not depend on the poles: they are copied
+    from ``last``, the matrix of another charge count, when one is given.
+    """
+    off = 0 if basis.mirrored else 1
     A = np.empty((len(pts), off + 1 + basis.size))
-    A[:, :off] = 1.0
-    A[:, off] = np.log(np.abs(pts - z_h))
-    if mirror:
-        A[:, off] = A[:, off] - np.log(np.abs(pts + np.conj(z_h)))
+    if last is None:
+        start = off + 1
+        A[:, :off] = 1.0
+        A[:, off] = np.log(np.abs(pts - basis.z_h))
+        if basis.mirrored:
+            A[:, off] = A[:, off] - np.log(np.abs(pts + np.conj(basis.z_h)))
+    else:
+        start = A.shape[1] - 2 * len(basis.poles)
+        A[:, :start] = last[:, :start]
     for rows in basis.chunks(len(pts)):
-        A[rows, off + 1:] = basis(pts[rows]).real
-    rhs = np.concatenate([np.ones(len(zo)), np.zeros(len(zi))])
-    if mirror:
-        rhs = rhs - 1.0  # u = 1 + (mirrored combination)
+        A[rows, start:] = basis(pts[rows], poles_only=last is not None).real
+    return A
+
+
+def _fit(dom: PlanarDomain, A: np.ndarray, rhs: np.ndarray, basis: _Basis) -> AnnulusMap:
+    """Least-squares harmonic measure in the columns ``A`` of ``basis``; deviation not yet measured."""
     coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.max(np.abs(A @ coef - rhs)))
 
+    mirror = basis.mirrored
+    off = 0 if mirror else 1
     a = float(coef[off])
     if a <= 0:
         raise SolverError(f"log coefficient a={a:.3e} not positive; solve inconsistent")
@@ -274,10 +288,18 @@ def canonical_annulus_map(dom: PlanarDomain, resolution: int = 1) -> AnnulusMap:
     ``resolution`` refines the boundary collocation by that factor, which
     supports Cauchy-stability checks of the recovered modulus.  The number
     of charges doubles until the boundary deviation halfway between the
-    collocation nodes is at most ``_TOLERANCE``.
+    collocation nodes is at most ``_TOLERANCE``.  Each domain builds its map
+    at a given resolution once: later calls return the same map.
     """
     if dom.connectivity != 2:
         raise ConfigError(f"need connectivity 2, got {dom.connectivity}")
+    if resolution not in dom._conformal_maps:
+        dom._conformal_maps[resolution] = _build(dom, resolution)
+    return dom._conformal_maps[resolution]
+
+
+def _build(dom: PlanarDomain, resolution: int) -> AnnulusMap:
+    """The map that ``canonical_annulus_map`` memoises, fitted afresh."""
     outer = dom.outer if resolution == 1 else dom.outer.refined(resolution)
     hole = dom.holes[0] if resolution == 1 else dom.holes[0].refined(resolution)
     zo = outer.points()
@@ -286,10 +308,23 @@ def canonical_annulus_map(dom: PlanarDomain, resolution: int = 1) -> AnnulusMap:
         raise ConfigError("boundary resolution too low for the harmonic solve")
     # read from the curve, not the name, so that a domain rebuilt from its spec gets the same basis
     mirror = bool(-1e-12 <= zo.real.min() < 1e-9)
+    z_h = complex(np.mean(zi))
+    r_h = float(np.mean(np.abs(zi - z_h)))
+    z_c = complex(np.mean(zo))
+    r_c = float(np.max(np.abs(zo - z_c)))
+    if mirror:
+        z_c = complex(0.0, z_c.imag)  # keep the Taylor center on the axis
+    pts = np.concatenate([zo, zi])
+    rhs = np.concatenate([np.ones(len(zo)), np.zeros(len(zi))])
+    if mirror:
+        rhs = rhs - 1.0  # u = 1 + (mirrored combination)
     mid_o, mid_i = _midpoints(outer), _midpoints(hole)
 
+    A = None
     for charges in _CHARGES:
-        amap = _fit(dom, zo, zi, mirror, charges)
+        basis = _Basis(z_h, r_h, z_c, r_c, *_outer_charges(dom, zo, charges, mirror), mirror)
+        A = _matrix(basis, pts, A)  # the last count's matrix is dropped before the solve
+        amap = _fit(dom, A, rhs, basis)
         # boundary correspondence: outer -> |w| = 1, hole -> |w| = modulus
         out_dev = float(np.max(np.abs(np.abs(amap.forward(mid_o)) - 1.0)))
         in_dev = float(np.max(np.abs(np.abs(amap.forward(mid_i)) - amap.modulus)))

@@ -290,6 +290,7 @@ class PlanarDomain:
         self.outer = outer
         self.holes = list(holes)
         self.name = name
+        self._conformal_maps = {}  # conformal.canonical_annulus_map's memo, keyed by resolution
         if outer.signed_area() <= 0:
             raise ConfigError("outer curve must be positively oriented")
         for h in self.holes:

@@ -52,7 +52,14 @@ class EmbeddingMap:
 
 @dataclass
 class SqueezeBound:
-    """Certified lower bound for the squeezing function at a point."""
+    """Lower bound for the squeezing function at a point, and the witness that gives it.
+
+    A witness with ``"evidence": "sampled"`` marks a minimum over boundary
+    samples, which can sit above the true value: no certified bound.  The
+    other witnesses are the symbolic value 1 of a simply connected planar
+    domain or closed forms on the round annulus, transported through the
+    canonical annulus map on ring domains.
+    """
 
     at: object
     lower: float
@@ -108,9 +115,11 @@ def _inscribed_after(aut: BallAutomorphism, emb: EmbeddingMap) -> float:
 def squeeze_lower_from_embedding(dom, z, emb: EmbeddingMap) -> SqueezeBound:
     """Inscribed-radius bound after normalizing the embedding to send z to 0.
 
-    Post-composes with the ball automorphism centering f(z); the least norm
-    of the normalized boundary samples is the lower bound for the squeezing
-    function at z, a sampled minimum with no resolution margin.
+    Post-composes with the ball automorphism centering f(z) and returns the
+    least norm of the normalized boundary samples.  That is a sampled
+    minimum with no resolution margin, so it can exceed the true inscribed
+    radius and is no certified lower bound; its witness says
+    ``"evidence": "sampled"``.
     """
     w0 = np.atleast_1d(np.asarray(emb.forward(z), dtype=complex))
     if np.linalg.norm(w0) >= 1.0:
@@ -199,10 +208,7 @@ def squeeze_lower_planar(dom: PlanarDomain, z: complex, amap: AnnulusMap | None 
     if dom.connectivity != 2:
         raise ConfigError("only connectivity 1 or 2 supported")
     if amap is None:
-        amap = getattr(dom, "_annulus_map", None)
-        if amap is None:
-            amap = canonical_annulus_map(dom)
-            dom._annulus_map = amap
+        amap = canonical_annulus_map(dom)
     rho = amap.modulus
     t_abs, gap = amap.forward_gap(complex(z))
     t_abs, gap = float(t_abs), float(gap)

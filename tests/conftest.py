@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from squeezelab import conformal
 from squeezelab.conformal import canonical_annulus_map
 from squeezelab.domains import annulus, build_omega, build_omega_prime
 
@@ -33,3 +34,17 @@ def round_annulus_map(round_annulus):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def fitted_domains(monkeypatch):
+    """The domain of each least-squares fit that canonical_annulus_map makes during the test, in order."""
+    fits = []
+    fit = conformal._fit
+
+    def spy(dom, *args):
+        fits.append(dom)
+        return fit(dom, *args)
+
+    monkeypatch.setattr(conformal, "_fit", spy)
+    return fits

@@ -153,6 +153,23 @@ class TestChargeDoubling:
         lens = squeeze_lower_planar(preset("omega_prime"), 0.05)
         assert image.one_minus_lower == pytest.approx(lens.one_minus_lower, rel=1e-4)
 
+    def test_image_domain_map_keeps_its_bits(self, omega):
+        # the 64- and 128-charge fits share their leading columns, built once;
+        # the map keeps the bits of fits that each built every column
+        amap = canonical_annulus_map(omega)
+        assert len(amap._basis.poles) == 128
+        assert amap.modulus == 0.3484283085594218
+        assert amap.boundary_deviation == 4.807575502363548e-06
+
+    @pytest.mark.parametrize("which", ["lens", "round"])
+    def test_pole_columns_are_the_trailing_columns(self, which, request, omega_prime, round_annulus):
+        amap = request.getfixturevalue("lens_map" if which == "lens" else "round_annulus_map")
+        dom = omega_prime if which == "lens" else round_annulus
+        z = random_interior_points(dom, 200, seed=3)
+        basis, poles = amap._basis, 2 * len(amap._basis.poles)
+        for deriv in (False, True):
+            assert np.array_equal(basis(z, deriv)[:, -poles:], basis(z, deriv, poles_only=True))
+
     def test_deviation_measured_between_nodes(self, lens_map, round_annulus_map):
         assert 0 < lens_map.boundary_deviation < 1e-7
         assert 0 < round_annulus_map.boundary_deviation < 1e-12
@@ -163,3 +180,19 @@ class TestChargeDoubling:
         z = 0.7 + 0.1j
         assert amap.backward(amap.forward(z)) == pytest.approx(z, abs=1e-9)
         assert len(amap._seeds[0]) == 400
+
+
+class TestOneMapPerDomain:
+    def test_one_map_per_resolution(self, fitted_domains):
+        dom = annulus(0.3)
+        first = canonical_annulus_map(dom)
+        assert canonical_annulus_map(dom) is first
+        fine = canonical_annulus_map(dom, 2)
+        assert fine is not first and canonical_annulus_map(dom, resolution=2) is fine
+        assert fitted_domains == [dom, dom]
+
+    def test_rebuilt_domain_gets_its_own_map(self, omega_prime, lens_map, fitted_domains):
+        rebuilt = domain_from_spec(omega_prime.to_spec())
+        assert canonical_annulus_map(rebuilt) is not lens_map
+        assert canonical_annulus_map(omega_prime) is lens_map
+        assert fitted_domains == [rebuilt]

@@ -11,6 +11,8 @@ from squeezelab.domains import ball, preset
 from squeezelab.errors import ConfigError, DomainError
 from squeezelab.experiments import (
     ExperimentConfig,
+    _lemma22_job,
+    _lens_and_image,
     emit,
     report_csv,
     report_json,
@@ -20,6 +22,9 @@ from squeezelab.experiments import (
     run_pipeline,
 )
 from squeezelab.squeezing import squeeze_lower_planar
+
+
+_COUNTEREXAMPLE_SEED7 = "00e0354ffc4ecce292c06982725169ea2647e66a9f875e7b993cdf1a22887661"
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +119,15 @@ class TestSerialization:
         assert a.provenance != b.provenance
 
     def test_counterexample_report_bytes_frozen(self):
+        _lens_and_image.cache_clear()  # the lens, its image and the lens's map are built afresh
         text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "00e0354ffc4ecce292c06982725169ea2647e66a9f875e7b993cdf1a22887661")
+        assert hashlib.sha256(text.encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
+
+    def test_counterexample_bytes_frozen_with_a_warm_cache(self):
+        # the digest was recorded from fresh builds; a report after another one reuses them
+        run_counterexample(ExperimentConfig("counterexample", scales=12, seed=3))
+        text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
 
     @pytest.mark.parametrize("name, digest", [
         pytest.param("disc", "206bfbbc991be0488ed40f819199d6f54fbed8e90d4de66a8a31c8c3c31066c5", id="disc"),
@@ -187,3 +198,14 @@ class TestCli:
     def test_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBuiltOncePerProcess:
+    def test_lens_fitted_once(self, fitted_domains):
+        _lens_and_image.cache_clear()
+        for seed in (1, 2):
+            run_counterexample(ExperimentConfig("counterexample", scales=3, seed=seed))
+        omega_prime = _lens_and_image()[0]
+        squeeze_lower_planar(omega_prime, 0.05)
+        assert fitted_domains == [omega_prime]
+        assert _lemma22_job("omega_prime")[0] is omega_prime

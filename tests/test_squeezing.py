@@ -15,6 +15,7 @@ from squeezelab.ball import BallAutomorphism, _psi_norms_batch
 from squeezelab.domains import annulus, ball, disc, ellipsoid
 from squeezelab.errors import ConfigError, SolverError
 from squeezelab.squeezing import (
+    EmbeddingMap,
     SqueezeBound,
     _centering_gap,
     annulus_squeeze_lower,
@@ -232,6 +233,19 @@ class TestPipeline:
         b = squeeze_lower_from_embedding(ball(2), z, emb)
         assert b.lower >= 1.0 - 1e-9
         assert b.witness["center_r"] == pytest.approx(np.linalg.norm(emb.forward(z)), abs=1e-15)
+        assert b.witness["evidence"] == "sampled"
+
+    def test_sampled_minimum_can_exceed_the_inscribed_radius(self):
+        # recentred at p, the ellipsoid's boundary comes no closer to 0 than
+        # 1/sqrt(2), the closed form; 20,000 samples miss the nearest points
+        p = np.array([0.5, 0.0], dtype=complex)
+        exact = theorem21_pipeline(ellipsoid(), [p], C=0.5)["rows"][0]["inscribed"]
+        assert exact == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+        samples = ellipsoid_boundary_samples(1.0 / np.sqrt(2.0), count=20_000, seed=0)
+        inclusion = EmbeddingMap(forward=lambda z: z, boundary_sets=(samples,), name="inclusion")
+        b = squeeze_lower_from_embedding(ellipsoid(), p, inclusion)
+        assert b.lower == pytest.approx(0.7071110548, abs=1e-10)
+        assert b.lower > exact
         assert b.witness["evidence"] == "sampled"
 
     def test_ellipsoid_boundary_samples_on_surface(self):

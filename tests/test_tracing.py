@@ -25,18 +25,41 @@ def _attributes():
     return {(id(o), k): v for o in owners for k, v in list(vars(o).items())}
 
 
-def test_install_finds_every_entry_point_and_restores_it():
+def _traced(run):
+    """``run()`` under every tracer wrapper; checks that each patched attribute is put back."""
     before = _attributes()
     tracer = tracing.Tracer()
     with tracing.Patcher(tracer) as patcher:
         tracing.install(patcher)
         assert patcher.saved
-        report = experiments.run_pipeline(experiments.ExperimentConfig("pipeline", scales=3, seed=1))
+        result = run()
     after = _attributes()
     assert before.keys() == after.keys()
     assert [key for key in before if before[key] is not after[key]] == []
+    return tracer, result
+
+
+def test_install_finds_every_entry_point_and_restores_it():
+    tracer, report = _traced(
+        lambda: experiments.run_pipeline(experiments.ExperimentConfig("pipeline", scales=3, seed=1)))
     assert report.passed
     # the closed-form pipeline builds no boundary samples
     assert tracer.calls("squeezing.theorem21_pipeline") == 2
     assert tracer.calls("squeezing.ball_centering_embeddings") == 0
     assert tracer.calls("squeezing.ellipsoid_boundary_samples") == 0
+
+
+def test_second_counterexample_report_still_traces_its_map():
+    def config(seed):
+        return experiments.ExperimentConfig("counterexample", scales=40, seed=seed)
+
+    experiments.run_counterexample(config(1))  # builds the domains and the lens's map
+    tracer, report = _traced(lambda: experiments.run_counterexample(config(2)))
+    assert report.passed
+    assert tracer.calls("domains.build_omega_prime") == 0
+    # the memo sits inside the traced function: the reused map is still seen
+    assert tracer.calls("conformal.canonical_annulus_map") >= 1
+    assert min(tracer.extra["conformal.canonical_annulus_map.residual"]) > 0
+    assert min(tracer.extra["conformal.canonical_annulus_map.boundary_deviation"]) > 0
+    # one distance batch on the image, one on the lens
+    assert tracer.calls("domains.boundary_distance.planar") == 2
