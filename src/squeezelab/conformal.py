@@ -99,12 +99,13 @@ class _Basis:
             poles,
         ], axis=-1)
 
-    def __call__(self, z, deriv: bool = False, poles_only: bool = False):
+    def __call__(self, z, deriv: bool = False, poles_only: bool = False, lone: bool = False):
         """The columns (or their derivatives) at ``z``, along a new last axis.
 
-        ``poles_only`` keeps only the trailing columns, those of the poles.
+        ``poles_only`` keeps only the trailing columns, those of the poles;
+        ``lone`` takes the powers of a lone point (``_powers``) at every point.
         """
-        lone = z.ndim == 0
+        lone = lone or z.ndim == 0
         g = self._raw(z, deriv, lone, poles_only)
         out = np.empty(g.shape[:-1] + (2 * g.shape[-1],), dtype=complex)
         if not self.mirrored:
@@ -119,14 +120,14 @@ class _Basis:
         out[..., 1::2] = 1j * (g + h)
         return out
 
-    def fold(self, coef: np.ndarray, z, deriv: bool = False):
+    def fold(self, coef: np.ndarray, z, deriv: bool = False, lone: bool = False):
         """Sum_j coef_j g_j(z), added left to right over the columns, in row chunks."""
         if z.ndim == 0:
             return np.cumsum(coef * self(z, deriv))[-1]
         flat = z.ravel()
         out = np.empty(len(flat), dtype=complex)
         for rows in self.chunks(len(flat)):
-            out[rows] = np.cumsum(coef * self(flat[rows], deriv), axis=-1)[:, -1]
+            out[rows] = np.cumsum(coef * self(flat[rows], deriv, lone=lone), axis=-1)[:, -1]
         return out.reshape(z.shape)
 
 
@@ -157,18 +158,21 @@ class AnnulusMap:
             return (z - z_h) / (z + np.conj(z_h))
         return z - z_h
 
-    def _exponent(self, z, deriv: bool = False):
-        return (self._shift + self._basis.fold(self._coef, z, deriv)) / self._a
+    def _exponent(self, z, deriv: bool = False, lone: bool = False):
+        return (self._shift + self._basis.fold(self._coef, z, deriv, lone)) / self._a
 
     def forward(self, z):
         """Map domain points to the standard annulus."""
         z = np.asarray(z, dtype=complex)
         return self._prefactor(z) * np.exp(self._exponent(z))
 
-    def forward_gap(self, z):
-        """Return (|w|, 1 - |w|) with the gap evaluated without cancellation."""
+    def forward_gap(self, z, _lone: bool = False):
+        """Return (|w|, 1 - |w|) with the gap evaluated without cancellation.
+
+        ``_lone`` gives each point of an array the bits of its one-point call.
+        """
         z = np.asarray(z, dtype=complex)
-        logw = np.log(np.abs(self._prefactor(z))) + self._exponent(z).real
+        logw = np.log(np.abs(self._prefactor(z))) + self._exponent(z, lone=_lone).real
         gap = -np.expm1(logw)
         return np.exp(logw), gap
 

@@ -305,6 +305,8 @@ class PlanarDomain:
                 dmin = np.min(np.abs(h.points()[:, None] - g.points()[None, ::8]))
                 if dmin <= 0:
                     raise ConfigError("holes intersect")
+        # the order in x of every curve's samples, for the sampler's 1e-6 test
+        self._x_order = np.argsort(np.concatenate([c.points() for c in self.curves()]).real).astype(np.int32)
 
     @property
     def connectivity(self) -> int:
@@ -338,30 +340,43 @@ class PlanarDomain:
             inside[idx] = (odd if k == 0 else ~odd) & ~on_sample
         return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
 
-    def boundary_gap(self, z) -> float:
-        """Unsigned distance from the point z to the nearest boundary sample (coarse)."""
-        samples = np.concatenate([c.points() for c in self.curves()])
-        return float(np.min(np.abs(samples - complex(z))))
-
     def boundary_distance(self, z) -> DomainPoint:
         """Distance from one interior point (a float ``d``) or from each point of an array (arrays).
 
-        A coarse scan over the curve samples, then Brent refinement on the
-        parameterization, batched over the points; the nearest point is the
-        first strict minimum in curve order.
+        A coarse scan picks each point's four nearest samples on every
+        curve; the parameter windows about them, on all curves at once, are
+        refined by one lockstep Brent run (``_refine``).  The nearest point
+        is the first strict minimum in curve order, then in window order.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         inside = self.contains(flat)
         if not inside.all():
             bad = complex(flat[np.argmin(inside)])
-            raise DomainError(f"point {bad} is not interior (boundary gap {self.boundary_gap(bad):.3e})")
-        d = np.full(flat.shape, np.inf)
-        nearest = np.zeros(flat.shape, dtype=complex)
-        for curve in self.curves():
-            dc, wc = _curve_distance(curve, flat)
-            closer = dc < d
-            d, nearest = np.where(closer, dc, d), np.where(closer, wc, nearest)
+            gap = np.min(np.abs(np.concatenate([c.points() for c in self.curves()]) - bad))
+            raise DomainError(f"point {bad} is not interior (boundary gap {gap:.3e})")
+
+        def sq_dist(q, rows):
+            w = q - flat[rows]
+            return w.real * w.real + w.imag * w.imag
+
+        # each point's windows fill one row, curve after curve
+        curves, windows, cells, width = self.curves(), [], [], 0
+        for curve in curves:
+            lo, hi, lanes = _sample_windows(curve, flat)
+            owner, col = np.nonzero(lanes)
+            windows.append((lo[lanes], hi[lanes], owner))
+            cells.append((owner, width + col))
+            width += lanes.shape[1]
+        _, w, owner = _refine(curves, windows, sq_dist, xatol=1e-15)
+        cells = tuple(np.concatenate(x) for x in zip(*cells))
+        dw = w - flat[owner]
+        d = np.full((len(flat), width), np.inf)
+        d[cells] = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
+        at = np.zeros(d.shape, dtype=complex)
+        at[cells] = w
+        rows, best = np.arange(len(flat)), np.argmin(d, axis=1)
+        d, nearest = d[rows, best], at[rows, best]
         if z.ndim == 0:
             return DomainPoint(z=complex(z), d=float(d[0]), nearest=nearest[0])
         return DomainPoint(z=z, d=d.reshape(z.shape), nearest=nearest.reshape(z.shape))
@@ -403,14 +418,10 @@ class PlanarDomain:
                 best[s : s + step] = np.argpartition(f, k - 1, axis=1)[:, :k]
                 r[s : s + step] = np.minimum(r[s : s + step], f.min(axis=1))
             lo = t[best - 1].ravel()
-            lanes.append((lo, (t[(best + 1).ravel() % len(t)] - lo) % 1.0, np.repeat(np.arange(len(p)), k)))
-        lo, width, rows = (np.concatenate(x) for x in zip(*lanes))
-        cuts = np.cumsum([0] + [len(x[0]) for x in lanes])
-
-        def objective(x):  # ``point`` reads its parameter modulo 1, so a window may pass t = 1
-            return np.concatenate([ratio(c.point(x[a:b]), rows[a:b]) for c, a, b in zip(curves, cuts, cuts[1:])])
-
-        np.minimum.at(r, rows, _bounded_brent(objective, lo, lo + width, xatol=1e-12, maxiter=400)[1])
+            hi = lo + (t[(best + 1).ravel() % len(t)] - lo) % 1.0
+            lanes.append((lo, hi, np.repeat(np.arange(len(p)), k)))
+        fx, _, rows = _refine(curves, lanes, ratio, xatol=1e-12)
+        np.minimum.at(r, rows, fx)
         if not np.all(self.contains(p + r * n)):
             raise DomainError("no interior tangent ball found at the given boundary point")
         return float(r[0]) if not shape else r.reshape(shape)
@@ -480,8 +491,7 @@ class PlanarDomain:
         inner = z[self.contains(z)]
         # a sample within 1e-6 of a point is within 1e-6 of it in x: only the
         # samples in an x-window twice that wide are measured exactly
-        s = np.concatenate([c.points() for c in self.curves()])
-        s = s[np.argsort(s.real)]
+        s = np.concatenate([c.points() for c in self.curves()])[self._x_order]
         lo = np.searchsorted(s.real, inner.real - 2e-6)
         width = np.searchsorted(s.real, inner.real + 2e-6, "right") - lo
         owner = np.repeat(np.arange(len(inner)), width)
@@ -564,42 +574,57 @@ def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, n
     return xf, fx
 
 
-def _curve_distance(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each point of ``z`` to ``curve``, and the nearest curve point.
+def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter windows about the four samples of ``curve`` nearest each point of ``z``, nearest first.
 
-    The windows between the neighbours of each point's four nearest samples
-    (two windows where one wraps past t = 0) are refined by one Brent run;
-    each point keeps its first strict minimum in window order.
+    A window runs between the sample's two neighbours; one that wraps past
+    t = 0 splits into two lanes, (lo, 1 + hi) and (lo - 1, hi).  Returns
+    arrays ``lo`` and ``hi`` with one row per point and two lanes per
+    sample, and the mask of the lanes in use (an unwrapped window leaves
+    its second lane unused).  The four come from a partition of each row,
+    ordered by a stable sort of their distances.
     """
     t, pts = curve.params, curve.points()
     n, k = len(t), min(4, len(t))
     closest = np.empty((len(z), k), dtype=np.intp)
     step = max(1, _CHUNK // n)
     for s in range(0, len(z), step):
-        closest[s : s + step] = np.argsort(np.abs(pts - z[s : s + step, None]), axis=1)[:, :k]
+        dist = np.abs(pts - z[s : s + step, None])
+        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1, kind="stable")
+        closest[s : s + step] = np.take_along_axis(part, order, axis=1)
     lo, hi = t[(closest - 1) % n], t[(closest + 1) % n]
     wrap = hi < lo
-    # two lanes per sample: a wrapped window splits into (lo, 1 + hi) and
-    # (lo - 1, hi), an unwrapped one leaves its second lane unused
     lanes = np.stack([np.ones_like(wrap), wrap], axis=-1).reshape(len(z), 2 * k)
-    lo = np.stack([lo, lo - 1.0], axis=-1).reshape(len(z), 2 * k)[lanes]
-    hi = np.stack([np.where(wrap, 1.0 + hi, hi), hi], axis=-1).reshape(len(z), 2 * k)[lanes]
-    zl = np.broadcast_to(z[:, None], lanes.shape)[lanes]
+    lo = np.stack([lo, lo - 1.0], axis=-1).reshape(len(z), 2 * k)
+    hi = np.stack([np.where(wrap, 1.0 + hi, hi), hi], axis=-1).reshape(len(z), 2 * k)
+    return lo, hi, lanes
 
-    def sq_dist(s):
-        w = curve.point(s) - zl
-        return w.real * w.real + w.imag * w.imag
 
-    w = curve.point(_bounded_brent(sq_dist, lo, hi, xatol=1e-15, maxiter=400)[0])
-    # np.hypot is the scalar abs; numpy's vectorised complex abs can differ in the last bit
-    dw = w - zl
-    d = np.full(lanes.shape, np.inf)
-    d[lanes] = np.hypot(dw.real, dw.imag)
-    at = np.zeros(lanes.shape, dtype=complex)
-    at[lanes] = w
-    best = np.argmin(d, axis=1)
-    rows = np.arange(len(z))
-    return d[rows, best], at[rows, best]
+def _refine(curves, windows, objective, xatol: float):
+    """One lockstep Brent run over the parameter windows of every curve.
+
+    ``windows`` gives each curve's windows as arrays ``(lo, hi, rows)``,
+    ``rows`` naming the query each window serves, and ``objective(q, rows)``
+    maps the curve points ``q`` of the windows to their values.  Returns the
+    least values, the curve points where they are taken and ``rows``, each
+    concatenated curve after curve.
+    """
+    lo, hi, rows = (np.concatenate(x) for x in zip(*windows))
+    cuts = np.cumsum([0] + [len(x[0]) for x in windows])
+    spans = [(c, slice(a, b)) for c, a, b in zip(curves, cuts, cuts[1:])]
+    last = [(None, None)] * len(spans)  # each curve's last abscissae and points
+
+    def points(x):  # ``point`` reads its parameter modulo 1, so a window may pass t = 1
+        # a converged lane asks for its minimiser again: a curve whose lanes
+        # have all converged reuses its last points
+        for i, (c, s) in enumerate(spans):
+            if not np.array_equal(last[i][0], x[s]):
+                last[i] = x[s], c.point(x[s])
+        return np.concatenate([q for _, q in last])
+
+    x, fx = _bounded_brent(lambda x: objective(points(x), rows), lo, hi, xatol=xatol, maxiter=400)
+    return fx, points(x), rows
 
 
 def boundary_distance(dom, z) -> DomainPoint:
@@ -963,12 +988,18 @@ def domain_from_spec(spec: dict):
 def random_interior_points(dom, count: int, seed: int = 0) -> np.ndarray:
     """Rejection-sampled interior points (planar: complex; defining: C^n rows).
 
-    Each round draws exactly as many candidates as points are still missing,
-    so the points are those a one-candidate-at-a-time loop would return, and
-    no candidate is drawn that such a loop would not draw.
+    The first round draws ``count`` candidates, and each later one enough
+    for the points still missing at the acceptance rate seen so far.  The
+    generator draws its stream in order and the first accepted candidates
+    are kept, so the points are those a one-candidate-at-a-time loop would
+    return.
     """
     rng = np.random.default_rng(seed)
-    points = dom._interior_candidates(rng, count)
+    points, drawn = dom._interior_candidates(rng, count), count
     while len(points) < count:
-        points = np.concatenate([points, dom._interior_candidates(rng, count - len(points))])
-    return points
+        missing = count - len(points)
+        # a quarter more than the rate predicts, and at most 64 draws per missing point
+        size = int(1.25 * missing * drawn / max(len(points), drawn / 64)) + 8
+        points = np.concatenate([points, dom._interior_candidates(rng, size)])
+        drawn += size
+    return points[:count]

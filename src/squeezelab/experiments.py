@@ -254,16 +254,17 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     amap = canonical_annulus_map(omega_prime)
     p = np.array([2.0 ** (-(k + 2)) for k in range(1, scales + 1)])
     # informational angular approaches p e^{i theta} (no assertion), whose
-    # image distances share one batch with the radial ones
+    # image distances and squeezing bounds share one batch with the radial ones
     approach = [(theta, k, 2.0 ** (-(k + 2)) * np.exp(1j * theta)) for theta in (-0.3, 0.3) for k in (5, 10, 15, 20)]
     inside = omega_prime.contains(np.array([a for _, _, a in approach]))
     approach = [a for a, keep in zip(approach, inside) if keep]
-    d = boundary_distance(omega, phi_map(np.concatenate([p, [a for _, _, a in approach]]))).d
+    points = np.concatenate([p, [a for _, _, a in approach]])
+    d = boundary_distance(omega, phi_map(points)).d
+    bounds = squeeze_lower_planar(omega_prime, points, amap=amap)
     d, d_angular = d[:scales], d[scales:]
     d_prime = boundary_distance(omega_prime, p).d
     rows = []
-    for k, p_k, d_k, dp_k in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist()):
-        L = squeeze_lower_planar(omega_prime, p_k, amap=amap)
+    for k, p_k, d_k, dp_k, L in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist(), bounds):
         rows.append({
             "k": k,
             "p_k": p_k,
@@ -285,8 +286,7 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     ]
 
     angular = []
-    for (theta, k, p), d_q in zip(approach, d_angular.tolist()):
-        L = squeeze_lower_planar(omega_prime, p, amap=amap)
+    for (theta, k, _), d_q, L in zip(approach, d_angular.tolist(), bounds[scales:]):
         angular.append({"theta": theta, "k": k, "R": float(L.one_minus_lower / d_q)})
 
     tables = {"radial": rows, "angular": angular, "injectivity": cert,

@@ -190,31 +190,44 @@ def annulus_squeeze_lower(modulus: float, z: complex, cross_check: bool = False)
     return SqueezeBound(at=z, lower=float(lower), one_minus_lower=float(one_minus), witness=witness)
 
 
-def squeeze_lower_planar(dom: PlanarDomain, z: complex, amap: AnnulusMap | None = None) -> SqueezeBound:
-    """Squeezing lower bound for a planar domain via its canonical model.
+def squeeze_lower_planar(dom: PlanarDomain, z, amap: AnnulusMap | None = None):
+    """Squeezing lower bound for a planar domain via its canonical model, at one point or each point of an array.
 
     Simply connected domains get the exact value 1 symbolically (the
     uniformizing map onto the disc is itself an embedding); ring domains
     transport the annulus bound through the canonical map, which leaves
     the squeezing function unchanged because it is a biholomorphism.
+    Batch-first: an array of points gives a list of bounds, one per point,
+    from one ``contains`` call and one ``forward_gap`` evaluation, and each
+    bound has the bits of its one-point call.
     """
     if not isinstance(dom, PlanarDomain):
         raise ConfigError(f"squeeze_lower_planar needs a planar domain, got {type(dom).__name__}")
-    if not dom.contains(z):
-        raise DomainError(f"point {complex(z)} is not in the {dom.name or 'planar'} domain")
+    at = z
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    inside = dom.contains(flat)
+    if not inside.all():
+        raise DomainError(f"point {complex(flat[np.argmin(inside)])} is not in the {dom.name or 'planar'} domain")
+    ats = [at] if z.ndim == 0 else flat.tolist()
     if dom.connectivity == 1:
-        return SqueezeBound(at=z, lower=1.0, one_minus_lower=0.0,
-                            witness={"kind": "riemann-family", "symbolic": True})
-    if dom.connectivity != 2:
+        bounds = [SqueezeBound(at=a, lower=1.0, one_minus_lower=0.0,
+                               witness={"kind": "riemann-family", "symbolic": True}) for a in ats]
+    elif dom.connectivity == 2:
+        if amap is None:
+            amap = canonical_annulus_map(dom)
+        # the lone powers give every point the bits of a point passed alone
+        t_abs, gap = amap.forward_gap(flat, _lone=True)
+        bounds = [_transported(a, amap.modulus, t, g) for a, t, g in zip(ats, t_abs.tolist(), gap.tolist())]
+    else:
         raise ConfigError("only connectivity 1 or 2 supported")
-    if amap is None:
-        amap = canonical_annulus_map(dom)
-    rho = amap.modulus
-    t_abs, gap = amap.forward_gap(complex(z))
-    t_abs, gap = float(t_abs), float(gap)
+    return bounds[0] if z.ndim == 0 else bounds
+
+
+def _transported(at, rho: float, t_abs: float, gap: float) -> SqueezeBound:
+    """The round annulus's bound at the point ``at``, whose image has |t| = ``t_abs`` and 1 - |t| = ``gap``."""
     if not rho < t_abs < 1.0:
         raise DomainError(f"mapped point |t|={t_abs:.6g} outside ({rho}, 1)")
-
     one_minus_incl = gap * (1.0 + rho) / (1.0 - rho * t_abs)
     incl = 1.0 - one_minus_incl
     t2 = rho / t_abs
@@ -224,7 +237,7 @@ def squeeze_lower_planar(dom: PlanarDomain, z: complex, amap: AnnulusMap | None 
     else:
         lower, one_minus, kind = inv, 1.0 - inv, "inclusion-after-involution"
     return SqueezeBound(
-        at=z,
+        at=at,
         lower=float(lower),
         one_minus_lower=float(one_minus),
         witness={"kind": f"annulus-transport/{kind}", "modulus": rho, "abs_t": t_abs, "gap": gap},

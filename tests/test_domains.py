@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import squeezelab
+from squeezelab import domains
 from squeezelab.domains import (
     CircleCurve,
     DefiningFunctionDomain,
@@ -446,6 +447,30 @@ class TestSamplerFrozen:
         assert _digest(pts) == "b0ce0736232c825a6001bbb8660269f6f6ea2e44177aefb8b31e548bbbd79c89"
 
 
+class TestSamplerRounds:
+    """Later rounds are sized from the acceptance rate; the points stay those of the one-at-a-time loop."""
+
+    @pytest.mark.parametrize("make", [build_omega_prime, lambda: _PLANAR_DOMAINS["omega_zlogz"], ball, ellipsoid])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_prefix_consistency(self, make, seed):
+        dom = make()
+        points = random_interior_points(dom, 60, seed=seed)
+        for m in (1, 7, 59):
+            assert np.array_equal(random_interior_points(dom, m, seed=seed), points[:m])
+
+    def test_lens_sample_takes_at_most_three_rounds(self, monkeypatch):
+        rounds = []
+        candidates = PlanarDomain._interior_candidates
+
+        def spy(dom, rng, count):
+            rounds.append(count)
+            return candidates(dom, rng, count)
+
+        monkeypatch.setattr(PlanarDomain, "_interior_candidates", spy)
+        assert random_interior_points(build_omega_prime(), 2000, seed=0).shape == (2000,)
+        assert rounds[0] == 2000 and len(rounds) <= 3
+
+
 # ---------------------------------------------------------------------------
 # planar boundary distance: the lockstep bounded Brent kernel
 
@@ -535,6 +560,76 @@ class TestBoundaryDistanceBatch:
     def test_empty_batch(self):
         bp = boundary_distance(_PLANAR_DOMAINS["omega_prime"], np.array([], dtype=complex))
         assert bp.d.shape == bp.nearest.shape == (0,)
+
+
+class TestNearestSampleOrder:
+    """Values recorded when each point's four nearest samples came from a full sort of its row."""
+
+    def test_disc_centre_where_every_sample_nearly_ties(self):
+        bp = boundary_distance(disc(), 0)
+        assert bp.d == 1.0
+        assert bp.nearest == 0.7921041246503129 - 0.6103859891183295j
+
+    @pytest.mark.parametrize("name, digest", [
+        ("omega_prime", "eef108cad7d1a66532066a9664da83b6906c694337710f8580bfa62ab9891b77"),
+        ("omega_zlogz", "3e7af1e2d2a2e8a7d6ce2a40e7bfaad7c7ed8582e920d86a3a34b6e7aa739c7f"),
+    ])
+    def test_counterexample_points(self, name, digest):
+        p = 2.0 ** -np.arange(3, 43)
+        bp = boundary_distance(_PLANAR_DOMAINS[name], p if name == "omega_prime" else phi_map(p))
+        assert hashlib.sha256(bp.d.tobytes() + bp.nearest.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("z, d, nearest", [
+        (0.9j, 0.09999999999999998, 6.123233995736766e-17 + 1j),
+        (0.35, 0.04999999999999999, 0.3),
+        # equally far from both circles: the outer curve comes first
+        (0.65, 0.35, 1.0),
+        (-0.65j, 0.35, -1.8369701987210297e-16 - 1j),
+        (0.65 * np.exp(0.3j), 0.35, 0.2866009467355578 + 0.0886560620052682j),
+    ])
+    def test_annulus_points(self, z, d, nearest):
+        bp = boundary_distance(_PLANAR_DOMAINS["annulus"], z)
+        assert (bp.d, bp.nearest) == (d, nearest)
+
+    @pytest.mark.parametrize("holes, digest", [
+        (0, "1a7bf7baee5215e6a78b0d321a092c631b9bc83cf95ccf71226a6a6893ed2872"),
+        (1, "39714b79fb81559e10934f9f37884bc9dbd79fb4f965d4a32b7c0f93c667bef6"),
+    ])
+    def test_annulus_curves_batch(self, holes, digest):
+        ring = _PLANAR_DOMAINS["annulus"]
+        dom = PlanarDomain(ring.outer, ring.holes[:holes])
+        z = np.array([0.9j, 0.35, 0.65, -0.65j, 0.65 * np.exp(0.3j), 0.5 + 0.1j])
+        bp = boundary_distance(dom, z)
+        assert hashlib.sha256(bp.d.tobytes() + bp.nearest.tobytes()).hexdigest() == digest
+
+
+class TestOneBrentRun:
+    """A planar distance batch refines the windows of every curve in one lockstep run."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        lanes = []
+        brent = domains._bounded_brent
+
+        def spy(f, lo, hi, **kw):
+            lanes.append(len(lo))
+            return brent(f, lo, hi, **kw)
+
+        monkeypatch.setattr(domains, "_bounded_brent", spy)
+        return lanes
+
+    @pytest.mark.parametrize("name", ["annulus", "omega_prime", "omega_zlogz"])
+    def test_one_run_per_batch(self, name, runs):
+        dom = _PLANAR_DOMAINS[name]
+        boundary_distance(dom, random_interior_points(dom, 12, seed=1))
+        assert len(runs) == 1 and runs[0] >= 12 * 4 * dom.connectivity
+        boundary_distance(dom, random_interior_points(dom, 1, seed=1)[0])
+        assert len(runs) == 2
+
+    def test_tangent_ball_radius_makes_one_run(self, runs):
+        dom = _PLANAR_DOMAINS["annulus"]
+        assert dom.tangent_ball_radius(np.array([1.0, 0.3j]), np.array([-1.0, 1j])) == pytest.approx(0.35)
+        assert len(runs) == 1
 
 
 def _assert_quadratic_batch_equals_points(dom, z):

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from squeezelab import domains
 from squeezelab.cli import main
+from squeezelab.conformal import AnnulusMap
 from squeezelab.domains import ball, preset
 from squeezelab.errors import ConfigError, DomainError
 from squeezelab.experiments import (
@@ -35,6 +37,29 @@ def small_margin_report():
 @pytest.fixture(scope="module")
 def ratio_report():
     return run_counterexample(ExperimentConfig("counterexample", scales=15))
+
+
+class TestCounterexampleCalls:
+    """A warm report makes one distance run per domain and evaluates the lens's map once."""
+
+    def test_two_brent_runs_and_one_forward_gap(self, monkeypatch):
+        run_counterexample(ExperimentConfig("counterexample", scales=40, seed=1))  # builds the domains and the map
+        runs, gaps = [], []
+        brent, forward_gap = domains._bounded_brent, AnnulusMap.forward_gap
+
+        def brent_spy(f, lo, hi, **kw):
+            runs.append(len(lo))
+            return brent(f, lo, hi, **kw)
+
+        def gap_spy(amap, z, **kw):
+            gaps.append(np.shape(z))
+            return forward_gap(amap, z, **kw)
+
+        monkeypatch.setattr(domains, "_bounded_brent", brent_spy)
+        monkeypatch.setattr(AnnulusMap, "forward_gap", gap_spy)
+        report = run_counterexample(ExperimentConfig("counterexample", scales=40, seed=2))
+        assert len(runs) == 2  # the image points on Omega, the radial points on the lens
+        assert gaps == [(40 + len(report.tables["angular"]),)]
 
 
 class TestConfig:

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.ball import BallAutomorphism, _psi_norms_batch
-from squeezelab.domains import annulus, ball, disc, ellipsoid
-from squeezelab.errors import ConfigError, SolverError
+from squeezelab.conformal import AnnulusMap
+from squeezelab.domains import annulus, ball, disc, ellipsoid, random_interior_points
+from squeezelab.errors import ConfigError, DomainError, SolverError
 from squeezelab.squeezing import (
     EmbeddingMap,
     SqueezeBound,
@@ -111,6 +112,71 @@ class TestPlanarTransport:
             d = boundary_distance(omega_prime, p).d
             ratios.append(b.one_minus_lower / d)
         np.testing.assert_allclose(ratios, 0.2764, rtol=5e-3)  # frozen
+
+
+def _assert_squeeze_batch_equals_points(dom, z, amap):
+    batch = squeeze_lower_planar(dom, z, amap=amap)
+    assert len(batch) == len(z)
+    for zj, b in zip(z, batch):
+        one = squeeze_lower_planar(dom, complex(zj), amap=amap)
+        assert (b.lower, b.one_minus_lower, b.witness) == (one.lower, one.one_minus_lower, one.witness)
+        assert b.at == zj
+        # and the bits of the map's own one-point path
+        assert (b.witness["abs_t"], b.witness["gap"]) == tuple(float(x) for x in amap.forward_gap(complex(zj)))
+
+
+class TestPlanarBatch:
+    """An array of points gives one bound per point, each with the bits of its one-point call."""
+
+    def test_counterexample_points(self, omega_prime, lens_map):
+        p = 2.0 ** -np.arange(3, 43)
+        approach = np.array([2.0 ** (-(k + 2)) * np.exp(1j * t) for t in (-0.3, 0.3) for k in (5, 10, 15, 20)])
+        z = np.concatenate([p, approach])
+        assert omega_prime.contains(z).all() and len(z) == 48
+        _assert_squeeze_batch_equals_points(omega_prime, z, lens_map)
+
+    def test_lens_sample(self, omega_prime, lens_map):
+        z = random_interior_points(omega_prime, 300, seed=2)
+        # one point, 1.1e-3 from the boundary, maps to |t| = 1 within the
+        # map's boundary deviation: alone or in a batch, it raises alike
+        failed = []
+        for zj in z:
+            try:
+                squeeze_lower_planar(omega_prime, complex(zj), amap=lens_map)
+            except DomainError as err:
+                failed.append((zj, str(err)))
+        assert len(failed) == 1 and "|t|=1 outside" in failed[0][1]
+        with pytest.raises(DomainError) as err:
+            squeeze_lower_planar(omega_prime, z, amap=lens_map)
+        assert str(err.value) == failed[0][1]
+        _assert_squeeze_batch_equals_points(omega_prime, z[z != failed[0][0]], lens_map)
+
+    def test_round_annulus(self, round_annulus, round_annulus_map):
+        z = random_interior_points(round_annulus, 300, seed=2)
+        batch = squeeze_lower_planar(round_annulus, z, amap=round_annulus_map)
+        assert {b.witness["kind"] for b in batch} == {"annulus-transport/inclusion",
+                                                      "annulus-transport/inclusion-after-involution"}
+        _assert_squeeze_batch_equals_points(round_annulus, z, round_annulus_map)
+
+    def test_simply_connected_is_one_everywhere(self):
+        batch = squeeze_lower_planar(disc(), np.array([0.0, 0.3 + 0.1j, -0.9j]))
+        assert [(b.lower, b.one_minus_lower, b.witness["kind"]) for b in batch] == [(1.0, 0.0, "riemann-family")] * 3
+
+    def test_outside_point_is_named(self, round_annulus, round_annulus_map):
+        with pytest.raises(DomainError, match=r"point 0\.1j is not in the annulus_0\.3 domain"):
+            squeeze_lower_planar(round_annulus, np.array([0.5, 0.1j, 1.5]), amap=round_annulus_map)
+
+    def test_one_forward_gap_call(self, omega_prime, lens_map, monkeypatch):
+        calls = []
+        forward_gap = AnnulusMap.forward_gap
+
+        def spy(amap, z, **kw):
+            calls.append(np.shape(z))
+            return forward_gap(amap, z, **kw)
+
+        monkeypatch.setattr(AnnulusMap, "forward_gap", spy)
+        squeeze_lower_planar(omega_prime, random_interior_points(omega_prime, 50, seed=3), amap=lens_map)
+        assert calls == [(50,)]
 
 
 class TestInjectivityCertificate:

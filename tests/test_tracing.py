@@ -54,12 +54,16 @@ def test_second_counterexample_report_still_traces_its_map():
         return experiments.ExperimentConfig("counterexample", scales=40, seed=seed)
 
     experiments.run_counterexample(config(1))  # builds the domains and the lens's map
+    untraced = experiments.emit(experiments.run_counterexample(config(2)), "json")
     tracer, report = _traced(lambda: experiments.run_counterexample(config(2)))
     assert report.passed
+    assert experiments.emit(report, "json") == untraced
     assert tracer.calls("domains.build_omega_prime") == 0
     # the memo sits inside the traced function: the reused map is still seen
     assert tracer.calls("conformal.canonical_annulus_map") >= 1
     assert min(tracer.extra["conformal.canonical_annulus_map.residual"]) > 0
     assert min(tracer.extra["conformal.canonical_annulus_map.boundary_deviation"]) > 0
-    # one distance batch on the image, one on the lens
+    # one distance batch on the image, one on the lens, and one squeezing batch
     assert tracer.calls("domains.boundary_distance.planar") == 2
+    assert tracer.calls("squeezing.squeeze_lower_planar") >= 1
+    assert tracer.calls("conformal.AnnulusMap.forward_gap") >= 1
