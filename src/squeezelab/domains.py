@@ -269,6 +269,12 @@ def _unit(v):
     return v / n
 
 
+def _min_gap(p: np.ndarray, q: np.ndarray) -> float:
+    """Least distance |p_i - q_j| between two point sets, over row blocks of about ``_CHUNK`` pairs."""
+    step = max(1, _CHUNK // len(q))
+    return min(float(np.min(np.abs(p[s : s + step, None] - q))) for s in range(0, len(p), step))
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a complex ``(m, n)`` array, bit for bit.
 
@@ -302,8 +308,7 @@ class PlanarDomain:
                 raise ConfigError("hole not strictly inside the outer curve")
         for i, h in enumerate(self.holes):
             for g in self.holes[i + 1 :]:
-                dmin = np.min(np.abs(h.points()[:, None] - g.points()[None, ::8]))
-                if dmin <= 0:
+                if _min_gap(h.points(), g.points()[::8]) <= 0:
                     raise ConfigError("holes intersect")
         # the order in x of every curve's samples, for the sampler's 1e-6 test
         self._x_order = np.argsort(np.concatenate([c.points() for c in self.curves()]).real).astype(np.int32)
@@ -343,43 +348,10 @@ class PlanarDomain:
     def boundary_distance(self, z) -> DomainPoint:
         """Distance from one interior point (a float ``d``) or from each point of an array (arrays).
 
-        A coarse scan picks each point's four nearest samples on every
-        curve; the parameter windows about them, on all curves at once, are
-        refined by one lockstep Brent run (``_refine``).  The nearest point
-        is the first strict minimum in curve order, then in window order.
+        The nearest point is refined on every curve by one lockstep Brent
+        run; see ``_planar_distances``.
         """
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        inside = self.contains(flat)
-        if not inside.all():
-            bad = complex(flat[np.argmin(inside)])
-            gap = np.min(np.abs(np.concatenate([c.points() for c in self.curves()]) - bad))
-            raise DomainError(f"point {bad} is not interior (boundary gap {gap:.3e})")
-
-        def sq_dist(q, rows):
-            w = q - flat[rows]
-            return w.real * w.real + w.imag * w.imag
-
-        # each point's windows fill one row, curve after curve
-        curves, windows, cells, width = self.curves(), [], [], 0
-        for curve in curves:
-            lo, hi, lanes = _sample_windows(curve, flat)
-            owner, col = np.nonzero(lanes)
-            windows.append((lo[lanes], hi[lanes], owner))
-            cells.append((owner, width + col))
-            width += lanes.shape[1]
-        _, w, owner = _refine(curves, windows, sq_dist, xatol=1e-15)
-        cells = tuple(np.concatenate(x) for x in zip(*cells))
-        dw = w - flat[owner]
-        d = np.full((len(flat), width), np.inf)
-        d[cells] = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
-        at = np.zeros(d.shape, dtype=complex)
-        at[cells] = w
-        rows, best = np.arange(len(flat)), np.argmin(d, axis=1)
-        d, nearest = d[rows, best], at[rows, best]
-        if z.ndim == 0:
-            return DomainPoint(z=complex(z), d=float(d[0]), nearest=nearest[0])
-        return DomainPoint(z=z, d=d.reshape(z.shape), nearest=nearest.reshape(z.shape))
+        return _planar_distances([(self, z)])[0]
 
     def inward_normal(self, p) -> complex:
         """Inward unit normal of the boundary curve at a boundary point."""
@@ -510,68 +482,74 @@ def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, n
 
     Each lane takes the steps of scipy's bounded scalar minimiser, with the
     same operations in the same order (its parabolic and golden-section
-    branches become masks), so its minimiser has the same bits; a lane that
-    has converged keeps its state. ``f`` maps one abscissa per lane to the
-    objective values. Returns the minimisers and their objective values.
+    branches become masks), so its minimiser has the same bits.  A lane
+    that meets the stopping test is retired: its minimiser and value go to
+    the output and it leaves every state array.  ``f(x, lanes)`` maps one
+    abscissa per live lane to the objective values, ``lanes`` holding the
+    live lanes' indices in increasing order; it runs under the solver's
+    ``np.errstate``.  Returns the minimisers and their objective values.
     Raises ``SolverError`` when an objective value is NaN or a lane still
     moves after ``maxiter`` evaluations.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x_out, f_out = np.empty_like(a), np.empty_like(a)
+    lanes = np.arange(len(a))
     xf = a + _GOLDEN * (b - a)
     nfc, fulc = xf, xf
     rat = e = np.zeros_like(xf)
-    fx = f(xf)
-    if np.isnan(fx).any():
-        raise SolverError("bounded Brent: objective is NaN at a window's first point")
-    fnfc = ffulc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
     num = 1
-    while (active := np.abs(xf - xm) > tol2 - 0.5 * (b - a)).any():
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fx = f(xf, lanes)
+        if np.isnan(fx).any():
+            raise SolverError("bounded Brent: objective is NaN at a window's first point")
+        fnfc = ffulc = fx
+        while True:
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+            live = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+            if not live.all():  # retire the converged lanes
+                done = ~live
+                x_out[lanes[done]], f_out[lanes[done]] = xf[done], fx[done]
+                lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2 = (
+                    v[live] for v in (lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2))
+            if not len(lanes):
+                return x_out, f_out
+            to_mid, from_nfc, from_fulc, to_a, to_b = xm - xf, xf - nfc, xf - fulc, a - xf, b - xf
             # parabola through the three best points, tried where the step before last was long
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
+            r = from_nfc * (fx - ffulc)
+            q = from_fulc * (fx - fnfc)
+            p = from_fulc * q - from_nfc * r
             q = 2.0 * (q - r)
             p = np.where(q > 0.0, -p, p)
             q = np.abs(q)
-            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                         & (p > q * (a - xf)) & (p < q * (b - xf)))
+            parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * to_a) & (p < q * to_b)
             step = (p + 0.0) / q
-        x = xf + step
-        near_end = ((x - a) < tol2) | ((b - x) < tol2)
-        step = np.where(near_end, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
-        golden = np.where(xf >= xm, a - xf, b - xf)
-        e = np.where(parabolic, rat, golden)
-        rat = np.where(parabolic, step, _GOLDEN * golden)
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        x = np.where(active, x, xf)  # a converged lane evaluates its minimiser again
-        fu = f(x)
-        num += 1
-        if np.isnan(fu).any():
-            raise SolverError("bounded Brent: objective is NaN inside a window")
+            x = xf + step
+            near_end = ((x - a) < tol2) | ((b - x) < tol2)
+            step = np.where(near_end, tol1 * (np.sign(to_mid) + (to_mid == 0)), step)
+            golden = np.where(xf >= xm, to_a, to_b)
+            e = np.where(parabolic, rat, golden)
+            rat = np.where(parabolic, step, _GOLDEN * golden)
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            fu = f(x, lanes)
+            num += 1
+            if np.isnan(fu).any():
+                raise SolverError("bounded Brent: objective is NaN inside a window")
 
-        better = fu <= fx
-        lower = np.where(better, x >= xf, x < xf)  # the end that moves is a, else b
-        end = np.where(better, xf, x)
-        a, b = np.where(active & lower, end, a), np.where(active & ~lower, end, b)
-        to_nfc = active & (better | (fu <= fnfc) | (nfc == xf))
-        to_fulc = active & ~to_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        fulc = np.where(to_nfc, nfc, np.where(to_fulc, x, fulc))
-        ffulc = np.where(to_nfc, fnfc, np.where(to_fulc, fu, ffulc))
-        nfc = np.where(to_nfc, end, nfc)
-        fnfc = np.where(to_nfc, np.where(better, fx, fu), fnfc)
-        xf = np.where(active & better, x, xf)
-        fx = np.where(active & better, fu, fx)
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            raise SolverError(f"bounded Brent: {int(active.sum())} windows unconverged after {maxiter} evaluations")
-    return xf, fx
+            better = fu <= fx
+            lower = np.where(better, x >= xf, x < xf)  # the end that moves is a, else b
+            end = np.where(better, xf, x)
+            a, b = np.where(lower, end, a), np.where(lower, b, end)
+            to_nfc = better | (fu <= fnfc) | (nfc == xf)
+            to_fulc = ~to_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            fulc = np.where(to_nfc, nfc, np.where(to_fulc, x, fulc))
+            ffulc = np.where(to_nfc, fnfc, np.where(to_fulc, fu, ffulc))
+            nfc = np.where(to_nfc, end, nfc)
+            fnfc = np.where(to_nfc, np.where(better, fx, fu), fnfc)
+            xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+            if num >= maxiter:
+                raise SolverError(f"bounded Brent: {len(lanes)} windows unconverged after {maxiter} evaluations")
 
 
 def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -605,36 +583,102 @@ def _refine(curves, windows, objective, xatol: float):
     """One lockstep Brent run over the parameter windows of every curve.
 
     ``windows`` gives each curve's windows as arrays ``(lo, hi, rows)``,
-    ``rows`` naming the query each window serves, and ``objective(q, rows)``
-    maps the curve points ``q`` of the windows to their values.  Returns the
-    least values, the curve points where they are taken and ``rows``, each
+    ``rows`` naming the point each window serves, and ``objective(q, rows)``
+    maps the curve points ``q`` of the live windows, with those windows'
+    rows, to their values.  Each curve is evaluated on its live windows
+    only, and not at all once they have all converged.  Returns the least
+    values, the curve points where they are taken and ``rows``, each
     concatenated curve after curve.
     """
     lo, hi, rows = (np.concatenate(x) for x in zip(*windows))
     cuts = np.cumsum([0] + [len(x[0]) for x in windows])
-    spans = [(c, slice(a, b)) for c, a, b in zip(curves, cuts, cuts[1:])]
-    last = [(None, None)] * len(spans)  # each curve's last abscissae and points
 
-    def points(x):  # ``point`` reads its parameter modulo 1, so a window may pass t = 1
-        # a converged lane asks for its minimiser again: a curve whose lanes
-        # have all converged reuses its last points
-        for i, (c, s) in enumerate(spans):
-            if not np.array_equal(last[i][0], x[s]):
-                last[i] = x[s], c.point(x[s])
-        return np.concatenate([q for _, q in last])
+    def points(x, lanes):  # ``point`` reads its parameter modulo 1, so a window may pass t = 1
+        at = np.searchsorted(lanes, cuts)  # live lanes keep their order, so each curve's lie between its cuts
+        q = np.empty(len(x), dtype=complex)
+        for c, i, j in zip(curves, at, at[1:]):
+            if i < j:
+                q[i:j] = c.point(x[i:j])
+        return q
 
-    x, fx = _bounded_brent(lambda x: objective(points(x), rows), lo, hi, xatol=xatol, maxiter=400)
-    return fx, points(x), rows
+    x, fx = _bounded_brent(lambda x, lanes: objective(points(x, lanes), rows[lanes]), lo, hi, xatol=xatol, maxiter=400)
+    return fx, points(x, np.arange(len(x))), rows
 
 
-def boundary_distance(dom, z) -> DomainPoint:
-    """Euclidean distance from an interior point to the boundary of ``dom``.
+def _planar_distances(queries) -> list[DomainPoint]:
+    """``PlanarDomain.boundary_distance`` of each ``(domain, points)`` query, all refined in one run.
 
-    The library asks every domain through this function rather than the
-    method, so that a wrapper installed here (``perfbench/tracing.py``)
-    sees every distance query.
+    Every query is checked first: a point outside its domain raises
+    ``DomainError``.  A coarse scan then picks each point's four nearest
+    samples on every curve of its domain, and the parameter windows about
+    them, on every curve of every query, are refined by one lockstep Brent
+    run (``_refine``).  The nearest point is the first strict minimum in
+    curve order, then in window order.  Each query gets the bits it would
+    get alone.
     """
-    return dom.boundary_distance(z)
+    flats = []
+    for dom, z in queries:
+        flat = np.asarray(z, dtype=complex).ravel()
+        inside = dom.contains(flat)
+        if not inside.all():
+            bad = complex(flat[np.argmin(inside)])
+            gap = np.min(np.abs(np.concatenate([c.points() for c in dom.curves()]) - bad))
+            raise DomainError(f"point {bad} is not interior (boundary gap {gap:.3e})")
+        flats.append(flat)
+    flat = np.concatenate(flats)  # every query's points, query after query
+
+    def sq_dist(q, rows):
+        w = q - flat[rows]
+        return w.real * w.real + w.imag * w.imag
+
+    # each point's windows fill one row, curve after curve
+    curves, windows, cells, base, width = [], [], [], 0, 0
+    for (dom, _), z in zip(queries, flats):
+        col = 0
+        for curve in dom.curves():
+            lo, hi, lanes = _sample_windows(curve, z)
+            owner, k = np.nonzero(lanes)
+            curves.append(curve)
+            windows.append((lo[lanes], hi[lanes], base + owner))
+            cells.append((base + owner, col + k))
+            col += lanes.shape[1]
+        base, width = base + len(z), max(width, col)
+    _, w, owner = _refine(curves, windows, sq_dist, xatol=1e-15)
+    cells = tuple(np.concatenate(x) for x in zip(*cells))
+    dw = w - flat[owner]
+    d = np.full((len(flat), width), np.inf)  # a domain with fewer windows than the widest leaves its row's tail empty
+    d[cells] = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
+    at = np.zeros(d.shape, dtype=complex)
+    at[cells] = w
+    rows, best = np.arange(len(flat)), np.argmin(d, axis=1)
+    split = np.cumsum([len(z) for z in flats])[:-1]
+    out = []
+    for (_, z), dq, nq in zip(queries, np.split(d[rows, best], split), np.split(at[rows, best], split)):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim == 0:
+            out.append(DomainPoint(z=complex(z), d=float(dq[0]), nearest=nq[0]))
+        else:
+            out.append(DomainPoint(z=z, d=dq.reshape(z.shape), nearest=nq.reshape(z.shape)))
+    return out
+
+
+def boundary_distance(dom, z, *more):
+    """Euclidean distance from an interior point, or from each point of an array, to the boundary of ``dom``.
+
+    Further ``(domain, points)`` pairs are answered in the same lockstep
+    Brent run, each with the bits of its own call, and the result is then
+    a list with one ``DomainPoint`` per query, ``dom``'s first.  Such
+    queries take planar domains only; a quadratic one raises
+    ``ConfigError``.  The library asks every domain through this function
+    rather than the method, so that a wrapper installed here
+    (``perfbench/tracing.py``) sees every distance query.
+    """
+    if not more:
+        return dom.boundary_distance(z)
+    queries = [(dom, z), *more]
+    if not all(isinstance(q, tuple) and len(q) == 2 and isinstance(q[0], PlanarDomain) for q in queries):
+        raise ConfigError("distances answered together take (planar domain, points) pairs")
+    return _planar_distances(queries)
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +938,7 @@ def build_omega_prime(params: OmegaPrimeParams | None = None) -> PlanarDomain:
     outer_curve = ParamCurve(outer, n=p.samples, extra_params=extra)
     hole = CircleCurve(p.hole_center, p.hole_radius, orientation=-1, n=max(1024, p.samples // 4))
 
-    dmin = np.min(np.abs(hole.points()[:, None] - outer_curve.points()[None, ::4]))
-    if dmin < 1e-6:
+    if _min_gap(hole.points(), outer_curve.points()[::4]) < 1e-6:
         raise ConfigError("hole touches the outer boundary")
     dom = PlanarDomain(outer_curve, [hole], name="omega_prime")
     dom.params = p

@@ -259,10 +259,10 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     inside = omega_prime.contains(np.array([a for _, _, a in approach]))
     approach = [a for a, keep in zip(approach, inside) if keep]
     points = np.concatenate([p, [a for _, _, a in approach]])
-    d = boundary_distance(omega, phi_map(points)).d
+    # the image points on Omega and the radial points on the lens share one distance run
+    image, lens = boundary_distance(omega, phi_map(points), (omega_prime, p))
     bounds = squeeze_lower_planar(omega_prime, points, amap=amap)
-    d, d_angular = d[:scales], d[scales:]
-    d_prime = boundary_distance(omega_prime, p).d
+    d, d_angular, d_prime = image.d[:scales], image.d[scales:], lens.d
     rows = []
     for k, p_k, d_k, dp_k, L in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist(), bounds):
         rows.append({

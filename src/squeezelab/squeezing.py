@@ -155,7 +155,7 @@ def _min_on_circle(a: complex, radius: float) -> float:
     vals = f(theta)
     k = int(np.argmin(vals))
     lo, hi = theta[k] - 2.0 * np.pi / 4096, theta[k] + 2.0 * np.pi / 4096
-    fun = _bounded_brent(f, np.array([lo]), np.array([hi]), xatol=1e-14, maxiter=500)[1][0]
+    fun = _bounded_brent(lambda theta, _: f(theta), np.array([lo]), np.array([hi]), xatol=1e-14, maxiter=500)[1][0]
     return float(min(fun, vals[k]))
 
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -186,6 +187,30 @@ class TestLensDomain:
     def test_right_half_plane(self, omega_prime):
         for c in omega_prime.curves():
             assert np.min(c.points().real) >= -1e-9
+
+    def test_build_holds_little_memory(self):
+        build_omega_prime()  # imports and caches that a first build leaves behind
+        tracemalloc.start()
+        try:
+            build_omega_prime()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_hole_touching_the_outer_curve_raises(self, omega_prime):
+        # a hole whose first sample is an outer sample the touch check measures
+        outer = omega_prime.outer.points()[::4]
+        at = outer[np.argmin(np.abs(outer - (0.2 + 0.35j)))]
+        with pytest.raises(ConfigError, match="hole touches the outer boundary"):
+            build_omega_prime(OmegaPrimeParams(hole_center=at - 0.04))
+
+    def test_intersecting_holes_raise(self):
+        def hole():
+            return CircleCurve(0.3j, 0.1, orientation=-1, n=64)
+
+        with pytest.raises(ConfigError, match="holes intersect"):
+            PlanarDomain(CircleCurve(0.0, 1.0, n=64), [hole(), hole()])
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):
@@ -475,42 +500,83 @@ class TestSamplerRounds:
 # planar boundary distance: the lockstep bounded Brent kernel
 
 
-class TestBoundedBrent:
-    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
-    @settings(max_examples=25, deadline=None)
-    @given(which=st.integers(0, 1),
-           picks=st.lists(st.tuples(st.integers(0, 10**6), st.floats(1e-10, 0.1), st.floats(0.0, 2.0 * np.pi)),
-                          min_size=1, max_size=12))
-    def test_argmin_matches_scipy_bit_for_bit(self, name, which, picks):
-        curves = _PLANAR_DOMAINS[name].curves()
-        curve = curves[which % len(curves)]
-        # points near chosen samples, each with the parameter window around its sample
-        t, n = curve.params, len(curve.params)
-        i = np.array([k % n for k, _, _ in picks])
-        z = curve.points()[i] + np.array([r * np.exp(1j * a) for _, r, a in picks])
-        lo, hi = t[(i - 1) % n], t[(i + 1) % n]
-        lo = np.where(hi < lo, lo - 1.0, lo)
+_brent_windows = dict(
+    which=st.integers(0, 1),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.floats(1e-10, 0.1), st.floats(0.0, 2.0 * np.pi)),
+                   min_size=1, max_size=12))
 
-        def sq_dist(s):
-            w = curve.point(s) - z
+
+def _near_samples(name, which, picks):
+    """A curve, points near chosen samples of it, and the parameter window about each sample."""
+    curves = _PLANAR_DOMAINS[name].curves()
+    curve = curves[which % len(curves)]
+    t, n = curve.params, len(curve.params)
+    i = np.array([k % n for k, _, _ in picks])
+    z = curve.points()[i] + np.array([r * np.exp(1j * a) for _, r, a in picks])
+    lo, hi = t[(i - 1) % n], t[(i + 1) % n]
+    return curve, z, np.where(hi < lo, lo - 1.0, lo), hi
+
+
+def _scipy_brent(curve, z, lo, hi):
+    """scipy's bounded minimiser of the squared distance on each window, one at a time."""
+    ref = []
+    for zj, a, b in zip(z, lo, hi):
+
+        def one(s, zj=zj):
+            w = curve.point(np.array([s]))[0] - zj
             return w.real * w.real + w.imag * w.imag
 
-        got, _ = _bounded_brent(sq_dist, lo, hi, xatol=1e-15, maxiter=400)
-        ref = []
-        for zj, a, b in zip(z, lo, hi):
+        res = minimize_scalar(one, bounds=(a, b), method="bounded", options={"xatol": 1e-15, "maxiter": 400})
+        assert res.status == 0
+        ref.append(res)
+    return ref
 
-            def one(s, zj=zj):
-                w = curve.point(np.array([s]))[0] - zj
-                return w.real * w.real + w.imag * w.imag
 
-            res = minimize_scalar(one, bounds=(a, b), method="bounded", options={"xatol": 1e-15, "maxiter": 400})
-            assert res.status == 0
-            ref.append(float(res.x))
+class TestBoundedBrent:
+    @staticmethod
+    def _sq_dist(curve, z, seen):
+        """Squared distance from ``z`` on the live lanes, recording each ``lanes`` array it is given."""
+
+        def f(s, lanes):
+            seen.append(lanes)
+            w = curve.point(s) - z[lanes]
+            return w.real * w.real + w.imag * w.imag
+
+        return f
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=25, deadline=None)
+    @given(**_brent_windows)
+    def test_argmin_matches_scipy_bit_for_bit(self, name, which, picks):
+        curve, z, lo, hi = _near_samples(name, which, picks)
+        got, _ = _bounded_brent(self._sq_dist(curve, z, []), lo, hi, xatol=1e-15, maxiter=400)
+        ref = [float(res.x) for res in _scipy_brent(curve, z, lo, hi)]
         np.testing.assert_array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=10, deadline=None)
+    @given(**_brent_windows)
+    def test_each_lane_evaluates_as_often_as_scipy(self, name, which, picks):
+        curve, z, lo, hi = _near_samples(name, which, picks)
+        seen = []
+        _bounded_brent(self._sq_dist(curve, z, seen), lo, hi, xatol=1e-15, maxiter=400)
+        calls = np.bincount(np.concatenate(seen), minlength=len(z))
+        assert calls.tolist() == [res.nfev for res in _scipy_brent(curve, z, lo, hi)]
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    @settings(max_examples=10, deadline=None)
+    @given(**_brent_windows)
+    def test_live_lanes_only_shrink(self, name, which, picks):
+        curve, z, lo, hi = _near_samples(name, which, picks)
+        seen = []
+        _bounded_brent(self._sq_dist(curve, z, seen), lo, hi, xatol=1e-15, maxiter=400)
+        assert seen[0].tolist() == list(range(len(z)))
+        for before, now in zip(seen, seen[1:]):
+            assert np.all(np.diff(now) > 0) and np.isin(now, before).all()
 
     def test_iteration_cap_raises(self):
         with pytest.raises(SolverError):
-            _bounded_brent(lambda s: (s - 0.3) ** 2, np.array([0.0, 0.5]), np.array([1.0, 0.6]), xatol=1e-15,
+            _bounded_brent(lambda s, _: (s - 0.3) ** 2, np.array([0.0, 0.5]), np.array([1.0, 0.6]), xatol=1e-15,
                            maxiter=5)
 
     def test_nan_objective_raises(self):
@@ -560,6 +626,64 @@ class TestBoundaryDistanceBatch:
     def test_empty_batch(self):
         bp = boundary_distance(_PLANAR_DOMAINS["omega_prime"], np.array([], dtype=complex))
         assert bp.d.shape == bp.nearest.shape == (0,)
+
+
+def _report_points(lens):
+    """The counterexample report's 40 radial lens points and its 48 image points on Omega."""
+    p = 2.0 ** -np.arange(3, 43)
+    angular = np.array([2.0 ** -(k + 2) * np.exp(1j * theta) for theta in (-0.3, 0.3) for k in (5, 10, 15, 20)])
+    return p, phi_map(np.concatenate([p, angular[lens.contains(angular)]]))
+
+
+def _assert_same_bits(got, want):
+    assert type(got.d) is type(want.d) and type(got.z) is type(want.z)
+    assert np.asarray(got.d).tobytes() == np.asarray(want.d).tobytes()
+    assert np.asarray(got.nearest).tobytes() == np.asarray(want.nearest).tobytes()
+
+
+class TestSeveralQueries:
+    """``boundary_distance(a, za, (b, zb))`` answers both queries in one run, each with its own bits."""
+
+    def test_report_points(self):
+        lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
+        p, q = _report_points(lens)
+        assert len(q) == 48
+        image, radial = boundary_distance(omega, q, (lens, p))
+        _assert_same_bits(image, boundary_distance(omega, q))
+        _assert_same_bits(radial, boundary_distance(lens, p))
+
+    @pytest.mark.parametrize("za, zb", [
+        (np.array([0.35, 0.65, -0.65j, 0.5 + 0.1j]), np.array([0.0, 0.3 + 0.4j, -0.99])),
+        (0.65, np.array([0.0, 0.5j])),
+        (np.array([0.35, 0.65]), 0.0),
+        (np.array([], dtype=complex), np.array([0.0, 0.5j])),
+        (np.array([0.35, 0.65]), np.array([], dtype=complex)),
+    ])
+    def test_annulus_and_disc(self, za, zb):
+        ring, round_disc = _PLANAR_DOMAINS["annulus"], disc()
+        a, b = boundary_distance(ring, za, (round_disc, zb))
+        _assert_same_bits(a, boundary_distance(ring, za))
+        _assert_same_bits(b, boundary_distance(round_disc, zb))
+        c, d, e = boundary_distance(round_disc, zb, (ring, za), (round_disc, zb))
+        _assert_same_bits(c, b), _assert_same_bits(d, a), _assert_same_bits(e, b)
+
+    def test_outside_point_in_a_later_query(self):
+        ring, z = _PLANAR_DOMAINS["annulus"], np.array([0.5, 0.1, 0.6j])
+        with pytest.raises(DomainError) as alone:
+            boundary_distance(ring, z)
+        with pytest.raises(DomainError) as together:
+            boundary_distance(disc(), np.array([0.0]), (ring, z))
+        assert str(together.value) == str(alone.value)
+
+    @pytest.mark.parametrize("first, more", [
+        (lambda: disc(), lambda: [(ball(2), np.zeros(2))]),
+        (lambda: ball(2), lambda: [(disc(), 0.0)]),
+        (lambda: disc(), lambda: [(disc(), 0.0), (ellipsoid(), np.zeros((1, 2)))]),
+        (lambda: disc(), lambda: [disc()]),
+    ])
+    def test_quadratic_or_malformed_query_raises(self, first, more):
+        with pytest.raises(ConfigError):
+            boundary_distance(first(), 0.0, *more())
 
 
 class TestNearestSampleOrder:
@@ -625,6 +749,12 @@ class TestOneBrentRun:
         assert len(runs) == 1 and runs[0] >= 12 * 4 * dom.connectivity
         boundary_distance(dom, random_interior_points(dom, 1, seed=1)[0])
         assert len(runs) == 2
+
+    def test_one_run_for_several_queries(self, runs):
+        lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
+        p, q = _report_points(lens)
+        boundary_distance(omega, q, (lens, p))
+        assert runs == [len(q) * 4 * 2 + len(p) * 4 * 2]  # no window of these points wraps past t = 0
 
     def test_tangent_ball_radius_makes_one_run(self, runs):
         dom = _PLANAR_DOMAINS["annulus"]

@@ -40,9 +40,9 @@ def ratio_report():
 
 
 class TestCounterexampleCalls:
-    """A warm report makes one distance run per domain and evaluates the lens's map once."""
+    """A warm report makes one distance run for both domains and evaluates the lens's map once."""
 
-    def test_two_brent_runs_and_one_forward_gap(self, monkeypatch):
+    def test_one_brent_run_and_one_forward_gap(self, monkeypatch):
         run_counterexample(ExperimentConfig("counterexample", scales=40, seed=1))  # builds the domains and the map
         runs, gaps = [], []
         brent, forward_gap = domains._bounded_brent, AnnulusMap.forward_gap
@@ -58,7 +58,7 @@ class TestCounterexampleCalls:
         monkeypatch.setattr(domains, "_bounded_brent", brent_spy)
         monkeypatch.setattr(AnnulusMap, "forward_gap", gap_spy)
         report = run_counterexample(ExperimentConfig("counterexample", scales=40, seed=2))
-        assert len(runs) == 2  # the image points on Omega, the radial points on the lens
+        assert len(runs) == 1  # the image points on Omega and the radial points on the lens together
         assert gaps == [(40 + len(report.tables["angular"]),)]
 
 

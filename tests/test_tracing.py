@@ -63,7 +63,7 @@ def test_second_counterexample_report_still_traces_its_map():
     assert tracer.calls("conformal.canonical_annulus_map") >= 1
     assert min(tracer.extra["conformal.canonical_annulus_map.residual"]) > 0
     assert min(tracer.extra["conformal.canonical_annulus_map.boundary_deviation"]) > 0
-    # one distance batch on the image, one on the lens, and one squeezing batch
-    assert tracer.calls("domains.boundary_distance.planar") == 2
+    # one distance call for the image and the lens together, and one squeezing batch
+    assert tracer.calls("domains.boundary_distance.planar") == 1
     assert tracer.calls("squeezing.squeeze_lower_planar") >= 1
     assert tracer.calls("conformal.AnnulusMap.forward_gap") >= 1
