@@ -105,7 +105,6 @@ class _Basis:
         ``poles_only`` keeps only the trailing columns, those of the poles;
         ``lone`` takes the powers of a lone point (``_powers``) at every point.
         """
-        lone = lone or z.ndim == 0
         g = self._raw(z, deriv, lone, poles_only)
         out = np.empty(g.shape[:-1] + (2 * g.shape[-1],), dtype=complex)
         if not self.mirrored:
@@ -121,9 +120,8 @@ class _Basis:
         return out
 
     def fold(self, coef: np.ndarray, z, deriv: bool = False, lone: bool = False):
-        """Sum_j coef_j g_j(z), added left to right over the columns, in row chunks."""
-        if z.ndim == 0:
-            return np.cumsum(coef * self(z, deriv))[-1]
+        """Sum_j coef_j g_j(z), added left to right over the columns, in row chunks; a lone point takes lone powers."""
+        lone = lone or z.ndim == 0
         flat = z.ravel()
         out = np.empty(len(flat), dtype=complex)
         for rows in self.chunks(len(flat)):

@@ -8,6 +8,7 @@ the origin lives at scales of 1e-9.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +80,16 @@ class Curve:
         return float(0.5 * np.sum(p.real * q.imag - p.imag * q.real))
 
     def refined(self, factor: int = 2) -> "Curve":
-        """Same curve with collocation parameters subdivided by ``factor``."""
+        """Same curve with collocation parameters subdivided by ``factor``; its samples and edges are built afresh."""
         t = self._params
         nxt = np.roll(t, -1).copy()
         nxt[-1] += 1.0
         pieces = [t]
         for j in range(1, factor):
             pieces.append((t + (nxt - t) * j / factor) % 1.0)
-        return self._clone(np.unique(np.concatenate(pieces)))
-
-    def _clone(self, params: np.ndarray) -> "Curve":
-        raise NotImplementedError
+        fine = copy.copy(self)
+        Curve.__init__(fine, np.unique(np.concatenate(pieces)))
+        return fine
 
 
 # elements per temporary array of the batched planar kernels: the few
@@ -164,12 +164,6 @@ class ParamCurve(Curve):
     def point(self, t):
         return self.func(np.asarray(t, dtype=float) % 1.0)
 
-    def _clone(self, params):
-        c = ParamCurve(self.func, n=2)
-        c._params = params
-        c._points = None
-        return c
-
 
 class CircleCurve(ParamCurve):
     """Circle of given center/radius; orientation +1 (ccw) or -1 (cw)."""
@@ -214,12 +208,6 @@ class PolylineCurve(Curve):
         b = self.vertices[(idx + 1) % len(self.vertices)]
         return a + frac * (b - a)
 
-    def _clone(self, params):
-        c = PolylineCurve(self.vertices)
-        c._params = params
-        c._points = None
-        return c
-
 
 class MappedCurve(Curve):
     """Pointwise image of another curve under a holomorphic map."""
@@ -234,12 +222,6 @@ class MappedCurve(Curve):
 
     def point(self, t):
         return self.mapping(self.base.point(t))
-
-    def _clone(self, params):
-        c = MappedCurve(self.base, self.mapping)
-        c._params = params
-        c._points = None
-        return c
 
 
 # ---------------------------------------------------------------------------

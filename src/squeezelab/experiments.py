@@ -261,7 +261,7 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     points = np.concatenate([p, [a for _, _, a in approach]])
     # the image points on Omega and the radial points on the lens share one distance run
     image, lens = boundary_distance(omega, phi_map(points), (omega_prime, p))
-    bounds = squeeze_lower_planar(omega_prime, points, amap=amap)
+    bounds = squeeze_lower_planar(omega_prime, points)
     d, d_angular, d_prime = image.d[:scales], image.d[scales:], lens.d
     rows = []
     for k, p_k, d_k, dp_k, L in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist(), bounds):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ball import BallAutomorphism, _psi_norms_batch, sphere_samples
-from .conformal import AnnulusMap, canonical_annulus_map
+from .conformal import canonical_annulus_map
 from .domains import DefiningFunctionDomain, PlanarDomain, _bounded_brent, boundary_distance
 from .errors import ConfigError, DomainError, SolverError
 
@@ -174,15 +174,7 @@ def annulus_squeeze_lower(modulus: float, z: complex, cross_check: bool = False)
         raise DomainError(f"|z|={abs(z):.6g} outside the annulus ({m}, 1)")
 
     t = abs(z)
-    incl = (t - m) / (1.0 - m * t)
-    one_minus_incl = (1.0 - t) * (1.0 + m) / (1.0 - m * t)
-    t2 = m / t
-    inv = (t2 - m) / (1.0 - m * t2)
-    if incl >= inv:
-        lower, one_minus, kind = incl, one_minus_incl, "inclusion"
-    else:
-        lower, one_minus, kind = inv, 1.0 - inv, "inclusion-after-involution"
-
+    lower, one_minus, kind = _best_inclusion(m, t, 1.0 - t)
     witness = {"kind": kind, "modulus": m, "z": str(z)}
     if cross_check:
         a = z if kind == "inclusion" else m / z
@@ -190,7 +182,22 @@ def annulus_squeeze_lower(modulus: float, z: complex, cross_check: bool = False)
     return SqueezeBound(at=z, lower=float(lower), one_minus_lower=float(one_minus), witness=witness)
 
 
-def squeeze_lower_planar(dom: PlanarDomain, z, amap: AnnulusMap | None = None):
+def _best_inclusion(rho: float, t: float, gap: float) -> tuple[float, float, str]:
+    """(lower, 1 - lower, kind) of the better witness on {rho < |w| < 1} at |w| = ``t``, 1 - |w| = ``gap``.
+
+    The inclusion's 1 - lower is computed from ``gap`` without cancellation;
+    the ring involution w -> rho/w maps |w| = t to rho/t.
+    """
+    one_minus_incl = gap * (1.0 + rho) / (1.0 - rho * t)
+    incl = 1.0 - one_minus_incl
+    t2 = rho / t
+    inv = (t2 - rho) / (1.0 - rho * t2)
+    if incl >= inv:
+        return incl, one_minus_incl, "inclusion"
+    return inv, 1.0 - inv, "inclusion-after-involution"
+
+
+def squeeze_lower_planar(dom: PlanarDomain, z):
     """Squeezing lower bound for a planar domain via its canonical model, at one point or each point of an array.
 
     Simply connected domains get the exact value 1 symbolically (the
@@ -214,8 +221,7 @@ def squeeze_lower_planar(dom: PlanarDomain, z, amap: AnnulusMap | None = None):
         bounds = [SqueezeBound(at=a, lower=1.0, one_minus_lower=0.0,
                                witness={"kind": "riemann-family", "symbolic": True}) for a in ats]
     elif dom.connectivity == 2:
-        if amap is None:
-            amap = canonical_annulus_map(dom)
+        amap = canonical_annulus_map(dom)
         # the lone powers give every point the bits of a point passed alone
         t_abs, gap = amap.forward_gap(flat, _lone=True)
         bounds = [_transported(a, amap.modulus, t, g) for a, t, g in zip(ats, t_abs.tolist(), gap.tolist())]
@@ -228,14 +234,7 @@ def _transported(at, rho: float, t_abs: float, gap: float) -> SqueezeBound:
     """The round annulus's bound at the point ``at``, whose image has |t| = ``t_abs`` and 1 - |t| = ``gap``."""
     if not rho < t_abs < 1.0:
         raise DomainError(f"mapped point |t|={t_abs:.6g} outside ({rho}, 1)")
-    one_minus_incl = gap * (1.0 + rho) / (1.0 - rho * t_abs)
-    incl = 1.0 - one_minus_incl
-    t2 = rho / t_abs
-    inv = (t2 - rho) / (1.0 - rho * t2)
-    if incl >= inv:
-        lower, one_minus, kind = incl, one_minus_incl, "inclusion"
-    else:
-        lower, one_minus, kind = inv, 1.0 - inv, "inclusion-after-involution"
+    lower, one_minus, kind = _best_inclusion(rho, t_abs, gap)
     return SqueezeBound(
         at=at,
         lower=float(lower),
@@ -301,7 +300,7 @@ def _centering_gap(w: np.ndarray, p: np.ndarray) -> float:
     return float(q * (1.0 - 1.0 / wk) / (1.0 - r / np.sqrt(wk)) ** 2)
 
 
-def theorem21_pipeline(dom, points, C, tol: float = 1e-6) -> dict:
+def theorem21_pipeline(dom, points, C) -> dict:
     """Confinement + recentring chain for the centering automorphisms of a family of points.
 
     ``dom`` is a weighted quadratic domain {sum_j w_j |z_j|^2 < 1} with every
@@ -315,7 +314,7 @@ def theorem21_pipeline(dom, points, C, tol: float = 1e-6) -> dict:
     * the recentring psi with psi(F(0)) = 0, which is checked to 1e-12: psi o F
       fixes 0, so by Cartan's theorem it is unitary, and the inscribed radius
       of (psi o F)(dom) is the least boundary norm 1/sqrt(max w), certified
-      against 1 - 6 C eps_i.
+      against 1 - 6 C eps_i with a slack of 1e-6.
 
     A point off the coordinate axes on a domain whose weights are not all
     equal, or a weight below 1, raises ``ConfigError``.
@@ -330,6 +329,7 @@ def theorem21_pipeline(dom, points, C, tol: float = 1e-6) -> dict:
         raise ConfigError(f"weights must be >= 1 so that the domain lies in the unit ball, not {w}")
     inscribed = float(1.0 / np.sqrt(w.max()))
     origin = np.zeros(dom.dim, dtype=complex)
+    tol = 1e-6
 
     rows = []
     for i, p in enumerate(points, start=1):

@@ -131,7 +131,7 @@ class TestBasisChoice:
         assert canonical_annulus_map(rebuilt).mirrored and lens_map.mirrored
         assert not round_annulus_map.mirrored
         for k in (12, 20, 30):
-            lens = squeeze_lower_planar(omega_prime, 2.0**-k, amap=lens_map)
+            lens = squeeze_lower_planar(omega_prime, 2.0**-k)
             assert squeeze_lower_planar(rebuilt, 2.0**-k).one_minus_lower == lens.one_minus_lower
 
     def test_image_domain_keeps_the_plain_basis(self):

@@ -275,6 +275,18 @@ class TestUtilities:
         finally:
             gc.enable()
 
+    def test_refined_curve_builds_its_own_edges(self):
+        # at angle pi/8 and radius 0.95 a point lies outside the octagon of 8
+        # samples and inside the 16-gon of the refined curve
+        coarse = CircleCurve(0.0, 1.0, n=8)
+        z = np.array([0.95 * np.exp(1j * np.pi / 8)])
+        assert not coarse.crossings(z)[0][0]  # builds the octagon's edge index
+        fine = coarse.refined()
+        assert type(fine) is CircleCurve and len(fine.points()) == 16
+        assert np.array_equal(fine.points(), coarse.point(np.arange(16) / 16))
+        assert fine.crossings(z)[0][0]
+        assert not coarse.crossings(z)[0][0] and len(coarse.points()) == 8
+
     def test_spec_roundtrip(self, omega_prime):
         spec = omega_prime.to_spec()
         dom2 = domain_from_spec(spec)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.ball import BallAutomorphism, _psi_norms_batch
-from squeezelab.conformal import AnnulusMap
+from squeezelab.conformal import AnnulusMap, canonical_annulus_map
 from squeezelab.domains import annulus, ball, disc, ellipsoid, random_interior_points
 from squeezelab.errors import ConfigError, DomainError, SolverError
 from squeezelab.squeezing import (
@@ -92,33 +92,41 @@ class TestPlanarTransport:
         b = squeeze_lower_planar(disc(), 0.3 + 0.1j)
         assert b.lower == 1.0
 
-    def test_round_annulus_matches_closed_form(self, round_annulus, round_annulus_map):
+    def test_round_annulus_matches_closed_form(self, round_annulus):
         for z in (0.5, -0.7j, 0.4 + 0.4j):
-            via_map = squeeze_lower_planar(round_annulus, z, amap=round_annulus_map)
+            via_map = squeeze_lower_planar(round_annulus, z)
             direct = annulus_squeeze_lower(0.3, z)
             assert via_map.lower == pytest.approx(direct.lower, abs=1e-8)
 
-    def test_lens_frozen_value(self, omega_prime, lens_map):
-        b = squeeze_lower_planar(omega_prime, 0.05, amap=lens_map)
+    def test_lens_frozen_value(self, omega_prime):
+        b = squeeze_lower_planar(omega_prime, 0.05)
         assert b.lower == pytest.approx(0.987463906880143, abs=1e-9)
 
-    def test_lens_ratio_stable_in_depth(self, omega_prime, lens_map):
+    def test_lens_ratio_stable_in_depth(self, omega_prime):
         # frozen: (1 - L)/d stabilizes near 0.2764 down the dyadic scales
         from squeezelab.domains import boundary_distance
 
         ratios = []
         for p in (2.0 ** -8, 2.0 ** -12, 2.0 ** -16):
-            b = squeeze_lower_planar(omega_prime, p, amap=lens_map)
+            b = squeeze_lower_planar(omega_prime, p)
             d = boundary_distance(omega_prime, p).d
             ratios.append(b.one_minus_lower / d)
         np.testing.assert_allclose(ratios, 0.2764, rtol=5e-3)  # frozen
 
+    def test_no_new_fit_once_the_map_is_built(self, fitted_domains):
+        dom = annulus(0.3)
+        amap = canonical_annulus_map(dom)
+        assert fitted_domains == [dom]
+        assert squeeze_lower_planar(dom, 0.5).witness["modulus"] == amap.modulus
+        squeeze_lower_planar(dom, np.array([0.5, -0.7j]))
+        assert fitted_domains == [dom]
+
 
 def _assert_squeeze_batch_equals_points(dom, z, amap):
-    batch = squeeze_lower_planar(dom, z, amap=amap)
+    batch = squeeze_lower_planar(dom, z)
     assert len(batch) == len(z)
     for zj, b in zip(z, batch):
-        one = squeeze_lower_planar(dom, complex(zj), amap=amap)
+        one = squeeze_lower_planar(dom, complex(zj))
         assert (b.lower, b.one_minus_lower, b.witness) == (one.lower, one.one_minus_lower, one.witness)
         assert b.at == zj
         # and the bits of the map's own one-point path
@@ -142,18 +150,18 @@ class TestPlanarBatch:
         failed = []
         for zj in z:
             try:
-                squeeze_lower_planar(omega_prime, complex(zj), amap=lens_map)
+                squeeze_lower_planar(omega_prime, complex(zj))
             except DomainError as err:
                 failed.append((zj, str(err)))
         assert len(failed) == 1 and "|t|=1 outside" in failed[0][1]
         with pytest.raises(DomainError) as err:
-            squeeze_lower_planar(omega_prime, z, amap=lens_map)
+            squeeze_lower_planar(omega_prime, z)
         assert str(err.value) == failed[0][1]
         _assert_squeeze_batch_equals_points(omega_prime, z[z != failed[0][0]], lens_map)
 
     def test_round_annulus(self, round_annulus, round_annulus_map):
         z = random_interior_points(round_annulus, 300, seed=2)
-        batch = squeeze_lower_planar(round_annulus, z, amap=round_annulus_map)
+        batch = squeeze_lower_planar(round_annulus, z)
         assert {b.witness["kind"] for b in batch} == {"annulus-transport/inclusion",
                                                       "annulus-transport/inclusion-after-involution"}
         _assert_squeeze_batch_equals_points(round_annulus, z, round_annulus_map)
@@ -162,11 +170,11 @@ class TestPlanarBatch:
         batch = squeeze_lower_planar(disc(), np.array([0.0, 0.3 + 0.1j, -0.9j]))
         assert [(b.lower, b.one_minus_lower, b.witness["kind"]) for b in batch] == [(1.0, 0.0, "riemann-family")] * 3
 
-    def test_outside_point_is_named(self, round_annulus, round_annulus_map):
+    def test_outside_point_is_named(self, round_annulus):
         with pytest.raises(DomainError, match=r"point 0\.1j is not in the annulus_0\.3 domain"):
-            squeeze_lower_planar(round_annulus, np.array([0.5, 0.1j, 1.5]), amap=round_annulus_map)
+            squeeze_lower_planar(round_annulus, np.array([0.5, 0.1j, 1.5]))
 
-    def test_one_forward_gap_call(self, omega_prime, lens_map, monkeypatch):
+    def test_one_forward_gap_call(self, omega_prime, monkeypatch):
         calls = []
         forward_gap = AnnulusMap.forward_gap
 
@@ -175,7 +183,7 @@ class TestPlanarBatch:
             return forward_gap(amap, z, **kw)
 
         monkeypatch.setattr(AnnulusMap, "forward_gap", spy)
-        squeeze_lower_planar(omega_prime, random_interior_points(omega_prime, 50, seed=3), amap=lens_map)
+        squeeze_lower_planar(omega_prime, random_interior_points(omega_prime, 50, seed=3))
         assert calls == [(50,)]
 
 
