@@ -26,6 +26,15 @@ __all__ = [
 ]
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex ``(m, n)`` array, bit for bit.
+
+    That norm takes one dot product of the real parts and one of the
+    imaginary parts; ``np.vecdot`` runs the same dot product on each row.
+    """
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def _as_points(z) -> np.ndarray:
     """Coerce ``z`` to one point ``(n,)`` or rows ``(m, n)`` of C^n and validate finiteness."""
     p = np.asarray(z, dtype=complex)
@@ -46,11 +55,18 @@ def as_point(z) -> np.ndarray:
     return p
 
 
-def _check_r(r: float) -> float:
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"translation parameter r={r} outside [0, 1)")
-    return r
+def _check_r(r):
+    """``r`` as a float, or as an array with one value per row; each must lie in [0, 1)."""
+    if np.ndim(r) == 0:
+        r = float(r)
+        if not 0.0 <= r < 1.0:
+            raise DomainError(f"translation parameter r={r} outside [0, 1)")
+        return r
+    a = np.asarray(r, dtype=float)
+    bad = ~((0.0 <= a) & (a < 1.0))
+    if bad.any():
+        raise DomainError(f"translation parameter r={a[bad][0]} outside [0, 1)")
+    return a
 
 
 def _check_in_ball(z: np.ndarray, what: str = "point") -> np.ndarray:
@@ -62,50 +78,58 @@ def _check_in_ball(z: np.ndarray, what: str = "point") -> np.ndarray:
     return z
 
 
-def psi_apply(r: float, z) -> np.ndarray:
+def psi_apply(r, z) -> np.ndarray:
     """Axis Moebius automorphism of the unit ball.
 
     Maps (r, 0, ..., 0) to the origin:
     w = ((z1 - r)/(1 - z1 r), sqrt(1-r^2) z2/(1 - z1 r), ...).
-    ``z`` is one point ``(n,)`` or rows ``(m, n)``; each row maps on its own.
+    ``z`` is one point ``(n,)`` or rows ``(m, n)``; each row maps on its own,
+    by the one ``r`` or by its own entry of an array of ``m`` values.
     """
     r = _check_r(r)
     z = _check_in_ball(_as_points(z))
     denom = 1.0 - z[..., 0] * r
     w = np.empty_like(z)
     w[..., 0] = (z[..., 0] - r) / denom
-    w[..., 1:] = np.sqrt(1.0 - r * r) * z[..., 1:] / denom[..., None]
+    w[..., 1:] = np.sqrt(1.0 - r * r)[..., None] * z[..., 1:] / denom[..., None]
     return w
 
 
-def psi_invert(r: float, w) -> np.ndarray:
+def psi_invert(r, w) -> np.ndarray:
     """Inverse of :func:`psi_apply`; algebraically the same map with -r."""
     r = _check_r(r)
     w = _check_in_ball(_as_points(w))
     denom = 1.0 + w[..., 0] * r
     z = np.empty_like(w)
     z[..., 0] = (w[..., 0] + r) / denom
-    z[..., 1:] = np.sqrt(1.0 - r * r) * w[..., 1:] / denom[..., None]
+    z[..., 1:] = np.sqrt(1.0 - r * r)[..., None] * w[..., 1:] / denom[..., None]
     return z
 
 
 def unitary_align(p) -> np.ndarray:
-    """Unitary U with U p = (||p||, 0, ..., 0).
-
-    Built from a QR factorisation whose first column is fixed to p/||p||
-    with the phase normalised away.
-    """
+    """Unitary U with U p = (||p||, 0, ..., 0)."""
     p = as_point(p)
-    norm = np.linalg.norm(p)
-    if norm == 0.0:
+    if np.linalg.norm(p) == 0.0:
         raise DomainError("cannot align the zero vector: undefined direction")
-    n = p.size
-    a = np.concatenate([p[:, None], np.eye(n, dtype=complex)], axis=1)
+    return _align_rows(p[None])[0]
+
+
+def _align_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`unitary_align` of each nonzero row of ``(m, n)``, an ``(m, n, n)`` stack.
+
+    Built from one stacked QR factorisation whose first column is fixed to
+    p/||p|| with the phase normalised away; each row gets the bits of its
+    one-point call.
+    """
+    m, n = rows.shape
+    a = np.empty((m, n, n + 1), dtype=complex)
+    a[:, :, 0] = rows
+    a[:, :, 1:] = np.eye(n)
     q, rmat = np.linalg.qr(a)
-    # q[:,0] = p / rmat[0,0]; rotate the column so it equals p-hat exactly.
-    phase = rmat[0, 0] / abs(rmat[0, 0])
-    q[:, 0] *= phase
-    return q.conj().T
+    # q[:, 0] = p / rmat[0, 0]; rotate the column so it equals p-hat exactly.
+    phase = rmat[:, 0, 0] / abs(rmat[:, 0, 0])
+    q[:, :, 0] *= phase[:, None]
+    return q.conj().swapaxes(-1, -2)
 
 
 def kobayashi_ball(z, w) -> float:
@@ -155,30 +179,41 @@ class BallAutomorphism:
     """Axis Moebius map preceded by a unitary rotation.
 
     ``apply`` sends ``align^-1 (r, 0, .., 0)`` to the origin.  ``apply`` and
-    ``invert`` take one point ``(n,)`` or rows ``(m, n)``.
+    ``invert`` take one point ``(n,)`` or rows ``(m, n)``.  A stack of ``m``
+    automorphisms has one ``r`` per row and ``align`` of shape ``(m, n, n)``,
+    and maps row i of ``(m, n)`` by automorphism i.
     """
 
-    r: float
+    r: float | np.ndarray
     align: np.ndarray
 
     def __post_init__(self):
-        _check_r(self.r)
+        r = _check_r(self.r)
         a = np.asarray(self.align, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError("alignment must be a square matrix")
-        dev = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
+        if a.shape[:-2] != np.shape(r) or a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+            raise ConfigError("alignment must be a square matrix, or a stack of them with one per r")
+        n = a.shape[-1]
+        # the largest row norm of a a^H - I over the stack
+        dev = np.max(_row_norms((a @ a.conj().swapaxes(-1, -2) - np.eye(n)).reshape(-1, n)), initial=0.0)
         if dev > 1e-12:
             raise ConfigError(f"alignment not unitary: deviation {dev:.3e}")
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "align", a)
 
     @classmethod
     def centering(cls, p) -> "BallAutomorphism":
-        """The automorphism sending the interior point p to the origin."""
-        p = _check_in_ball(as_point(p))
-        norm = float(np.linalg.norm(p))
-        if norm == 0.0:
-            return cls(0.0, np.eye(p.size, dtype=complex))
-        return cls(norm, unitary_align(p))
+        """The automorphism sending the interior point p to the origin; rows ``(m, n)`` give a stack, one per row.
+
+        ``r`` is the norm of p, and a zero p gets r = 0 and the identity.
+        Each row gets the bits of its one-point call.
+        """
+        p = _check_in_ball(_as_points(p))
+        rows = np.atleast_2d(p)
+        r = _row_norms(rows)
+        zero = r == 0.0
+        align = _align_rows(np.where(zero[:, None], 1.0, rows))  # a zero row aligns a stand-in
+        align[zero] = np.eye(rows.shape[1])
+        return cls(float(r[0]), align[0]) if p.ndim == 1 else cls(r, align)
 
     # The stacked matrix-vector product rotates every row exactly as
     # ``align @ z`` rotates one point; ``z @ align.T`` may differ in the last bits.
@@ -188,7 +223,7 @@ class BallAutomorphism:
 
     def invert(self, w) -> np.ndarray:
         z = psi_invert(self.r, w)
-        return np.matmul(self.align.conj().T, z[..., None])[..., 0]
+        return np.matmul(self.align.conj().swapaxes(-1, -2), z[..., None])[..., 0]
 
 
 def sphere_samples(n: int, count: int, radius: float, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ball import _row_norms
 from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
@@ -255,15 +256,6 @@ def _min_gap(p: np.ndarray, q: np.ndarray) -> float:
     """Least distance |p_i - q_j| between two point sets, over row blocks of about ``_CHUNK`` pairs."""
     step = max(1, _CHUNK // len(q))
     return min(float(np.min(np.abs(p[s : s + step, None] - q))) for s in range(0, len(p), step))
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a complex ``(m, n)`` array, bit for bit.
-
-    That norm takes one dot product of the real parts and one of the
-    imaginary parts; ``np.vecdot`` runs the same dot product on each row.
-    """
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 class PlanarDomain:

@@ -263,8 +263,10 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
     image, lens = boundary_distance(omega, phi_map(points), (omega_prime, p))
     bounds = squeeze_lower_planar(omega_prime, points)
     d, d_angular, d_prime = image.d[:scales], image.d[scales:], lens.d
+    abs_deriv = np.abs(phi_deriv(p))
     rows = []
-    for k, p_k, d_k, dp_k, L in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist(), bounds):
+    for k, p_k, d_k, dp_k, L, a_k in zip(range(1, scales + 1), p.tolist(), d.tolist(), d_prime.tolist(), bounds,
+                                         abs_deriv.tolist()):
         rows.append({
             "k": k,
             "p_k": p_k,
@@ -273,7 +275,7 @@ def run_counterexample(config: ExperimentConfig) -> ExperimentReport:
             "one_minus_L": L.one_minus_lower,
             "R_k": float(L.one_minus_lower / d_k),
             "distortion_ratio": d_k / dp_k,
-            "abs_phi_deriv": float(np.abs(phi_deriv(p_k))),
+            "abs_phi_deriv": a_k,
         })
 
     R = np.array([r["R_k"] for r in rows])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import BallAutomorphism, _psi_norms_batch, sphere_samples
+from .ball import BallAutomorphism, _psi_norms_batch, _row_norms, sphere_samples
 from .conformal import canonical_annulus_map
 from .domains import DefiningFunctionDomain, PlanarDomain, _bounded_brent, boundary_distance
 from .errors import ConfigError, DomainError, SolverError
@@ -276,7 +276,7 @@ def ellipsoid_boundary_samples(b: float, count: int = 20_000, seed: int = 0,
     return (1.0 - inset) * np.column_stack([z1, z2])
 
 
-def _centering_gap(w: np.ndarray, p: np.ndarray) -> float:
+def _centering_gap(w: np.ndarray, p: np.ndarray):
     """Largest 1 - ||F(zeta)||^2 over the boundary of {sum_j w_j |zeta_j|^2 < 1}, every w_j >= 1.
 
     F = psi_r o U is the ball automorphism centering p, with r = ||p|| and p
@@ -286,18 +286,22 @@ def _centering_gap(w: np.ndarray, p: np.ndarray) -> float:
     A = 1 - 1/w_o, B = 1 - w_k/w_o.  Its maximum over s in [0, 1/sqrt(w_k)]
     is at s* = min(r A/B, 1/sqrt(w_k)), or at 1/sqrt(w_k) when B <= 0.  At
     s* = r A/B the quotient is A/(1 + r^2 (B - A)/(B (1 - r^2))), which is A
-    exactly when w_k = 1.
+    exactly when w_k = 1.  One point ``(n,)`` gives a float, rows ``(m, n)``
+    an array.
     """
-    r = float(np.linalg.norm(p))
-    k = int(np.argmax(np.abs(p)))
-    others = np.delete(w, k)
-    wk = float(w[k])
-    wo = float(others.max()) if len(others) else wk  # one coordinate: s = 1/sqrt(w_k) is forced
+    rows = np.atleast_2d(p)
+    r = _row_norms(rows)
+    k = np.argmax(np.abs(rows), axis=-1)
+    wk = w[k]
+    # the largest other weight of each axis; one coordinate has none, and s = 1/sqrt(w_k) is forced
+    wo = np.array([np.delete(w, j).max() if len(w) > 1 else w[j] for j in range(len(w))])[k]
     a, b = 1.0 - 1.0 / wo, 1.0 - wk / wo
     q = (1.0 - r) * (1.0 + r)
-    if b > 0.0 and r * a < b / np.sqrt(wk):
-        return float(a / (1.0 + r * r * (1.0 - wk) / (wo * b * q)))
-    return float(q * (1.0 - 1.0 / wk) / (1.0 - r / np.sqrt(wk)) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken may divide by b = 0
+        gap = np.where((b > 0.0) & (r * a < b / np.sqrt(wk)),
+                       a / (1.0 + r * r * (1.0 - wk) / (wo * b * q)),
+                       q * (1.0 - 1.0 / wk) / (1.0 - r / np.sqrt(wk)) ** 2)
+    return float(gap[0]) if np.ndim(p) == 1 else gap
 
 
 def theorem21_pipeline(dom, points, C) -> dict:
@@ -316,8 +320,12 @@ def theorem21_pipeline(dom, points, C) -> dict:
       of (psi o F)(dom) is the least boundary norm 1/sqrt(max w), certified
       against 1 - 6 C eps_i with a slack of 1e-6.
 
-    A point off the coordinate axes on a domain whose weights are not all
-    equal, or a weight below 1, raises ``ConfigError``.
+    The points are stacked once: one ``boundary_distance`` query gives every
+    d_i, one stacked ``BallAutomorphism.centering`` gives every F and another
+    every psi, and each row has the bits of a one-point call.  A point off
+    the coordinate axes on a domain whose weights are not all equal, or a
+    weight below 1, raises ``ConfigError``; an error names the first
+    offending point.
     """
     c = float(C)
     if not c > 0:
@@ -328,46 +336,46 @@ def theorem21_pipeline(dom, points, C) -> dict:
     if w.min() < 1.0:
         raise ConfigError(f"weights must be >= 1 so that the domain lies in the unit ball, not {w}")
     inscribed = float(1.0 / np.sqrt(w.max()))
-    origin = np.zeros(dom.dim, dtype=complex)
     tol = 1e-6
 
-    rows = []
-    for i, p in enumerate(points, start=1):
-        p = dom.as_point(p)
-        if np.count_nonzero(p) > 1 and w.min() < w.max():
-            raise ConfigError(f"point {i} = {p} is off the coordinate axes of a domain that is not a ball")
-        d_i = float(boundary_distance(dom, p).d)
-        gap = _centering_gap(w, p)
-        eps_i = float(gap / (1.0 + np.sqrt(1.0 - gap)) / d_i)
+    P = np.array([dom.as_point(p) for p in points] or np.zeros((0, dom.dim)), dtype=complex)
+    off = np.where(P != 0, 1.0, 0.0).sum(axis=-1) > 1.0  # more than one nonzero coordinate
+    if off.any() and w.min() < w.max():
+        i = int(np.argmax(off))
+        raise ConfigError(f"point {i + 1} = {P[i]} is off the coordinate axes of a domain that is not a ball")
+    d = boundary_distance(dom, P).d
+    gap = _centering_gap(w, P)
+    eps = gap / (1.0 + np.sqrt(1.0 - gap)) / d
 
-        phi0 = BallAutomorphism.centering(p).apply(origin)
-        r = float(np.linalg.norm(phi0))
-        confinement_radius = 1.0 - d_i / np.exp(2.0 * c)
-        confinement_margin = confinement_radius - r
+    phi0 = BallAutomorphism.centering(P).apply(np.zeros_like(P))
+    r = _row_norms(phi0)
+    confinement_margin = 1.0 - d / np.exp(2.0 * c) - r
 
-        psi = BallAutomorphism.centering(phi0)
-        residual = float(np.linalg.norm(psi.apply(phi0)))
-        if residual > 1e-12:
-            raise SolverError(f"row {i}: the recentring leaves ||psi(F(0))|| = {residual:.3e} > 1e-12")
-        floor = 1.0 - 6.0 * c * eps_i
-        inscribed_margin = inscribed - floor + tol
+    psi = BallAutomorphism.centering(phi0)
+    residual = _row_norms(psi.apply(phi0))
+    if (residual > 1e-12).any():
+        i = int(np.argmax(residual > 1e-12))
+        raise SolverError(f"row {i + 1}: the recentring leaves ||psi(F(0))|| = {residual[i]:.3e} > 1e-12")
+    floor = 1.0 - 6.0 * c * eps
+    weak_radius_warning = (d < c) & (r > 1.0 - d / c)
 
-        weak_radius_ok = r <= 1.0 - d_i / c if d_i < c else True
-        rows.append({
-            "i": i,
-            "d": d_i,
-            "eps": eps_i,
-            "r": r,
-            "confinement_margin": confinement_margin,
-            "inscribed": inscribed,
-            "inscribed_floor": floor,
-            "inscribed_margin": inscribed_margin,
-            "squeeze_lower_at_0": inscribed,
-            "one_minus_bound": 1.0 - inscribed,
-            "trend_margin": 6.0 * c * eps_i + tol - (1.0 - inscribed),
-            "weak_radius_warning": not weak_radius_ok,
-            "evidence": "closed form",
-        })
+    rows = [{
+        "i": i,
+        "d": d_i,
+        "eps": eps_i,
+        "r": r_i,
+        "confinement_margin": margin_i,
+        "inscribed": inscribed,
+        "inscribed_floor": floor_i,
+        "inscribed_margin": inscribed - floor_i + tol,
+        "squeeze_lower_at_0": inscribed,
+        "one_minus_bound": 1.0 - inscribed,
+        "trend_margin": 6.0 * c * eps_i + tol - (1.0 - inscribed),
+        "weak_radius_warning": warn_i,
+        "evidence": "closed form",
+    } for i, d_i, eps_i, r_i, margin_i, floor_i, warn_i in zip(
+        range(1, len(P) + 1), d.tolist(), eps.tolist(), r.tolist(), confinement_margin.tolist(),
+        floor.tolist(), weak_radius_warning.tolist())]
 
     return {
         "C": c,

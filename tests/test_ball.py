@@ -198,6 +198,64 @@ class TestBatchedAutomorphism:
             aut.invert(z)
 
 
+class TestStackedAutomorphism:
+    """A stack of centering automorphisms, one per row, must give the one-point results bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), m=st.integers(1, 8))
+    def test_stacked_centering_equals_rows(self, data, n, m):
+        p, z = _ball_rows(data, m, n), _ball_rows(data, m, n)
+        stack = BallAutomorphism.centering(p)
+        assert stack.r.shape == (m,) and stack.align.shape == (m, n, n)
+        image, back = stack.apply(z), stack.invert(z)
+        for i in range(m):
+            one = BallAutomorphism.centering(p[i])
+            assert type(one.r) is float and one.r == stack.r[i]
+            assert np.array_equal(one.align, stack.align[i])
+            assert np.array_equal(one.apply(z[i]), image[i])
+            assert np.array_equal(one.invert(z[i]), back[i])
+        assert np.array_equal(psi_apply(stack.r, z), np.array([psi_apply(r, row) for r, row in zip(stack.r, z)]))
+        assert np.array_equal(psi_invert(stack.r, z), np.array([psi_invert(r, row) for r, row in zip(stack.r, z)]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), m=st.integers(1, 8))
+    def test_zero_row_gets_the_identity(self, data, n, m):
+        p, z = _ball_rows(data, m, n), _ball_rows(data, m, n)
+        zero = data.draw(st.integers(0, m - 1))
+        p[zero] = 0.0
+        stack = BallAutomorphism.centering(p)
+        assert stack.r[zero] == 0.0
+        assert np.array_equal(stack.align[zero], np.eye(n))
+        assert np.array_equal(stack.apply(z)[zero], z[zero])
+        one = BallAutomorphism.centering(p[zero])
+        assert one.r == 0.0 and np.array_equal(one.align, np.eye(n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), m=st.integers(1, 8),
+           scale=st.sampled_from([0.5, 1.0 + 1e-9, 2.0]))
+    def test_one_nonunitary_matrix_rejects_stack(self, data, n, m, scale):
+        stack = BallAutomorphism.centering(_ball_rows(data, m, n))
+        align = stack.align.copy()
+        align[data.draw(st.integers(0, m - 1))] *= scale
+        with pytest.raises(ConfigError, match="not unitary"):
+            BallAutomorphism(stack.r, align)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), m=st.integers(1, 8),
+           bad=st.sampled_from([-0.1, 1.0, 1.5, np.nan, np.inf]))
+    def test_one_bad_r_rejects_stack(self, data, n, m, bad):
+        z = _ball_rows(data, m, n)
+        stack = BallAutomorphism.centering(z)
+        r = stack.r.copy()
+        r[data.draw(st.integers(0, m - 1))] = bad
+        with pytest.raises(DomainError, match="outside"):
+            BallAutomorphism(r, stack.align)
+        with pytest.raises(DomainError, match="outside"):
+            psi_apply(r, z)
+        with pytest.raises(DomainError, match="outside"):
+            psi_invert(r, z)
+
+
 class TestSphereSamples:
     def test_radius_and_determinism(self):
         s = sphere_samples(2, 500, 0.75, seed=3)

@@ -837,9 +837,24 @@ def _assert_slice_circle_touches_the_boundary(dom, z, v):
     assert dom.contains(z + np.multiply.outer(circle, vhat)).all()
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: each ``draw`` returns the next given value."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.count = 0
+
+    def draw(self, strategy):
+        value = self.values[self.count % len(self.values)]
+        self.count += 1
+        return value
+
+
 class TestSliceDistance:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), w=_weights, level=st.floats(0.0, 0.99))
+    # sum w|z|^2 is subnormal here, so level / q overflows
+    @example(data=_Drawn([1.9331129491301375e-159 + 0j], [1.0 + 0j]), w=[1.0], level=0.5)
     def test_quadratic_slice_circle_touches_the_boundary(self, data, w, level):
         # z at sum w|z|^2 = level, any direction v
         dom = DefiningFunctionDomain(w)
@@ -848,7 +863,7 @@ class TestSliceDistance:
         z = np.array(data.draw(vectors))
         v = np.array(data.draw(vectors.filter(lambda c: np.linalg.norm(c) > 1e-3)))
         q = np.sum(dom.w * np.abs(z) ** 2)
-        z = z * np.sqrt(level / q) if q > 0 else z
+        z = z * (np.sqrt(level) / np.sqrt(q)) if q > 0 else z
         _assert_slice_circle_touches_the_boundary(dom, z, v)
 
     def test_quadratic_slice_circle_at_a_subnormal_point(self):

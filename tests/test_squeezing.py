@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezelab import squeezing
 from squeezelab.ball import BallAutomorphism, _psi_norms_batch
 from squeezelab.conformal import AnnulusMap, canonical_annulus_map
-from squeezelab.domains import annulus, ball, disc, ellipsoid, random_interior_points
+from squeezelab.domains import DefiningFunctionDomain, annulus, ball, disc, ellipsoid, random_interior_points
 from squeezelab.errors import ConfigError, DomainError, SolverError
 from squeezelab.squeezing import (
     EmbeddingMap,
@@ -288,6 +289,46 @@ class TestClosedFormPipeline:
         monkeypatch.setattr(BallAutomorphism, "apply", lambda self, z: apply(self, z) + 1e-9)
         with pytest.raises(SolverError, match="psi"):
             theorem21_pipeline(ball(2), [np.array([0.5, 0.0])], C=0.35)
+
+
+# (domain, points): axis points of every weight, complex ones, origin rows, off-axis points on the ball
+BATCH_CASES = [
+    pytest.param(ball(2), [_axis_point(2, 0, 0.5), np.array([0.3j, 0.4]), np.zeros(2), _axis_point(2, 1, -0.2 + 0.7j)],
+                 id="ball"),
+    pytest.param(ellipsoid(), [_axis_point(2, 0, 1.0 - 2.0 ** -i) for i in (1, 5, 20)]
+                 + [_axis_point(2, 1, 0.3 - 0.4j), np.zeros(2)], id="ellipsoid"),
+    pytest.param(DefiningFunctionDomain([2.0, 1.0, 5.0]),
+                 [_axis_point(3, 0, 0.3), _axis_point(3, 0, 0.6), _axis_point(3, 1, 0.9), _axis_point(3, 2, 0.4j),
+                  np.zeros(3)], id="weights-2-1-5"),
+]
+
+
+class TestBatchedPipeline:
+    @pytest.mark.parametrize("dom, points", BATCH_CASES)
+    def test_rows_equal_one_point_calls(self, dom, points):
+        rows = theorem21_pipeline(dom, points, C=0.5)["rows"]
+        assert len(rows) == len(points)
+        for i, (p, row) in enumerate(zip(points, rows), start=1):
+            (one,) = theorem21_pipeline(dom, [p], C=0.5)["rows"]
+            assert repr(row) == repr({**one, "i": i})  # repr tells -0.0 from 0.0
+
+    def test_one_distance_query_and_two_centerings(self, monkeypatch):
+        calls = []
+        distance, centering = squeezing.boundary_distance, BallAutomorphism.centering.__func__
+
+        def distance_spy(dom, z):
+            calls.append(("boundary_distance", len(z)))
+            return distance(dom, z)
+
+        def centering_spy(cls, p):
+            calls.append(("centering", len(p)))
+            return centering(cls, p)
+
+        monkeypatch.setattr(squeezing, "boundary_distance", distance_spy)
+        monkeypatch.setattr(BallAutomorphism, "centering", classmethod(centering_spy))
+        pts = [_axis_point(2, 0, 1.0 - 2.0 ** -i) for i in range(1, 11)]
+        theorem21_pipeline(ellipsoid(), pts, C=0.5)
+        assert calls == [("boundary_distance", 10), ("centering", 10), ("centering", 10)]
 
 
 class TestPipeline:
