@@ -808,7 +808,8 @@ class DefiningFunctionDomain:
             raise DomainError(f"point {z if z.ndim == 1 else z[np.argmin(q > 0.0)]} is not interior")
         a = np.add.reduce(self.w * np.abs(v) ** 2)
         offset = -np.conj(np.add.reduce(self.w * np.conj(z) * v, axis=-1)) / a
-        radius = np.sqrt(q / a + np.abs(offset) ** 2)
+        c = np.abs(offset)
+        radius = np.sqrt(q / a + c * c)  # c * c is c ** 2 with the same bits for one point and for rows
         return (float(radius), complex(offset)) if radius.ndim == 0 else (radius, offset)
 
 

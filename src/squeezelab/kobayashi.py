@@ -80,7 +80,10 @@ def infinitesimal_upper(dom, z, v):
     """
     v = dom.as_point(v)
     radius, offset = dom.slice_disc(z, v)
-    kappa = float(np.linalg.norm(np.atleast_1d(v))) * radius / (radius * radius - np.abs(offset) ** 2)
+    # c * c, not c ** 2: a scalar ** 2 goes to libm's pow, which may round
+    # otherwise than the product an array's ** 2 computes
+    c = np.abs(offset)
+    kappa = float(np.linalg.norm(np.atleast_1d(v))) * radius / (radius * radius - c * c)
     return float(kappa) if np.ndim(kappa) == 0 else kappa
 
 
