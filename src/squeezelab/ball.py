@@ -86,24 +86,21 @@ def psi_apply(r, z) -> np.ndarray:
     ``z`` is one point ``(n,)`` or rows ``(m, n)``; each row maps on its own,
     by the one ``r`` or by its own entry of an array of ``m`` values.
     """
-    r = _check_r(r)
-    z = _check_in_ball(_as_points(z))
+    return _moebius(_check_r(r), _check_in_ball(_as_points(z)))
+
+
+def psi_invert(r, w) -> np.ndarray:
+    """Inverse of :func:`psi_apply`: the same map with -r."""
+    return _moebius(-_check_r(r), _check_in_ball(_as_points(w)))
+
+
+def _moebius(r, z: np.ndarray) -> np.ndarray:
+    """The axis Moebius map of :func:`psi_apply` on checked ``r`` (any sign) and ``z``."""
     denom = 1.0 - z[..., 0] * r
     w = np.empty_like(z)
     w[..., 0] = (z[..., 0] - r) / denom
     w[..., 1:] = np.sqrt(1.0 - r * r)[..., None] * z[..., 1:] / denom[..., None]
     return w
-
-
-def psi_invert(r, w) -> np.ndarray:
-    """Inverse of :func:`psi_apply`; algebraically the same map with -r."""
-    r = _check_r(r)
-    w = _check_in_ball(_as_points(w))
-    denom = 1.0 + w[..., 0] * r
-    z = np.empty_like(w)
-    z[..., 0] = (w[..., 0] + r) / denom
-    z[..., 1:] = np.sqrt(1.0 - r * r)[..., None] * w[..., 1:] / denom[..., None]
-    return z
 
 
 def unitary_align(p) -> np.ndarray:
@@ -136,18 +133,13 @@ def kobayashi_ball(z, w) -> float:
     """Kobayashi distance of the unit ball.
 
     d(0, z) = (1/2) log((1 + ||z||)/(1 - ||z||)); general pairs by moving
-    w to the origin with a unitary followed by an axis Moebius map.
+    w to the origin with ``BallAutomorphism.centering(w)``.
     """
     z = _check_in_ball(as_point(z), "first point")
     w = _check_in_ball(as_point(w), "second point")
     if z.size != w.size:
         raise DomainError("points live in different dimensions")
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        s = np.linalg.norm(z)
-    else:
-        u = unitary_align(w)
-        s = np.linalg.norm(psi_apply(nw, u @ z))
+    s = np.linalg.norm(BallAutomorphism.centering(w).apply(z))
     return float(np.arctanh(min(s, 1.0 - 1e-17)))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domains import _CHUNK, Curve, PlanarDomain, random_interior_points
+from .domains import Curve, PlanarDomain, _blocks, random_interior_points
 from .errors import ConfigError, SolverError
 
 __all__ = ["AnnulusMap", "canonical_annulus_map"]
@@ -75,19 +75,12 @@ class _Basis:
     def size(self) -> int:
         return 2 * (len(_LAURENT) + len(_TAYLOR) + len(self.poles))
 
-    def chunks(self, n: int):
-        """Row slices of at most ``_CHUNK`` matrix elements covering ``n`` rows."""
-        step = max(1, _CHUNK // self.size)
-        return [slice(i, i + step) for i in range(0, n, step)]
-
-    def _raw(self, z, deriv: bool, lone: bool, poles_only: bool):
+    def _raw(self, z, deriv: bool, lone: bool):
         dq = z[..., None] - self.poles
         if deriv:
             poles = -self.strengths / (np.power(dq, 2) if lone else np.square(dq))
         else:
             poles = self.strengths / dq
-        if poles_only:
-            return poles
         dz = z - self.z_h
         laurent = _powers(self.r_h / dz, _LAURENT, lone)
         v = (z - self.z_c) / self.r_c
@@ -99,20 +92,19 @@ class _Basis:
             poles,
         ], axis=-1)
 
-    def __call__(self, z, deriv: bool = False, poles_only: bool = False, lone: bool = False):
+    def __call__(self, z, deriv: bool = False, lone: bool = False):
         """The columns (or their derivatives) at ``z``, along a new last axis.
 
-        ``poles_only`` keeps only the trailing columns, those of the poles;
         ``lone`` takes the powers of a lone point (``_powers``) at every point.
         """
-        g = self._raw(z, deriv, lone, poles_only)
+        g = self._raw(z, deriv, lone)
         out = np.empty(g.shape[:-1] + (2 * g.shape[-1],), dtype=complex)
         if not self.mirrored:
             out[..., 0::2] = g
             out[..., 1::2] = 1j * g
             return out
         # the reflection h(z) = conj(g(-conj(z))) has h'(z) = -conj(g'(-conj(z)))
-        h = np.conj(self._raw(-np.conj(z), deriv, lone, poles_only))
+        h = np.conj(self._raw(-np.conj(z), deriv, lone))
         if deriv:
             h = -h
         out[..., 0::2] = g - h
@@ -120,11 +112,11 @@ class _Basis:
         return out
 
     def fold(self, coef: np.ndarray, z, deriv: bool = False, lone: bool = False):
-        """Sum_j coef_j g_j(z), added left to right over the columns, in row chunks; a lone point takes lone powers."""
+        """Sum_j coef_j g_j(z), added left to right over the columns, in row blocks; a lone point takes lone powers."""
         lone = lone or z.ndim == 0
         flat = z.ravel()
         out = np.empty(len(flat), dtype=complex)
-        for rows in self.chunks(len(flat)):
+        for rows in _blocks(len(flat), self.size):
             out[rows] = np.cumsum(coef * self(flat[rows], deriv, lone=lone), axis=-1)[:, -1]
         return out.reshape(z.shape)
 
@@ -246,26 +238,16 @@ def _midpoints(curve: Curve) -> np.ndarray:
     return curve.point((t + np.append(t[1:], t[0] + 1.0)) / 2)
 
 
-def _matrix(basis: _Basis, pts, last: np.ndarray | None) -> np.ndarray:
-    """The least-squares matrix of ``basis`` at the collocation points ``pts``.
-
-    Its leading columns, the constant (plain basis only), the log term and
-    the Laurent and Taylor tails, do not depend on the poles: they are copied
-    from ``last``, the matrix of another charge count, when one is given.
-    """
+def _matrix(basis: _Basis, pts) -> np.ndarray:
+    """The least-squares matrix at the collocation points ``pts``: the constant (plain basis only), the log term, then ``basis``."""
     off = 0 if basis.mirrored else 1
     A = np.empty((len(pts), off + 1 + basis.size))
-    if last is None:
-        start = off + 1
-        A[:, :off] = 1.0
-        A[:, off] = np.log(np.abs(pts - basis.z_h))
-        if basis.mirrored:
-            A[:, off] = A[:, off] - np.log(np.abs(pts + np.conj(basis.z_h)))
-    else:
-        start = A.shape[1] - 2 * len(basis.poles)
-        A[:, :start] = last[:, :start]
-    for rows in basis.chunks(len(pts)):
-        A[rows, start:] = basis(pts[rows], poles_only=last is not None).real
+    A[:, :off] = 1.0
+    A[:, off] = np.log(np.abs(pts - basis.z_h))
+    if basis.mirrored:
+        A[:, off] = A[:, off] - np.log(np.abs(pts + np.conj(basis.z_h)))
+    for rows in _blocks(len(pts), basis.size):
+        A[rows, off + 1:] = basis(pts[rows]).real
     return A
 
 
@@ -322,11 +304,9 @@ def _build(dom: PlanarDomain, resolution: int) -> AnnulusMap:
         rhs = rhs - 1.0  # u = 1 + (mirrored combination)
     mid_o, mid_i = _midpoints(outer), _midpoints(hole)
 
-    A = None
     for charges in _CHARGES:
         basis = _Basis(z_h, r_h, z_c, r_c, *_outer_charges(dom, zo, charges, mirror), mirror)
-        A = _matrix(basis, pts, A)  # the last count's matrix is dropped before the solve
-        amap = _fit(dom, A, rhs, basis)
+        amap = _fit(dom, _matrix(basis, pts), rhs, basis)
         # boundary correspondence: outer -> |w| = 1, hole -> |w| = modulus
         out_dev = float(np.max(np.abs(np.abs(amap.forward(mid_o)) - 1.0)))
         in_dev = float(np.max(np.abs(np.abs(amap.forward(mid_i)) - amap.modulus)))

@@ -85,17 +85,34 @@ class Curve:
         t = self._params
         nxt = np.roll(t, -1).copy()
         nxt[-1] += 1.0
-        pieces = [t]
-        for j in range(1, factor):
-            pieces.append((t + (nxt - t) * j / factor) % 1.0)
         fine = copy.copy(self)
-        Curve.__init__(fine, np.unique(np.concatenate(pieces)))
+        Curve.__init__(fine, _merged(t, [t + (nxt - t) * j / factor for j in range(1, factor)]))
         return fine
 
 
 # elements per temporary array of the batched planar kernels: the few
 # temporaries of one chunk take about 1 MB together, whatever the batch size
 _CHUNK = 1 << 15
+
+
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``rows`` rows, each block holding about ``_CHUNK`` elements at ``width`` per row, and at least one row."""
+    step = max(1, _CHUNK // width)
+    return [slice(s, s + step) for s in range(0, rows, step)]
+
+
+def _least(values, rows: int, width: int, k: int) -> np.ndarray:
+    """Column indices of the ``k`` least of the ``width`` values in each of ``rows`` rows, least first.
+
+    ``values(block)`` gives the values of a row block (``_blocks``); ties keep the partition's order.
+    """
+    out = np.empty((rows, k), dtype=np.intp)
+    for block in _blocks(rows, width):
+        v = values(block)
+        part = np.argpartition(v, k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(v, part, axis=1), axis=1, kind="stable")
+        out[block] = np.take_along_axis(part, order, axis=1)
+    return out
 
 
 class _EdgeIndex:
@@ -134,22 +151,24 @@ class _EdgeIndex:
     def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         odd = np.empty(len(z), dtype=bool)
         on_sample = np.empty(len(z), dtype=bool)
-        step = max(1, _CHUNK // self.table.shape[1])
-        for s in range(0, len(z), step):
-            x = z.real[s : s + step, None]
-            y = z.imag[s : s + step, None]
+        for block in _blocks(len(z), self.table.shape[1]):
+            x = z.real[block, None]
+            y = z.imag[block, None]
             x0, y0, y1, dxdy = self.edges[:, self.table[np.searchsorted(self.cuts, y[:, 0], "right")]]
             with np.errstate(invalid="ignore", over="ignore"):
                 # offsets from the edge's first sample are exact for nearby
                 # points, so the side of the edge is decided at their scale
                 hit = ((y0 > y) != (y1 > y)) & (x - x0 < (y - y0) * dxdy)
-            odd[s : s + step] = np.logical_xor.reduce(hit, axis=1)
-            on_sample[s : s + step] = ((x0 == x) & (y0 == y)).any(axis=1)
+            odd[block] = np.logical_xor.reduce(hit, axis=1)
+            on_sample[block] = ((x0 == x) & (y0 == y)).any(axis=1)
         return odd, on_sample
 
 
-def _uniform_params(n: int) -> np.ndarray:
-    return np.arange(n) / n
+def _merged(t: np.ndarray, extra_params) -> np.ndarray:
+    """The parameters ``t`` with those of ``extra_params``, read modulo 1, merged in: sorted, each once."""
+    if extra_params is None:
+        return t
+    return np.unique(np.concatenate([t, np.ravel(extra_params) % 1.0]))
 
 
 class ParamCurve(Curve):
@@ -157,10 +176,7 @@ class ParamCurve(Curve):
 
     def __init__(self, func, n: int = 4096, extra_params=None):
         self.func = func
-        t = _uniform_params(n)
-        if extra_params is not None:
-            t = np.unique(np.concatenate([t, np.asarray(extra_params) % 1.0]))
-        super().__init__(t)
+        super().__init__(_merged(np.arange(n) / n, extra_params))
 
     def point(self, t):
         return self.func(np.asarray(t, dtype=float) % 1.0)
@@ -216,10 +232,7 @@ class MappedCurve(Curve):
     def __init__(self, base: Curve, mapping, extra_params=None):
         self.base = base
         self.mapping = mapping
-        t = base.params
-        if extra_params is not None:
-            t = np.unique(np.concatenate([t, np.asarray(extra_params) % 1.0]))
-        super().__init__(t)
+        super().__init__(_merged(base.params, extra_params))
 
     def point(self, t):
         return self.mapping(self.base.point(t))
@@ -254,8 +267,7 @@ def _unit(v):
 
 def _min_gap(p: np.ndarray, q: np.ndarray) -> float:
     """Least distance |p_i - q_j| between two point sets, over row blocks of about ``_CHUNK`` pairs."""
-    step = max(1, _CHUNK // len(q))
-    return min(float(np.min(np.abs(p[s : s + step, None] - q))) for s in range(0, len(p), step))
+    return min(float(np.min(np.abs(p[block, None] - q))) for block in _blocks(len(p), len(q)))
 
 
 class PlanarDomain:
@@ -352,22 +364,19 @@ class PlanarDomain:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where((along > 0.0) & (sq > near), sq / (2.0 * along), np.inf)
 
+        rows = np.arange(len(p))
         r = np.full(len(p), np.inf)
         curves, lanes = self.curves(), []  # each curve's Brent windows (start, width) and their rows
         for curve in curves:
             t, q = curve.params, curve.points()
             k = min(4, len(t))
-            best = np.empty((len(p), k), dtype=np.intp)
-            step = max(1, _CHUNK // len(t))
-            for s in range(0, len(p), step):
-                f = ratio(q, np.arange(s, min(s + step, len(p)))[:, None])
-                best[s : s + step] = np.argpartition(f, k - 1, axis=1)[:, :k]
-                r[s : s + step] = np.minimum(r[s : s + step], f.min(axis=1))
+            best = _least(lambda block: ratio(q, rows[block, None]), len(p), len(t), k)
+            r = np.minimum(r, ratio(q[best[:, 0]], rows))
             lo = t[best - 1].ravel()
             hi = lo + (t[(best + 1).ravel() % len(t)] - lo) % 1.0
-            lanes.append((lo, hi, np.repeat(np.arange(len(p)), k)))
-        fx, _, rows = _refine(curves, lanes, ratio, xatol=1e-12)
-        np.minimum.at(r, rows, fx)
+            lanes.append((lo, hi, np.repeat(rows, k)))
+        fx, _, owner = _refine(curves, lanes, ratio, xatol=1e-12)
+        np.minimum.at(r, owner, fx)
         if not np.all(self.contains(p + r * n)):
             raise DomainError("no interior tangent ball found at the given boundary point")
         return float(r[0]) if not shape else r.reshape(shape)
@@ -384,9 +393,8 @@ class PlanarDomain:
         for curve in self.curves():
             t, q = curve.params, curve.points()
             k = np.empty(len(p), dtype=np.intp)
-            step = max(1, _CHUNK // len(t))
-            for s in range(0, len(p), step):
-                k[s : s + step] = np.argmin(np.abs(q - p[s : s + step, None]), axis=1)
+            for block in _blocks(len(p), len(t)):  # argmin, not ``_least``: a tie takes the first sample
+                k[block] = np.argmin(np.abs(q - p[block, None]), axis=1)
             h = 0.125 / len(t)
             chord = curve.point(t[k] + h) - curve.point(t[k] - h)
             at = t[k] + 2.0 * h * (np.conj(chord) * (p - q[k])).real / (chord.real**2 + chord.imag**2)
@@ -527,24 +535,17 @@ def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, n
 
 
 def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameter windows about the four samples of ``curve`` nearest each point of ``z``, nearest first.
+    """Parameter windows about the four samples of ``curve`` nearest each point of ``z`` (``_least``), nearest first.
 
     A window runs between the sample's two neighbours; one that wraps past
     t = 0 splits into two lanes, (lo, 1 + hi) and (lo - 1, hi).  Returns
     arrays ``lo`` and ``hi`` with one row per point and two lanes per
     sample, and the mask of the lanes in use (an unwrapped window leaves
-    its second lane unused).  The four come from a partition of each row,
-    ordered by a stable sort of their distances.
+    its second lane unused).
     """
     t, pts = curve.params, curve.points()
     n, k = len(t), min(4, len(t))
-    closest = np.empty((len(z), k), dtype=np.intp)
-    step = max(1, _CHUNK // n)
-    for s in range(0, len(z), step):
-        dist = np.abs(pts - z[s : s + step, None])
-        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1, kind="stable")
-        closest[s : s + step] = np.take_along_axis(part, order, axis=1)
+    closest = _least(lambda block: np.abs(pts - z[block, None]), len(z), n, k)
     lo, hi = t[(closest - 1) % n], t[(closest + 1) % n]
     wrap = hi < lo
     lanes = np.stack([np.ones_like(wrap), wrap], axis=-1).reshape(len(z), 2 * k)
@@ -813,22 +814,23 @@ class DefiningFunctionDomain:
         return (float(radius), complex(offset)) if radius.ndim == 0 else (radius, offset)
 
 
-def _dimension(dim) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ConfigError(f"dimension must be a positive integer, not {dim!r}")
-    return int(dim)
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int; ``ConfigError`` unless it is an integer of at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{what} must be an integer of at least {least}, not {value!r}")
+    return int(value)
 
 
 def ball(dim: int = 2) -> DefiningFunctionDomain:
     """Unit ball of C^dim."""
-    return DefiningFunctionDomain(np.ones(_dimension(dim)), name="ball")
+    return DefiningFunctionDomain(np.ones(_integer(dim, "dimension", 1)), name="ball")
 
 
 def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDomain:
     """Ellipsoid {|z1|^2 + |z2|^2/b^2 + ... < 1}, contained in the ball for b < 1."""
     if not (np.isfinite(b) and b > 0):
         raise ConfigError(f"ellipsoid semi-axis b must be positive and finite, not {b!r}")
-    w = np.ones(_dimension(dim))
+    w = np.ones(_integer(dim, "dimension", 1))
     with np.errstate(over="ignore", divide="ignore"):  # a weight out of range is rejected below
         w[1:] = 1.0 / np.float64(b) ** 2
     return DefiningFunctionDomain(w, name="ellipsoid")
@@ -875,6 +877,11 @@ class OmegaPrimeParams:
             raise ConfigError("hole touches the imaginary axis")
 
 
+def _cusp_steps(flat_half: float) -> np.ndarray:
+    """Parameter steps 2^-(1..51) / (4 flat_half) about the lens's origin, t = 0.75, that resolve the z log z cusp."""
+    return 2.0 ** (-np.arange(1, 52, dtype=float)) / (4.0 * flat_half)
+
+
 def _lens_profile(y, flat_half: float, width: float):
     """Width of the domain at height y; C-infinity, vanishing at +-flat_half."""
     y = np.asarray(y, dtype=float)
@@ -906,9 +913,7 @@ def build_omega_prime(params: OmegaPrimeParams | None = None) -> PlanarDomain:
         out[~arc] = 1j * y
         return out
 
-    # cluster parameters geometrically toward the origin (t = 0.75) so the
-    # z log z image is resolved at the cusp scale
-    dt = 2.0 ** (-np.arange(1, 52, dtype=float)) / (4.0 * Y)
+    dt = _cusp_steps(Y)
     extra = np.concatenate([0.75 + dt, 0.75 - dt, 0.25 + dt / 2, 0.25 - dt / 2])
     outer_curve = ParamCurve(outer, n=p.samples, extra_params=extra)
     hole = CircleCurve(p.hole_center, p.hole_radius, orientation=-1, n=max(1024, p.samples // 4))
@@ -951,9 +956,7 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
     if omega_prime.connectivity != 2:
         raise ConfigError("expected a doubly connected half-plane domain")
     p = getattr(omega_prime, "params", OmegaPrimeParams())
-    # the preimage of the cusp-like image point is the origin, t = 0.75 of
-    # the outer parameterisation: cluster parameters geometrically toward it
-    dt = 2.0 ** (-np.arange(1, 52, dtype=float)) / (4.0 * p.flat_half)
+    dt = _cusp_steps(p.flat_half)  # the image's cusp is the image of the lens's origin
     extra = np.concatenate([0.75 + dt, 0.75 - dt])
     outer = MappedCurve(omega_prime.outer, phi_map, extra_params=extra)
     holes = [MappedCurve(h, phi_map) for h in omega_prime.holes]
@@ -1012,6 +1015,7 @@ def random_interior_points(dom, count: int, seed: int = 0) -> np.ndarray:
     are kept, so the points are those a one-candidate-at-a-time loop would
     return.
     """
+    count = _integer(count, "point count", 0)
     rng = np.random.default_rng(seed)
     points, drawn = dom._interior_candidates(rng, count), count
     while len(points) < count:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import kobayashi_ball
-from .domains import _unit, random_interior_points
+from .domains import _integer, _unit, random_interior_points
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -49,8 +49,7 @@ class PathSpec:
     refinement: int = 64
 
     def __post_init__(self):
-        if self.refinement < 2:
-            raise ConfigError("refinement must be at least 2")
+        _integer(self.refinement, "refinement", 2)
 
 
 @dataclass(frozen=True)

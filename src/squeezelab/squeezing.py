@@ -17,7 +17,7 @@ import numpy as np
 
 from .ball import BallAutomorphism, _psi_norms_batch, _row_norms, sphere_samples
 from .conformal import canonical_annulus_map
-from .domains import DefiningFunctionDomain, PlanarDomain, _bounded_brent, boundary_distance
+from .domains import DefiningFunctionDomain, PlanarDomain, _bounded_brent, _integer, boundary_distance
 from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
@@ -72,22 +72,25 @@ class SqueezeBound:
 
 
 def certify_injective(forward, sample_points, pairs: int = 10_000, seed: int = 0) -> dict:
-    """Empirical pairwise-separation certificate for an embedding.
+    """Empirical pairwise-separation certificate for a planar embedding.
 
-    ``forward`` is called once, on the whole sample array.
+    ``forward`` is called once, on the whole 1-d array of complex samples,
+    and the drawn index pairs with two distinct indices are compared.
     """
     pts = np.asarray(sample_points)
+    if pts.ndim != 1 or not len(pts):
+        raise ConfigError(f"injectivity samples must be a non-empty 1-d array of points, not shape {pts.shape}")
+    pairs = _integer(pairs, "pairs", 1)
     rng = np.random.default_rng(seed)
-    n = len(pts)
-    i = rng.integers(0, n, pairs)
-    j = rng.integers(0, n, pairs)
+    i = rng.integers(0, len(pts), pairs)
+    j = rng.integers(0, len(pts), pairs)
     keep = i != j
     i, j = i[keep], j[keep]
+    if not len(i):
+        raise ConfigError(f"no pair of distinct samples among the {pairs} drawn from {len(pts)} points")
     fi = np.asarray(forward(pts))
-    sep_dom = np.abs(pts[i] - pts[j]) if pts.ndim == 1 else np.linalg.norm(pts[i] - pts[j], axis=-1)
-    sep_img = (
-        np.abs(fi[i] - fi[j]) if fi.ndim == 1 else np.linalg.norm(fi[i] - fi[j], axis=-1)
-    )
+    sep_dom = np.abs(pts[i] - pts[j])
+    sep_img = np.abs(fi[i] - fi[j])
     margin = float(np.min(sep_img))
     worst = int(np.argmin(sep_img))
     return {

@@ -4,6 +4,8 @@ Oracles: the one-dimensional Moebius/Poincare closed forms, evaluated
 independently of the implementation under test.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,24 @@ class TestStackedAutomorphism:
             psi_apply(r, z)
         with pytest.raises(DomainError, match="outside"):
             psi_invert(r, z)
+
+
+class TestFrozenBits:
+    def test_distance_and_inverse_keep_their_bits(self):
+        # zero points on either side, n = 1..4, points within 1e-9 of the sphere, one r and stacked r
+        rng = np.random.default_rng(18)
+        parts = []
+        for n in (1, 2, 3, 4):
+            pts = np.array([random_ball_point(rng, n, rmax) for rmax in [0.999] * 36 + [1 - 1e-9] * 4])
+            pts[::8] = 0.0
+            parts += [kobayashi_ball(z, w) for z, w in zip(pts, pts[::-1])]
+            parts += [kobayashi_ball(pts[1], pts[1])]
+            r = rng.uniform(0.0, 0.999, len(pts))
+            r[::5] = 0.0
+            parts += [psi_invert(r[1], pts), psi_invert(r, pts)]
+            parts += [psi_invert(ri, p) for ri, p in zip(r, pts)]
+        digest = hashlib.sha256(b"".join(np.asarray(p).tobytes() for p in parts)).hexdigest()
+        assert digest == "218e0f2c2213f8a3b5b79181e7e0a2106a6013a5f117148efb8664c36a9d3cdb"
 
 
 class TestSphereSamples:

@@ -161,15 +161,6 @@ class TestChargeDoubling:
         assert amap.modulus == 0.3484283085594218
         assert amap.boundary_deviation == 4.807575502363548e-06
 
-    @pytest.mark.parametrize("which", ["lens", "round"])
-    def test_pole_columns_are_the_trailing_columns(self, which, request, omega_prime, round_annulus):
-        amap = request.getfixturevalue("lens_map" if which == "lens" else "round_annulus_map")
-        dom = omega_prime if which == "lens" else round_annulus
-        z = random_interior_points(dom, 200, seed=3)
-        basis, poles = amap._basis, 2 * len(amap._basis.poles)
-        for deriv in (False, True):
-            assert np.array_equal(basis(z, deriv)[:, -poles:], basis(z, deriv, poles_only=True))
-
     def test_deviation_measured_between_nodes(self, lens_map, round_annulus_map):
         assert 0 < lens_map.boundary_deviation < 1e-7
         assert 0 < round_annulus_map.boundary_deviation < 1e-12

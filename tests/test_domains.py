@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import squeezelab
-from squeezelab import domains
+from squeezelab import conformal, domains
 from squeezelab.domains import (
     CircleCurve,
     DefiningFunctionDomain,
@@ -315,6 +315,12 @@ class TestUtilities:
         assert all(omega_prime.contains(p) for p in pts)
         np.testing.assert_array_equal(pts, random_interior_points(omega_prime, 100, seed=4))
 
+    @pytest.mark.parametrize("count", [-1, 2.5, "3"])
+    def test_random_interior_points_rejects_a_bad_count(self, count):
+        with pytest.raises(ConfigError, match="point count"):
+            random_interior_points(disc(), count)
+        assert random_interior_points(disc(), 0).shape == (0,)
+
     def test_presets(self):
         assert preset("disc").connectivity == 1
         assert annulus(0.3).connectivity == 2
@@ -459,6 +465,28 @@ class TestCrossingKernel:
     def test_hole_outside_outer_rejected(self):
         with pytest.raises(ConfigError):
             PlanarDomain(CircleCurve(0.0, 1.0), [CircleCurve(3.0, 0.5, orientation=-1)])
+
+
+class TestRowBlockSeams:
+    """Row blocks far smaller than the default give the batched planar kernels and the map fit the default's bits."""
+
+    @pytest.mark.parametrize("chunk", [1, 10_007])
+    def test_small_blocks_keep_the_bits(self, chunk, omega_prime, lens_map, monkeypatch):
+        z = random_interior_points(omega_prime, 300, seed=9)
+        probe = np.concatenate([z, z + 0.1])  # the shifted half is partly outside
+
+        def results():
+            near = boundary_distance(omega_prime, z)
+            foot, normal = omega_prime._frames(near.nearest)
+            return [omega_prime.contains(probe), near.d, near.nearest, foot, normal,
+                    omega_prime.tangent_ball_radius(foot, normal), *lens_map.forward_gap(z)]
+
+        default = results()
+        assert default[0].any() and not default[0].all()
+        monkeypatch.setattr(domains, "_CHUNK", chunk)
+        for got, want in zip(results(), default):
+            assert got.tobytes() == want.tobytes()
+        assert conformal._build(omega_prime, 1)._coef.tobytes() == lens_map._coef.tobytes()  # the fit's matrix
 
 
 def _digest(arr) -> str:

@@ -138,6 +138,11 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "757f45d319a4ba2c45403c87b3052129c5ab8f4153373664dc76d1dd51ffe46f")
 
+    def test_lemma24_25_report_bytes_frozen(self):
+        text = emit(run_lemma24_25(ExperimentConfig("lemma24_25", scales=20, seed=7)), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9d65d6e7d59ea3df024f43f0b16720b6cc69786c9943e7fe1ccfcd7e171b2aa9")
+
     def test_pipeline_seed_enters_only_the_provenance(self):
         a, b = (run_pipeline(ExperimentConfig("pipeline", scales=3, seed=s)) for s in (1, 2))
         assert a.tables == b.tables and a.verdicts == b.verdicts

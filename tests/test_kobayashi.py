@@ -276,6 +276,11 @@ class TestDistanceUpper:
         with pytest.raises(ConfigError):
             PathSpec(refinement=1)
 
+    @pytest.mark.parametrize("refinement", [2.5, 8.0, "8"])
+    def test_refinement_must_be_an_integer(self, refinement):
+        with pytest.raises(ConfigError, match="refinement"):
+            PathSpec(refinement=refinement)
+
 
 class TestTangentBall:
     def test_disc_full_radius(self):

@@ -200,6 +200,18 @@ class TestInjectivityCertificate:
         cert = certify_injective(lambda z: z * z, pts, pairs=500, seed=0)
         assert not cert["injective"]
 
+    @pytest.mark.parametrize("pts", [np.zeros((4, 2), dtype=complex), np.zeros(0, dtype=complex)], ids=["rows", "empty"])
+    def test_rejects_samples_that_are_not_a_planar_array(self, pts):
+        with pytest.raises(ConfigError, match="1-d array"):
+            certify_injective(lambda z: z, pts)
+
+    @pytest.mark.parametrize("pts, pairs", [(np.array([0.5j]), 100), (np.array([0.5j, 0.3]), 0),
+                                            (np.array([0.5j, 0.3]), -1), (np.array([0.5j, 0.3]), 2.5)],
+                             ids=["one-point", "no-pairs", "negative-pairs", "fractional-pairs"])
+    def test_rejects_draws_without_a_distinct_pair(self, pts, pairs):
+        with pytest.raises(ConfigError, match="pair"):
+            certify_injective(lambda z: z, pts, pairs=pairs)
+
 
 def _on_boundary(w, count, seed):
     """Points exactly on the boundary sum w |z|^2 = 1: Gaussian directions scaled onto it."""
