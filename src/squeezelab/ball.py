@@ -226,16 +226,7 @@ def sphere_samples(n: int, count: int, radius: float, seed: int) -> np.ndarray:
     return radius * (v[:, :n] + 1j * v[:, n:])
 
 
-def _psi_norms_batch(r: float, zs: np.ndarray) -> np.ndarray:
-    """Vectorised ||psi_r(z)|| for an array of points (rows)."""
-    denom = np.abs(1.0 - zs[:, 0] * r) ** 2
-    num = np.abs(zs[:, 0] - r) ** 2 + (1.0 - r * r) * np.sum(
-        np.abs(zs[:, 1:]) ** 2, axis=1
-    )
-    return np.sqrt(num / denom)
-
-
-def lemma25_bound(C: float, eps: float, d: float, r: float | None = None) -> dict:
+def lemma25_bound(C: float, eps: float, d: float, r: float) -> dict:
     """Inscribed-radius margin of the recentring automorphism, in closed form.
 
     On the sphere ||z|| = rho = 1 - 2 eps d, ||psi_r(z)||^2 =
@@ -257,8 +248,6 @@ def lemma25_bound(C: float, eps: float, d: float, r: float | None = None) -> dic
     if d <= 0 or 1.0 - 2.0 * eps * d <= 0:
         raise ConfigError("d must satisfy 0 < d and 2*eps*d < 1")
     r_max = 1.0 - d / c
-    if r is None:
-        r = max(r_max, 0.0)
     if r < 0 or r >= 1:
         raise ConfigError(f"r={r} outside [0, 1)")
     if r > r_max + 1e-14:

@@ -25,7 +25,6 @@ __all__ = [
     "PlanarDomain",
     "DefiningFunctionDomain",
     "DomainPoint",
-    "OmegaPrimeParams",
     "boundary_distance",
     "build_omega_prime",
     "build_omega",
@@ -840,91 +839,65 @@ def ellipsoid(b: float = 1.0 / np.sqrt(2.0), dim: int = 2) -> DefiningFunctionDo
 # the half-plane annulus and its z log z image
 
 
-@dataclass(frozen=True)
-class OmegaPrimeParams:
-    """Shape parameters of the smooth half-plane ring domain.
+# The lens's shape: the flat half-length of its axis segment, the width of
+# its bump, its hole, and the sample counts of the outer curve and the hole.
+_LENS_FLAT_HALF = 0.9
+_LENS_WIDTH = 0.22
+_LENS_HOLE_CENTER = 0.09 + 0.35j
+_LENS_HOLE_RADIUS = 0.04
+_LENS_SAMPLES = 4096
+_LENS_HOLE_SAMPLES = 1024
+
+# Parameter steps 2^-(1..51) / (4 flat_half) about the lens's origin, t = 0.75, that resolve the z log z cusp
+_CUSP_STEPS = 2.0 ** (-np.arange(1, 52, dtype=float)) / (4.0 * _LENS_FLAT_HALF)
+
+
+def _lens_profile(y):
+    """Width of the domain at height y; C-infinity, vanishing at +-flat_half."""
+    y = np.asarray(y, dtype=float)
+    y2 = _LENS_FLAT_HALF**2
+    out = np.zeros_like(y)
+    inside = np.abs(y) < _LENS_FLAT_HALF
+    out[inside] = _LENS_WIDTH * np.exp(-y[inside] ** 2 / (y2 - y[inside] ** 2))
+    return out
+
+
+def build_omega_prime() -> PlanarDomain:
+    """Smooth doubly connected domain in the right half plane.
 
     The outer boundary is the exact segment {iy : |y| <= flat_half} of the
     imaginary axis closed up by the graph x = width * exp(-y^2/(Y^2-y^2)),
     a C-infinity bump meeting the segment at +-i*flat_half with
-    infinite-order tangency.  One small circular hole sits off the real
-    axis so the real approach sequence of the image experiment stays clear
-    of it.
+    infinite-order tangency; the rest of the outer curve lies in the open
+    right half plane.  One small circular hole makes it a topological
+    annulus, and it sits off the real axis so the real approach sequence
+    of the image experiment stays clear of it.
 
     The domain is deliberately thin: z log z folds the right half plane
     (its critical point is 1/e, and e.g. 0.25 and 0.5, or i and -i, have
     identical images), and a wide domain necessarily contains fold
-    partners of its own near-axis points.  A narrow profile with widths
-    shrinking toward +-i*flat_half keeps the restriction injective, which
-    the image construction certifies empirically.
+    partners of its own near-axis points.  A narrow profile, width 0.22
+    < 1/e, with widths shrinking toward +-i*flat_half keeps the
+    restriction injective, which the image construction certifies
+    empirically.
     """
-
-    flat_half: float = 0.9
-    width: float = 0.22
-    hole_center: complex = 0.09 + 0.35j
-    hole_radius: float = 0.04
-    samples: int = 4096
-
-    def validate(self):
-        if self.hole_radius <= 0:
-            raise ConfigError("hole radius must be positive (connectivity violation)")
-        if not 0 < self.width < 1.0 / np.e:
-            raise ConfigError("width must lie in (0, 1/e) to keep the real fold outside")
-        if self.flat_half <= 0 or self.flat_half >= 1:
-            raise ConfigError("flat_half must lie in (0, 1)")
-        hc = complex(self.hole_center)
-        if hc.real - self.hole_radius <= 0:
-            raise ConfigError("hole touches the imaginary axis")
-
-
-def _cusp_steps(flat_half: float) -> np.ndarray:
-    """Parameter steps 2^-(1..51) / (4 flat_half) about the lens's origin, t = 0.75, that resolve the z log z cusp."""
-    return 2.0 ** (-np.arange(1, 52, dtype=float)) / (4.0 * flat_half)
-
-
-def _lens_profile(y, flat_half: float, width: float):
-    """Width of the domain at height y; C-infinity, vanishing at +-flat_half."""
-    y = np.asarray(y, dtype=float)
-    y2 = flat_half**2
-    out = np.zeros_like(y)
-    inside = np.abs(y) < flat_half
-    out[inside] = width * np.exp(-y[inside] ** 2 / (y2 - y[inside] ** 2))
-    return out
-
-
-def build_omega_prime(params: OmegaPrimeParams | None = None) -> PlanarDomain:
-    """Smooth doubly connected domain in the right half plane.
-
-    Its boundary contains the exact segment {iy : |y| <= flat_half} of the
-    imaginary axis; the rest of the outer curve lies in the open right half
-    plane, and one circular hole makes it a topological annulus.
-    """
-    p = params or OmegaPrimeParams()
-    p.validate()
-    Y, W = p.flat_half, p.width
+    Y = _LENS_FLAT_HALF
 
     def outer(t):
         t = np.asarray(t, dtype=float) % 1.0
         out = np.empty(t.shape, dtype=complex)
         arc = t < 0.5  # right-side graph, bottom to top (ccw)
         y = 4.0 * Y * t[arc] - Y
-        out[arc] = _lens_profile(y, Y, W) + 1j * y
+        out[arc] = _lens_profile(y) + 1j * y
         y = 3.0 * Y - 4.0 * Y * t[~arc]  # axis segment, top to bottom
         out[~arc] = 1j * y
         return out
 
-    dt = _cusp_steps(Y)
+    dt = _CUSP_STEPS
     extra = np.concatenate([0.75 + dt, 0.75 - dt, 0.25 + dt / 2, 0.25 - dt / 2])
-    outer_curve = ParamCurve(outer, n=p.samples, extra_params=extra)
-    hole = CircleCurve(p.hole_center, p.hole_radius, orientation=-1, n=max(1024, p.samples // 4))
-
-    if _min_gap(hole.points(), outer_curve.points()[::4]) < 1e-6:
-        raise ConfigError("hole touches the outer boundary")
-    dom = PlanarDomain(outer_curve, [hole], name="omega_prime")
-    dom.params = p
-    if np.min(outer_curve.points().real) < -1e-12:
-        raise ConfigError("outer curve crossed into the left half plane")
-    return dom
+    outer_curve = ParamCurve(outer, n=_LENS_SAMPLES, extra_params=extra)
+    hole = CircleCurve(_LENS_HOLE_CENTER, _LENS_HOLE_RADIUS, orientation=-1, n=_LENS_HOLE_SAMPLES)
+    return PlanarDomain(outer_curve, [hole], name="omega_prime")
 
 
 def phi_map(z):
@@ -955,9 +928,8 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
     """Image domain under z log z, boundary refined near the origin image."""
     if omega_prime.connectivity != 2:
         raise ConfigError("expected a doubly connected half-plane domain")
-    p = getattr(omega_prime, "params", OmegaPrimeParams())
-    dt = _cusp_steps(p.flat_half)  # the image's cusp is the image of the lens's origin
-    extra = np.concatenate([0.75 + dt, 0.75 - dt])
+    # the image's cusp is the image of the lens's origin
+    extra = np.concatenate([0.75 + _CUSP_STEPS, 0.75 - _CUSP_STEPS])
     outer = MappedCurve(omega_prime.outer, phi_map, extra_params=extra)
     holes = [MappedCurve(h, phi_map) for h in omega_prime.holes]
     return PlanarDomain(outer, holes, name="omega_zlogz")
@@ -979,20 +951,20 @@ def annulus(modulus: float, center: complex = 0.0, scale: float = 1.0, n: int = 
     return PlanarDomain(outer, [inner], name=f"annulus_{modulus}")
 
 
-def preset(name: str, **kw):
+def preset(name: str):
     """Named sample domains used across the experiments."""
     if name == "disc":
-        return disc(**kw)
+        return disc()
     if name == "ball":
-        return ball(**kw)
+        return ball()
     if name == "ellipsoid":
-        return ellipsoid(**kw)
+        return ellipsoid()
     if name == "omega_prime":
-        return build_omega_prime(kw.get("params"))
+        return build_omega_prime()
     if name == "omega_zlogz":
-        return build_omega(build_omega_prime(kw.get("params")))
+        return build_omega(build_omega_prime())
     if name.startswith("annulus_"):
-        return annulus(float(name.split("_", 1)[1]), **kw)
+        return annulus(float(name.split("_", 1)[1]))
     raise ConfigError(f"unknown preset {name!r}")
 
 

@@ -20,6 +20,7 @@ from . import __version__
 from .ball import lemma25_bound
 from .conformal import canonical_annulus_map
 from .domains import (
+    _LENS_WIDTH,
     boundary_distance,
     build_omega,
     build_omega_prime,
@@ -101,8 +102,7 @@ def _lemma22_job(name: str):
     if name == "disc":
         return disc(), 0.0, 1.0, -1.0
     if name == "omega_prime":
-        op = _lens_and_image()[0]
-        return op, 0.05, complex(op.params.width), -1.0
+        return _lens_and_image()[0], 0.05, complex(_LENS_WIDTH), -1.0
     dom = ball(2) if name == "ball" else ellipsoid()
     return (dom, np.zeros(2, dtype=complex), np.array([1.0, 0.0], dtype=complex),
             np.array([-1.0, 0.0], dtype=complex))

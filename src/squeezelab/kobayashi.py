@@ -174,11 +174,11 @@ def tangent_ball_radius(dom, boundary_pt, inward) -> float:
 # the log(1/d) + C verifier
 
 
-def lemma_log_bound_verify(dom, base, boundary_target, num_scales: int = 20, inward=None) -> dict:
+def lemma_log_bound_verify(dom, base, boundary_target, inward, num_scales: int = 20) -> dict:
     """Check d_K(base, p) <= (1/2) log(1/d(p)) + C along a normal approach.
 
-    Points p_k sit at depths d_k = delta0 * 2^(-k) along the inward normal
-    of boundary_target, with delta0 = 0.8 times the tangent-ball radius.
+    Points p_k sit at depths d_k = delta0 * 2^(-k) along ``inward``, the
+    inward normal at boundary_target (normalised here), with delta0 = 0.8 times the tangent-ball radius.
     The base-to-anchor bound is computed once by quadrature; each deeper
     point only adds the closed-form tangent-ball term, so u_k = bound_k -
     (1/2) log(1/d_k) is exact up to the fixed quadrature error.
@@ -189,7 +189,7 @@ def lemma_log_bound_verify(dom, base, boundary_target, num_scales: int = 20, inw
         raise ConfigError("need at least 3 scales")
     base = dom.as_point(base)
     target = dom.as_point(boundary_target)
-    inward = dom.inward_normal(target) if inward is None else _unit(dom.as_point(inward))
+    inward = _unit(dom.as_point(inward))
     r0 = tangent_ball_radius(dom, target, inward)
     delta0 = 0.8 * r0
     anchor = target - delta0 * (-inward)  # = target + delta0*inward, kept explicit

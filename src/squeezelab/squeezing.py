@@ -5,8 +5,6 @@ unit ball: inclusions composed with ball automorphisms for annuli,
 canonical-annulus transport for planar ring domains, and the recentring
 pipeline (centering automorphism -> axis Moebius map), a closed form whose
 inscribed-radius margins mirror the confinement estimates it is built on.
-``squeeze_lower_from_embedding`` alone is a minimum over boundary samples,
-and its witness says so.
 """
 
 from __future__ import annotations
@@ -15,16 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import BallAutomorphism, _psi_norms_batch, _row_norms, sphere_samples
+from .ball import BallAutomorphism, _row_norms, sphere_samples
 from .conformal import canonical_annulus_map
-from .domains import DefiningFunctionDomain, PlanarDomain, _bounded_brent, _integer, boundary_distance
+from .domains import DefiningFunctionDomain, PlanarDomain, _integer, boundary_distance
 from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
     "EmbeddingMap",
     "SqueezeBound",
     "certify_injective",
-    "squeeze_lower_from_embedding",
     "annulus_squeeze_lower",
     "squeeze_lower_planar",
     "theorem21_pipeline",
@@ -40,7 +37,9 @@ class EmbeddingMap:
     ``forward`` is batch-first: it maps an ``(m, n)`` array of rows (one
     point per row) to their images in one call, and a point ``(n,)`` to its
     image.  ``boundary_sets`` are samples of the domain boundary (one array per
-    boundary component).
+    boundary component).  No report uses it; it and its two builders,
+    ``ball_centering_embeddings`` and ``ellipsoid_boundary_samples``, remain
+    only because the benchmark tracer looks the builders up by name.
     """
 
     forward: object
@@ -54,10 +53,8 @@ class EmbeddingMap:
 class SqueezeBound:
     """Lower bound for the squeezing function at a point, and the witness that gives it.
 
-    A witness with ``"evidence": "sampled"`` marks a minimum over boundary
-    samples, which can sit above the true value: no certified bound.  The
-    other witnesses are the symbolic value 1 of a simply connected planar
-    domain or closed forms on the round annulus, transported through the
+    Each witness is the symbolic value 1 of a simply connected planar domain
+    or a closed form on the round annulus, transported through the
     canonical annulus map on ring domains.
     """
 
@@ -102,67 +99,11 @@ def certify_injective(forward, sample_points, pairs: int = 10_000, seed: int = 0
     }
 
 
-def _inscribed_after(aut: BallAutomorphism, emb: EmbeddingMap) -> float:
-    """Min norm of the sampled boundary image after recentring."""
-    lows = []
-    for pts in emb.boundary_sets:
-        imgs = emb.forward(pts)
-        rotated = imgs @ aut.align.T
-        norms = _psi_norms_batch(aut.r, rotated)
-        if np.any(norms >= 1.0 + 1e-12):
-            raise DomainError("boundary image escapes the closed ball")
-        lows.append(float(np.min(norms)))
-    return min(lows)
-
-
-def squeeze_lower_from_embedding(dom, z, emb: EmbeddingMap) -> SqueezeBound:
-    """Inscribed-radius bound after normalizing the embedding to send z to 0.
-
-    Post-composes with the ball automorphism centering f(z) and returns the
-    least norm of the normalized boundary samples.  That is a sampled
-    minimum with no resolution margin, so it can exceed the true inscribed
-    radius and is no certified lower bound; its witness says
-    ``"evidence": "sampled"``.
-    """
-    w0 = np.atleast_1d(np.asarray(emb.forward(z), dtype=complex))
-    if np.linalg.norm(w0) >= 1.0:
-        raise DomainError(f"embedding sends z outside the ball: ||f(z)|| = {np.linalg.norm(w0)}")
-    aut = BallAutomorphism.centering(w0)
-    lower = _inscribed_after(aut, emb)
-    if lower <= 0.0:
-        raise DomainError("degenerate boundary image: no positive inscribed radius")
-    return SqueezeBound(
-        at=z,
-        lower=lower,
-        one_minus_lower=1.0 - lower,
-        witness={"kind": "embedding", "name": emb.name, "center_r": float(aut.r), **emb.params,
-                 "evidence": "sampled"},
-    )
-
-
 # ---------------------------------------------------------------------------
 # annuli
 
 
-def _mobius_abs(a: complex, w: np.ndarray) -> np.ndarray:
-    return np.abs((w - a) / (1.0 - np.conj(a) * w))
-
-
-def _min_on_circle(a: complex, radius: float) -> float:
-    """Exact minimum of |mobius_a| over the circle |w| = radius."""
-
-    def f(theta):
-        return _mobius_abs(a, radius * np.exp(1j * theta))
-
-    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    vals = f(theta)
-    k = int(np.argmin(vals))
-    lo, hi = theta[k] - 2.0 * np.pi / 4096, theta[k] + 2.0 * np.pi / 4096
-    fun = _bounded_brent(lambda theta, _: f(theta), np.array([lo]), np.array([hi]), xatol=1e-14, maxiter=500)[1][0]
-    return float(min(fun, vals[k]))
-
-
-def annulus_squeeze_lower(modulus: float, z: complex, cross_check: bool = False) -> SqueezeBound:
+def annulus_squeeze_lower(modulus: float, z: complex) -> SqueezeBound:
     """Best bound over the inclusion family of the round annulus.
 
     Candidate witnesses: the inclusion {modulus < |w| < 1} into the disc
@@ -178,11 +119,8 @@ def annulus_squeeze_lower(modulus: float, z: complex, cross_check: bool = False)
 
     t = abs(z)
     lower, one_minus, kind = _best_inclusion(m, t, 1.0 - t)
-    witness = {"kind": kind, "modulus": m, "z": str(z)}
-    if cross_check:
-        a = z if kind == "inclusion" else m / z
-        witness["sampled_min"] = _min_on_circle(a, m)
-    return SqueezeBound(at=z, lower=float(lower), one_minus_lower=float(one_minus), witness=witness)
+    return SqueezeBound(at=z, lower=float(lower), one_minus_lower=float(one_minus),
+                        witness={"kind": kind, "modulus": m, "z": str(z)})
 
 
 def _best_inclusion(rho: float, t: float, gap: float) -> tuple[float, float, str]:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from squeezelab.ball import (
     BallAutomorphism,
-    _psi_norms_batch,
     kobayashi_ball,
     lemma25_bound,
     norm_psi_identity,
@@ -283,6 +282,15 @@ class TestSphereSamples:
         np.testing.assert_array_equal(s, sphere_samples(2, 500, 0.75, seed=3))
 
 
+def _psi_norms_batch(r: float, zs: np.ndarray) -> np.ndarray:
+    """Vectorised ||psi_r(z)|| for an array of points (rows)."""
+    denom = np.abs(1.0 - zs[:, 0] * r) ** 2
+    num = np.abs(zs[:, 0] - r) ** 2 + (1.0 - r * r) * np.sum(
+        np.abs(zs[:, 1:]) ** 2, axis=1
+    )
+    return np.sqrt(num / denom)
+
+
 class TestInscribedRadiusBound:
     def test_margin_nonnegative_for_admissible_range(self):
         rep = lemma25_bound(1.0, 1.0 / 18.0, 1e-2, r=0.99)
@@ -305,7 +313,7 @@ class TestInscribedRadiusBound:
 
     def test_rejects_oversized_eps(self):
         with pytest.raises(ConfigError):
-            lemma25_bound(1.0, 0.1, 1e-2)
+            lemma25_bound(1.0, 0.1, 1e-2, r=0.9)
 
     def test_rejects_r_beyond_admissible_radius(self):
         # 1 - d/C is the largest r the inequality chain supports
@@ -314,4 +322,4 @@ class TestInscribedRadiusBound:
 
     def test_constant_validation(self):
         with pytest.raises(ConfigError):
-            lemma25_bound(0.0, 1.0 / 18.0, 1e-2)
+            lemma25_bound(0.0, 1.0 / 18.0, 1e-2, r=0.9)

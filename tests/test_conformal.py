@@ -154,8 +154,8 @@ class TestChargeDoubling:
         assert image.one_minus_lower == pytest.approx(lens.one_minus_lower, rel=1e-4)
 
     def test_image_domain_map_keeps_its_bits(self, omega):
-        # the 64- and 128-charge fits share their leading columns, built once;
-        # the map keeps the bits of fits that each built every column
+        # the 64- and 128-charge fits each build every column, and the map
+        # keeps its frozen bits
         amap = canonical_annulus_map(omega)
         assert len(amap._basis.poles) == 128
         assert amap.modulus == 0.3484283085594218

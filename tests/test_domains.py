@@ -24,7 +24,6 @@ from squeezelab import conformal, domains
 from squeezelab.domains import (
     CircleCurve,
     DefiningFunctionDomain,
-    OmegaPrimeParams,
     ParamCurve,
     PlanarDomain,
     _bounded_brent,
@@ -174,15 +173,14 @@ class TestDefiningFunctionDomains:
 class TestLensDomain:
     def test_structure(self, omega_prime):
         assert omega_prime.connectivity == 2
-        p = omega_prime.params
-        assert p.width < 1.0 / np.e
+        assert domains._LENS_WIDTH < 1.0 / np.e
 
     def test_dyadic_points_interior(self, omega_prime):
         for k in range(1, 31):
             assert omega_prime.contains(2.0 ** -(k + 2))
 
     def test_hole_excluded(self, omega_prime):
-        assert not omega_prime.contains(omega_prime.params.hole_center)
+        assert not omega_prime.contains(domains._LENS_HOLE_CENTER)
 
     def test_right_half_plane(self, omega_prime):
         for c in omega_prime.curves():
@@ -198,25 +196,12 @@ class TestLensDomain:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_hole_touching_the_outer_curve_raises(self, omega_prime):
-        # a hole whose first sample is an outer sample the touch check measures
-        outer = omega_prime.outer.points()[::4]
-        at = outer[np.argmin(np.abs(outer - (0.2 + 0.35j)))]
-        with pytest.raises(ConfigError, match="hole touches the outer boundary"):
-            build_omega_prime(OmegaPrimeParams(hole_center=at - 0.04))
-
     def test_intersecting_holes_raise(self):
         def hole():
             return CircleCurve(0.3j, 0.1, orientation=-1, n=64)
 
         with pytest.raises(ConfigError, match="holes intersect"):
             PlanarDomain(CircleCurve(0.0, 1.0, n=64), [hole(), hole()])
-
-    def test_params_validation(self):
-        with pytest.raises(ConfigError):
-            OmegaPrimeParams(width=0.5).validate()  # must stay below 1/e
-        with pytest.raises(ConfigError):
-            OmegaPrimeParams(hole_center=0.0 + 0.3j).validate()  # on the axis
 
 
 class TestPhiMap:

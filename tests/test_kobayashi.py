@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squeezelab import kobayashi
+from squeezelab import domains, kobayashi
 from squeezelab.ball import kobayashi_ball
 from squeezelab.domains import (
     annulus,
@@ -290,7 +290,7 @@ class TestTangentBall:
 
     def test_planar_radius_never_exceeds_the_truth(self, omega_prime):
         # at the lens tip the disc reaches across to the axis, half the width
-        r0 = tangent_ball_radius(omega_prime, complex(omega_prime.params.width), -1.0)
+        r0 = tangent_ball_radius(omega_prime, complex(domains._LENS_WIDTH), -1.0)
         assert 0.11 - 1e-9 <= r0 <= 0.11
         # the round annulus, at an outer point: the disc fills the ring's width
         assert tangent_ball_radius(annulus(0.3), 1.0, -1.0) <= 0.35
@@ -363,7 +363,7 @@ class TestLogBoundVerify:
 
     def test_lens_finite_constant(self, omega_prime):
         rep = lemma_log_bound_verify(
-            omega_prime, 0.05, complex(omega_prime.params.width),
+            omega_prime, 0.05, complex(domains._LENS_WIDTH),
             num_scales=12, inward=-1.0,
         )
         assert np.isfinite(rep["C_fit"])

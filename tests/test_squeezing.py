@@ -12,22 +12,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab import squeezing
-from squeezelab.ball import BallAutomorphism, _psi_norms_batch
+from squeezelab.ball import BallAutomorphism
 from squeezelab.conformal import AnnulusMap, canonical_annulus_map
-from squeezelab.domains import DefiningFunctionDomain, annulus, ball, disc, ellipsoid, random_interior_points
+from squeezelab.domains import (
+    DefiningFunctionDomain,
+    _bounded_brent,
+    annulus,
+    ball,
+    disc,
+    ellipsoid,
+    random_interior_points,
+)
 from squeezelab.errors import ConfigError, DomainError, SolverError
 from squeezelab.squeezing import (
-    EmbeddingMap,
     SqueezeBound,
     _centering_gap,
     annulus_squeeze_lower,
-    ball_centering_embeddings,
     certify_injective,
     ellipsoid_boundary_samples,
-    squeeze_lower_from_embedding,
     squeeze_lower_planar,
     theorem21_pipeline,
 )
+
+
+def _mobius_abs(a: complex, w: np.ndarray) -> np.ndarray:
+    return np.abs((w - a) / (1.0 - np.conj(a) * w))
+
+
+def _min_on_circle(a: complex, radius: float) -> float:
+    """Exact minimum of |mobius_a| over the circle |w| = radius."""
+
+    def f(theta):
+        return _mobius_abs(a, radius * np.exp(1j * theta))
+
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    vals = f(theta)
+    k = int(np.argmin(vals))
+    lo, hi = theta[k] - 2.0 * np.pi / 4096, theta[k] + 2.0 * np.pi / 4096
+    fun = _bounded_brent(lambda theta, _: f(theta), np.array([lo]), np.array([hi]), xatol=1e-14, maxiter=500)[1][0]
+    return float(min(fun, vals[k]))
 
 
 class TestAnnulusClosedForm:
@@ -50,8 +73,9 @@ class TestAnnulusClosedForm:
     def test_cross_check_minimum_on_circle(self):
         # the minimum of the Moebius modulus over the inner circle is the witness's own bound
         for z in (0.5 * np.exp(0.7j), 0.15, 0.95j):
-            b = annulus_squeeze_lower(0.1, z, cross_check=True)
-            assert b.witness["sampled_min"] == pytest.approx(b.lower, abs=1e-12)
+            b = annulus_squeeze_lower(0.1, z)
+            a = z if b.witness["kind"] == "inclusion" else 0.1 / z
+            assert _min_on_circle(a, 0.1) == pytest.approx(b.lower, abs=1e-12)
 
     def test_rotation_invariance(self):
         b1 = annulus_squeeze_lower(0.2, 0.5)
@@ -245,6 +269,15 @@ GAP_CASES = [
 ]
 
 
+def _psi_norms_batch(r: float, zs: np.ndarray) -> np.ndarray:
+    """Vectorised ||psi_r(z)|| for an array of points (rows)."""
+    denom = np.abs(1.0 - zs[:, 0] * r) ** 2
+    num = np.abs(zs[:, 0] - r) ** 2 + (1.0 - r * r) * np.sum(
+        np.abs(zs[:, 1:]) ** 2, axis=1
+    )
+    return np.sqrt(num / denom)
+
+
 class TestClosedFormPipeline:
     @pytest.mark.parametrize("w, p", GAP_CASES + [
         pytest.param([1.5], np.array([0.4 + 0.2j]), id="one-coordinate")])
@@ -350,30 +383,6 @@ class TestPipeline:
         assert rep["all_confined"] and rep["all_inscribed"] and rep["trend_ok"]
         assert min(r["inscribed"] for r in rep["rows"]) >= 1.0 - 1e-6
         assert max(r["eps"] for r in rep["rows"]) < 1e-8
-
-    def test_lower_from_ball_centering_embedding(self):
-        # the ball's squeezing function is 1; recentring the embedding at a
-        # second point keeps the boundary image on the sphere
-        p = np.array([0.5, 0.2j], dtype=complex)
-        z = np.array([-0.3, 0.4], dtype=complex)
-        (emb,) = ball_centering_embeddings([p], boundary_count=5000, boundary_radius=1.0 - 1e-14)
-        b = squeeze_lower_from_embedding(ball(2), z, emb)
-        assert b.lower >= 1.0 - 1e-9
-        assert b.witness["center_r"] == pytest.approx(np.linalg.norm(emb.forward(z)), abs=1e-15)
-        assert b.witness["evidence"] == "sampled"
-
-    def test_sampled_minimum_can_exceed_the_inscribed_radius(self):
-        # recentred at p, the ellipsoid's boundary comes no closer to 0 than
-        # 1/sqrt(2), the closed form; 20,000 samples miss the nearest points
-        p = np.array([0.5, 0.0], dtype=complex)
-        exact = theorem21_pipeline(ellipsoid(), [p], C=0.5)["rows"][0]["inscribed"]
-        assert exact == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
-        samples = ellipsoid_boundary_samples(1.0 / np.sqrt(2.0), count=20_000, seed=0)
-        inclusion = EmbeddingMap(forward=lambda z: z, boundary_sets=(samples,), name="inclusion")
-        b = squeeze_lower_from_embedding(ellipsoid(), p, inclusion)
-        assert b.lower == pytest.approx(0.7071110548, abs=1e-10)
-        assert b.lower > exact
-        assert b.witness["evidence"] == "sampled"
 
     def test_ellipsoid_boundary_samples_on_surface(self):
         b = 1.0 / np.sqrt(2.0)
