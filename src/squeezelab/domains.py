@@ -51,6 +51,7 @@ class Curve:
         self._params = np.asarray(params, dtype=float)
         self._points = None
         self._edges = None
+        self._index = None
 
     def point(self, t):
         raise NotImplementedError
@@ -73,6 +74,11 @@ class Curve:
         if self._edges is None:
             self._edges = _EdgeIndex(self.points())
         return self._edges.crossings(z)
+
+    def _sample_index(self) -> "_SampleIndex":
+        if self._index is None:
+            self._index = _SampleIndex(self.points())
+        return self._index
 
     def signed_area(self) -> float:
         p = self.points()
@@ -146,21 +152,39 @@ class _EdgeIndex:
         slot = np.arange(len(edge)) - np.repeat(np.cumsum(per_strip) - per_strip, per_strip)
         self.table = np.full((len(per_strip), per_strip.max()), n, dtype=np.int32)
         self.table[strip, slot] = edge
+        self.heights = y0.min(), y0.max()
 
     def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        odd = np.empty(len(z), dtype=bool)
-        on_sample = np.empty(len(z), dtype=bool)
-        for block in _blocks(len(z), self.table.shape[1]):
-            x = z.real[block, None]
-            y = z.imag[block, None]
+        odd = np.zeros(len(z), dtype=bool)
+        on_sample = np.zeros(len(z), dtype=bool)
+        # a point above or below every sample crosses no edge and equals no sample
+        level = np.flatnonzero((z.imag >= self.heights[0]) & (z.imag <= self.heights[1]))
+        for block in _blocks(len(level), self.table.shape[1]):
+            at = level[block]
+            x = z.real[at, None]
+            y = z.imag[at, None]
             x0, y0, y1, dxdy = self.edges[:, self.table[np.searchsorted(self.cuts, y[:, 0], "right")]]
             with np.errstate(invalid="ignore", over="ignore"):
                 # offsets from the edge's first sample are exact for nearby
                 # points, so the side of the edge is decided at their scale
                 hit = ((y0 > y) != (y1 > y)) & (x - x0 < (y - y0) * dxdy)
-            odd[block] = np.logical_xor.reduce(hit, axis=1)
-            on_sample[block] = ((x0 == x) & (y0 == y)).any(axis=1)
+            odd[at] = np.logical_xor.reduce(hit, axis=1)
+            on_sample[at] = ((x0 == x) & (y0 == y)).any(axis=1)
         return odd, on_sample
+
+
+class _SampleIndex:
+    """The bounding box of a curve's samples and the largest gap between consecutive samples."""
+
+    def __init__(self, points: np.ndarray):
+        self.gap = float(np.max(np.abs(np.roll(points, -1) - points)))
+        self.box = points.real.min(), points.real.max(), points.imag.min(), points.imag.max()
+
+    def box_distance(self, z: np.ndarray) -> np.ndarray:
+        """Distance from each point of ``z`` to the box, 0 inside it."""
+        x0, x1, y0, y1 = self.box
+        return np.hypot(np.maximum(np.maximum(x0 - z.real, z.real - x1), 0.0),
+                        np.maximum(np.maximum(y0 - z.imag, z.imag - y1), 0.0))
 
 
 def _merged(t: np.ndarray, extra_params) -> np.ndarray:
@@ -295,8 +319,9 @@ class PlanarDomain:
             for g in self.holes[i + 1 :]:
                 if _min_gap(h.points(), g.points()[::8]) <= 0:
                     raise ConfigError("holes intersect")
-        # the order in x of every curve's samples, for the sampler's 1e-6 test
-        self._x_order = np.argsort(np.concatenate([c.points() for c in self.curves()]).real).astype(np.int32)
+        # every curve's samples in order of x, for the sampler's 1e-6 test
+        samples = np.concatenate([c.points() for c in self.curves()])
+        self._x_sorted = samples[np.argsort(samples.real)]
 
     @property
     def connectivity(self) -> int:
@@ -444,7 +469,7 @@ class PlanarDomain:
         inner = z[self.contains(z)]
         # a sample within 1e-6 of a point is within 1e-6 of it in x: only the
         # samples in an x-window twice that wide are measured exactly
-        s = np.concatenate([c.points() for c in self.curves()])[self._x_order]
+        s = self._x_sorted
         lo = np.searchsorted(s.real, inner.real - 2e-6)
         width = np.searchsorted(s.real, inner.real + 2e-6, "right") - lo
         owner = np.repeat(np.arange(len(inner)), width)
@@ -533,14 +558,14 @@ def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, n
                 raise SolverError(f"bounded Brent: {len(lanes)} windows unconverged after {maxiter} evaluations")
 
 
-def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parameter windows about the four samples of ``curve`` nearest each point of ``z`` (``_least``), nearest first.
 
     A window runs between the sample's two neighbours; one that wraps past
     t = 0 splits into two lanes, (lo, 1 + hi) and (lo - 1, hi).  Returns
     arrays ``lo`` and ``hi`` with one row per point and two lanes per
-    sample, and the mask of the lanes in use (an unwrapped window leaves
-    its second lane unused).
+    sample, the mask of the lanes in use (an unwrapped window leaves its
+    second lane unused) and each point's distance to its nearest sample.
     """
     t, pts = curve.params, curve.points()
     n, k = len(t), min(4, len(t))
@@ -550,7 +575,7 @@ def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lanes = np.stack([np.ones_like(wrap), wrap], axis=-1).reshape(len(z), 2 * k)
     lo = np.stack([lo, lo - 1.0], axis=-1).reshape(len(z), 2 * k)
     hi = np.stack([np.where(wrap, 1.0 + hi, hi), hi], axis=-1).reshape(len(z), 2 * k)
-    return lo, hi, lanes
+    return lo, hi, lanes, np.abs(pts[closest[:, 0]] - z)
 
 
 def _refine(curves, windows, objective, xatol: float):
@@ -589,6 +614,18 @@ def _planar_distances(queries) -> list[DomainPoint]:
     run (``_refine``).  The nearest point is the first strict minimum in
     curve order, then in window order.  Each query gets the bits it would
     get alone.
+
+    A curve's windows are left out for a point that the curve cannot hold
+    the nearest point of.  This assumes the resolution that the window scan
+    rests on: the curve between a sample's two neighbours lies within
+    2 gap of the sample, gap being the curve's largest step between
+    consecutive samples.  Every value Brent takes in a window of curve c
+    is then at least dist(z, box_c) - 2 gap_c, box_c being the box of c's
+    samples, while the window about a curve's nearest sample starts, and
+    so ends, at most 2 gap above that sample's distance.  A curve whose
+    first bound exceeds some curve's second one, by a relative 1e-9,
+    cannot hold the first strict minimum; lanes do not depend on each
+    other, so the others keep their bits.
     """
     flats = []
     for dom, z in queries:
@@ -608,9 +645,12 @@ def _planar_distances(queries) -> list[DomainPoint]:
     # each point's windows fill one row, curve after curve
     curves, windows, cells, base, width = [], [], [], 0, 0
     for (dom, _), z in zip(queries, flats):
+        found = [(c._sample_index(), *_sample_windows(c, z)) for c in dom.curves()]
+        reach = np.min([near + 2.0 * index.gap for index, *_, near in found], axis=0)
         col = 0
-        for curve in dom.curves():
-            lo, hi, lanes = _sample_windows(curve, z)
+        for curve, (index, lo, hi, lanes, _) in zip(dom.curves(), found):
+            far = index.box_distance(z) - 2.0 * index.gap > reach * (1.0 + 1e-9)
+            lanes = lanes & ~far[:, None]
             owner, k = np.nonzero(lanes)
             curves.append(curve)
             windows.append((lo[lanes], hi[lanes], base + owner))

@@ -753,7 +753,7 @@ class TestNearestSampleOrder:
 
 
 class TestOneBrentRun:
-    """A planar distance batch refines the windows of every curve in one lockstep run."""
+    """A planar distance batch refines the windows of every curve that can hold a nearest point in one lockstep run."""
 
     @pytest.fixture()
     def runs(self, monkeypatch):
@@ -767,19 +767,56 @@ class TestOneBrentRun:
         monkeypatch.setattr(domains, "_bounded_brent", spy)
         return lanes
 
+    @pytest.fixture()
+    def curve_windows(self, monkeypatch):
+        """The number of windows of each curve, per ``_refine`` call."""
+        counts = []
+        refine = domains._refine
+
+        def spy(curves, windows, *args, **kw):
+            counts.append([len(lo) for lo, _, _ in windows])
+            return refine(curves, windows, *args, **kw)
+
+        monkeypatch.setattr(domains, "_refine", spy)
+        return counts
+
     @pytest.mark.parametrize("name", ["annulus", "omega_prime", "omega_zlogz"])
     def test_one_run_per_batch(self, name, runs):
         dom = _PLANAR_DOMAINS[name]
         boundary_distance(dom, random_interior_points(dom, 12, seed=1))
-        assert len(runs) == 1 and runs[0] >= 12 * 4 * dom.connectivity
+        assert len(runs) == 1 and runs[0] >= 12 * 4
         boundary_distance(dom, random_interior_points(dom, 1, seed=1)[0])
         assert len(runs) == 2
 
-    def test_one_run_for_several_queries(self, runs):
+    def test_one_run_for_several_queries(self, runs, curve_windows):
         lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
         p, q = _report_points(lens)
         boundary_distance(omega, q, (lens, p))
-        assert runs == [len(q) * 4 * 2 + len(p) * 4 * 2]  # no window of these points wraps past t = 0
+        # the outer curves only: no window of these points wraps past t = 0, and no hole can hold a nearest point
+        assert runs == [len(q) * 4 + len(p) * 4]
+        assert curve_windows == [[len(q) * 4, 0, len(p) * 4, 0]]
+
+    def test_report_query_stops_after_21_evaluations(self, monkeypatch):
+        evaluations = []
+        brent = domains._bounded_brent
+
+        def spy(f, lo, hi, **kw):
+            def counted(x, lanes):
+                evaluations.append(len(x))
+                return f(x, lanes)
+
+            return brent(counted, lo, hi, **kw)
+
+        monkeypatch.setattr(domains, "_bounded_brent", spy)
+        lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
+        p, q = _report_points(lens)
+        boundary_distance(omega, q, (lens, p))
+        assert 0 < len(evaluations) <= 21
+
+    def test_point_equally_far_from_both_circles_keeps_both(self, curve_windows):
+        ring = _PLANAR_DOMAINS["annulus"]
+        assert boundary_distance(ring, 0.65).d == 0.35
+        assert len(curve_windows) == 1 and all(n >= 4 for n in curve_windows[0])
 
     def test_tangent_ball_radius_makes_one_run(self, runs):
         dom = _PLANAR_DOMAINS["annulus"]
