@@ -50,7 +50,6 @@ class Curve:
     def __init__(self, params: np.ndarray):
         self._params = np.asarray(params, dtype=float)
         self._points = None
-        self._edges = None
         self._index = None
 
     def point(self, t):
@@ -71,9 +70,7 @@ class Curve:
         Returns ``odd`` (a ray from each point towards +x crosses the polygon
         an odd number of times) and ``on_sample`` (the point equals a sample).
         """
-        if self._edges is None:
-            self._edges = _EdgeIndex(self.points())
-        return self._edges.crossings(z)
+        return self._sample_index().crossings(z)
 
     def _sample_index(self) -> "_SampleIndex":
         if self._index is None:
@@ -98,6 +95,7 @@ class Curve:
 # elements per temporary array of the batched planar kernels: the few
 # temporaries of one chunk take about 1 MB together, whatever the batch size
 _CHUNK = 1 << 15
+_RUN = 32  # consecutive samples per block of a curve's sample index
 
 
 def _blocks(rows: int, width: int) -> list[slice]:
@@ -109,25 +107,42 @@ def _blocks(rows: int, width: int) -> list[slice]:
 def _least(values, rows: int, width: int, k: int) -> np.ndarray:
     """Column indices of the ``k`` least of the ``width`` values in each of ``rows`` rows, least first.
 
-    ``values(block)`` gives the values of a row block (``_blocks``); ties keep the partition's order.
+    ``values(block)`` gives the values of a row block (``_blocks``).  Ties go
+    to the lower column, as in a stable sort, whatever CPU features numpy's
+    partition dispatches to: a row where it left out a column that ties the
+    k-th value is sorted in full.
     """
     out = np.empty((rows, k), dtype=np.intp)
     for block in _blocks(rows, width):
         v = values(block)
         part = np.argpartition(v, k - 1, axis=1)[:, :k]
-        order = np.argsort(np.take_along_axis(v, part, axis=1), axis=1, kind="stable")
-        out[block] = np.take_along_axis(part, order, axis=1)
+        least = np.take_along_axis(v, part, axis=1)
+        out[block] = np.take_along_axis(part, np.lexsort((part, least)), axis=1)
+        kth = least.max(axis=1, keepdims=True)
+        for r in np.flatnonzero(np.count_nonzero(v == kth, axis=1) > np.count_nonzero(least == kth, axis=1)):
+            out[block.start + r] = np.argsort(v[r], kind="stable")[:k]
     return out
 
 
-class _EdgeIndex:
-    """Edges of a closed sample polygon, bucketed into horizontal strips.
+def _box_distances(z, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest distance from ``z`` to the box [x0, x1] x [y0, y1], the least 0 inside it; broadcasts."""
+    # x0 - x and x - x1 sum to x0 - x1 <= 0: the greater is the gap to the box, the lesser minus that to its far side
+    ax, bx, ay, by = x0 - z.real, z.real - x1, y0 - z.imag, z.imag - y1
+    return (np.hypot(np.maximum(np.maximum(ax, bx), 0.0), np.maximum(np.maximum(ay, by), 0.0)),
+            np.hypot(np.minimum(ax, bx), np.minimum(ay, by)))
 
-    Strip boundaries are every fourth distinct sample height, so each strip
-    holds a few samples however the samples cluster.  Row ``j`` of ``table``
-    lists every edge whose closed height range meets strip ``j``, padded
-    with a sentinel edge that no point crosses or equals, so one fancy index
-    gathers the candidate edges of a batch of points.
+
+class _SampleIndex:
+    """A curve's samples, indexed for the crossing test and for the nearest samples.
+
+    Edges of the closed sample polygon are bucketed into horizontal strips,
+    cut at every fourth distinct sample height, so each strip holds a few
+    samples however the samples cluster.  Row ``j`` of ``table`` lists every
+    edge whose closed height range meets strip ``j``, padded with a sentinel
+    edge that no point crosses or equals, so one fancy index gathers the
+    candidate edges of a batch of points.  Runs of ``_RUN`` consecutive
+    samples form blocks, ``boxes`` holds x0, x1, y0, y1 of each one's box
+    (``box`` of the curve's), and ``gap`` is the largest sample step.
     """
 
     def __init__(self, points: np.ndarray):
@@ -152,13 +167,18 @@ class _EdgeIndex:
         slot = np.arange(len(edge)) - np.repeat(np.cumsum(per_strip) - per_strip, per_strip)
         self.table = np.full((len(per_strip), per_strip.max()), n, dtype=np.int32)
         self.table[strip, slot] = edge
-        self.heights = y0.min(), y0.max()
+        self.points = points
+        self.gap = float(np.max(np.abs(nxt - points)))
+        self.starts = np.arange(0, n, _RUN)
+        self.sizes = np.minimum(_RUN, n - self.starts)
+        self.boxes = [f.reduceat(c, self.starts) for c in (x0, y0) for f in (np.minimum, np.maximum)]
+        self.box = [f.reduce(b) for f, b in zip((np.minimum, np.maximum) * 2, self.boxes)]
 
     def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         odd = np.zeros(len(z), dtype=bool)
         on_sample = np.zeros(len(z), dtype=bool)
         # a point above or below every sample crosses no edge and equals no sample
-        level = np.flatnonzero((z.imag >= self.heights[0]) & (z.imag <= self.heights[1]))
+        level = np.flatnonzero((z.imag >= self.box[2]) & (z.imag <= self.box[3]))
         for block in _blocks(len(level), self.table.shape[1]):
             at = level[block]
             x = z.real[at, None]
@@ -172,19 +192,30 @@ class _EdgeIndex:
             on_sample[at] = ((x0 == x) & (y0 == y)).any(axis=1)
         return odd, on_sample
 
+    def least(self, z: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the ``k`` samples nearest each point of ``z``, in ``_least``'s order (ties to the lower index).
 
-class _SampleIndex:
-    """The bounding box of a curve's samples and the largest gap between consecutive samples."""
-
-    def __init__(self, points: np.ndarray):
-        self.gap = float(np.max(np.abs(np.roll(points, -1) - points)))
-        self.box = points.real.min(), points.real.max(), points.imag.min(), points.imag.max()
-
-    def box_distance(self, z: np.ndarray) -> np.ndarray:
-        """Distance from each point of ``z`` to the box, 0 inside it."""
-        x0, x1, y0, y1 = self.box
-        return np.hypot(np.maximum(np.maximum(x0 - z.real, z.real - x1), 0.0),
-                        np.maximum(np.maximum(y0 - z.imag, z.imag - y1), 0.0))
+        A block of k samples or more has k within its box's farthest corner
+        from z, so only the blocks no farther than the nearest such corner
+        are measured, by ``np.abs(points - z)``.
+        """
+        pts = self.points
+        out = np.empty((len(z), k), dtype=np.intp)
+        for block in _blocks(len(z), len(self.starts)):
+            zb = z[block, None]
+            gap, corner = _box_distances(zb, *self.boxes)
+            reach = np.min(corner, axis=1, where=self.sizes >= k, initial=np.inf, keepdims=True)
+            row, run = np.nonzero(gap <= reach * (1.0 + 1e-9))
+            # the candidates' samples, row after row and in order within a row
+            size = self.sizes[run]
+            row = np.repeat(row, size)
+            sample = np.repeat(self.starts[run] - np.cumsum(size) + size, size) + np.arange(len(row))
+            count = np.bincount(row, minlength=len(zb))
+            first = np.cumsum(count) - count
+            v = np.full((len(zb), count.max()), np.inf)  # a row's unused tail stays infinite
+            v[row, np.arange(len(row)) - first[row]] = np.abs(pts[sample] - zb[row, 0])
+            out[block] = sample[first[:, None] + _least(lambda rows: v[rows], len(zb), v.shape[1], k)]
+        return out
 
 
 def _merged(t: np.ndarray, extra_params) -> np.ndarray:
@@ -288,11 +319,6 @@ def _unit(v):
     return v / n
 
 
-def _min_gap(p: np.ndarray, q: np.ndarray) -> float:
-    """Least distance |p_i - q_j| between two point sets, over row blocks of about ``_CHUNK`` pairs."""
-    return min(float(np.min(np.abs(p[block, None] - q))) for block in _blocks(len(p), len(q)))
-
-
 class PlanarDomain:
     """Bounded planar domain: one outer curve and zero or more holes.
 
@@ -317,11 +343,11 @@ class PlanarDomain:
                 raise ConfigError("hole not strictly inside the outer curve")
         for i, h in enumerate(self.holes):
             for g in self.holes[i + 1 :]:
-                if _min_gap(h.points(), g.points()[::8]) <= 0:
+                q = g.points()[::8]
+                if np.any(h.points()[h._sample_index().least(q, 1)[:, 0]] == q):  # a sample of g is one of h's
                     raise ConfigError("holes intersect")
-        # every curve's samples in order of x, for the sampler's 1e-6 test
-        samples = np.concatenate([c.points() for c in self.curves()])
-        self._x_sorted = samples[np.argsort(samples.real)]
+        # every curve's samples in order of x (then y), for the sampler's 1e-6 test
+        self._x_sorted = np.sort(np.concatenate([c.points() for c in self.curves()]))
 
     @property
     def connectivity(self) -> int:
@@ -416,9 +442,7 @@ class PlanarDomain:
         foot, normal = np.zeros_like(p), np.zeros_like(p)
         for curve in self.curves():
             t, q = curve.params, curve.points()
-            k = np.empty(len(p), dtype=np.intp)
-            for block in _blocks(len(p), len(t)):  # argmin, not ``_least``: a tie takes the first sample
-                k[block] = np.argmin(np.abs(q - p[block, None]), axis=1)
+            k = curve._sample_index().least(p, 1)[:, 0]
             h = 0.125 / len(t)
             chord = curve.point(t[k] + h) - curve.point(t[k] - h)
             at = t[k] + 2.0 * h * (np.conj(chord) * (p - q[k])).real / (chord.real**2 + chord.imag**2)
@@ -559,7 +583,7 @@ def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, n
 
 
 def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parameter windows about the four samples of ``curve`` nearest each point of ``z`` (``_least``), nearest first.
+    """Parameter windows about the four samples of ``curve`` nearest each point of ``z`` (``_SampleIndex.least``), nearest first.
 
     A window runs between the sample's two neighbours; one that wraps past
     t = 0 splits into two lanes, (lo, 1 + hi) and (lo - 1, hi).  Returns
@@ -569,7 +593,7 @@ def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     t, pts = curve.params, curve.points()
     n, k = len(t), min(4, len(t))
-    closest = _least(lambda block: np.abs(pts - z[block, None]), len(z), n, k)
+    closest = curve._sample_index().least(z, k)
     lo, hi = t[(closest - 1) % n], t[(closest + 1) % n]
     wrap = hi < lo
     lanes = np.stack([np.ones_like(wrap), wrap], axis=-1).reshape(len(z), 2 * k)
@@ -615,17 +639,14 @@ def _planar_distances(queries) -> list[DomainPoint]:
     curve order, then in window order.  Each query gets the bits it would
     get alone.
 
-    A curve's windows are left out for a point that the curve cannot hold
-    the nearest point of.  This assumes the resolution that the window scan
-    rests on: the curve between a sample's two neighbours lies within
-    2 gap of the sample, gap being the curve's largest step between
-    consecutive samples.  Every value Brent takes in a window of curve c
-    is then at least dist(z, box_c) - 2 gap_c, box_c being the box of c's
-    samples, while the window about a curve's nearest sample starts, and
-    so ends, at most 2 gap above that sample's distance.  A curve whose
-    first bound exceeds some curve's second one, by a relative 1e-9,
-    cannot hold the first strict minimum; lanes do not depend on each
-    other, so the others keep their bits.
+    A curve is neither scanned nor refined for a point whose nearest point
+    it cannot hold.  Assuming the scan's resolution, that the curve between
+    a sample's neighbours stays within 2 gap of it (gap: the curve's largest
+    step between samples), every Brent value on curve c is at least
+    dist(z, box_c) - 2 gap_c, and the lane about a curve's nearest sample
+    ends at most 2 gap above that sample's distance (a lane never rises).
+    A curve whose first bound exceeds the second of a curve before it, by a
+    relative 1e-9, is left out; lanes are independent, so every bit stays.
     """
     flats = []
     for dom, z in queries:
@@ -633,8 +654,7 @@ def _planar_distances(queries) -> list[DomainPoint]:
         inside = dom.contains(flat)
         if not inside.all():
             bad = complex(flat[np.argmin(inside)])
-            gap = np.min(np.abs(np.concatenate([c.points() for c in dom.curves()]) - bad))
-            raise DomainError(f"point {bad} is not interior (boundary gap {gap:.3e})")
+            raise DomainError(f"point {bad} is not interior (boundary gap {np.min(np.abs(dom._x_sorted - bad)):.3e})")
         flats.append(flat)
     flat = np.concatenate(flats)  # every query's points, query after query
 
@@ -645,16 +665,16 @@ def _planar_distances(queries) -> list[DomainPoint]:
     # each point's windows fill one row, curve after curve
     curves, windows, cells, base, width = [], [], [], 0, 0
     for (dom, _), z in zip(queries, flats):
-        found = [(c._sample_index(), *_sample_windows(c, z)) for c in dom.curves()]
-        reach = np.min([near + 2.0 * index.gap for index, *_, near in found], axis=0)
-        col = 0
-        for curve, (index, lo, hi, lanes, _) in zip(dom.curves(), found):
-            far = index.box_distance(z) - 2.0 * index.gap > reach * (1.0 + 1e-9)
-            lanes = lanes & ~far[:, None]
+        reach, col = np.full(len(z), np.inf), 0
+        for curve in dom.curves():
+            index = curve._sample_index()
+            near = np.flatnonzero(_box_distances(z, *index.box)[0] - 2.0 * index.gap <= reach * (1.0 + 1e-9))
+            lo, hi, lanes, gap = _sample_windows(curve, z[near])
+            reach[near] = np.minimum(reach[near], gap + 2.0 * index.gap)
             owner, k = np.nonzero(lanes)
             curves.append(curve)
-            windows.append((lo[lanes], hi[lanes], base + owner))
-            cells.append((base + owner, col + k))
+            windows.append((lo[lanes], hi[lanes], base + near[owner]))
+            cells.append((base + near[owner], col + k))
             col += lanes.shape[1]
         base, width = base + len(z), max(width, col)
     _, w, owner = _refine(curves, windows, sq_dist, xatol=1e-15)

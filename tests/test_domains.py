@@ -712,16 +712,22 @@ class TestSeveralQueries:
 
 
 class TestNearestSampleOrder:
-    """Values recorded when each point's four nearest samples came from a full sort of its row."""
+    """Values recorded with each point's four nearest samples taken by distance, then by lower sample index.
+
+    That is the order of a stable sort of the point's row of sample
+    distances, whatever CPU features numpy dispatches to.  Where two windows
+    reach the same least distance, as at the disc's centre or on the lens's
+    axis of symmetry, the first in that order gives the nearest point.
+    """
 
     def test_disc_centre_where_every_sample_nearly_ties(self):
         bp = boundary_distance(disc(), 0)
         assert bp.d == 1.0
-        assert bp.nearest == 0.7921041246503129 - 0.6103859891183295j
+        assert bp.nearest == 0.9972945961325087 + 0.07350842485658554j
 
     @pytest.mark.parametrize("name, digest", [
-        ("omega_prime", "eef108cad7d1a66532066a9664da83b6906c694337710f8580bfa62ab9891b77"),
-        ("omega_zlogz", "3e7af1e2d2a2e8a7d6ce2a40e7bfaad7c7ed8582e920d86a3a34b6e7aa739c7f"),
+        ("omega_prime", "eb70997c91c0c2b9a360c1c6c6a1aa927f39076a4a5249d9c644a9d961ecdcf0"),
+        ("omega_zlogz", "d8854b2c1279611c7b71a91779166c7e3156bb85f5ee7fc59adce7ab1327490a"),
     ])
     def test_counterexample_points(self, name, digest):
         p = 2.0 ** -np.arange(3, 43)
@@ -750,6 +756,96 @@ class TestNearestSampleOrder:
         z = np.array([0.9j, 0.35, 0.65, -0.65j, 0.65 * np.exp(0.3j), 0.5 + 0.1j])
         bp = boundary_distance(dom, z)
         assert hashlib.sha256(bp.d.tobytes() + bp.nearest.tobytes()).hexdigest() == digest
+
+
+def _stable_least(curve, z):
+    """The four nearest samples of each point by a stable sort of its row, the brute-force tie order."""
+    return np.argsort(np.abs(curve.points() - z[:, None]), axis=1, kind="stable")[:, :4]
+
+
+def _index_probes(name):
+    """Random points of a planar preset, with points where its samples tie or cluster."""
+    dom = _PLANAR_DOMAINS[name]
+    p, q = _report_points(_PLANAR_DOMAINS["omega_prime"])
+    special = {
+        "disc": [0.0],  # the centre
+        "annulus": [0.65, -0.65, 0.65j, -0.65j, 0.5, -0.9j],  # on the symmetry axes
+        "omega_prime": p,  # the report's points
+        "omega_zlogz": q,
+    }[name]
+    z = np.concatenate([random_interior_points(dom, 200, seed=4), special])
+    return dom, z
+
+
+class TestSampleIndex:
+    """Each curve's block index finds the four nearest samples of a stable sort, skipping most samples."""
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
+    def test_four_nearest_match_a_stable_sort(self, name):
+        dom, z = _index_probes(name)
+        for curve in dom.curves():
+            want = _stable_least(curve, z)
+            np.testing.assert_array_equal(curve._sample_index().least(z, 4), want)
+            dense = domains._least(lambda block: np.abs(curve.points() - z[block, None]), len(z), len(want), 4)
+            np.testing.assert_array_equal(dense, want)
+
+    def test_curve_shorter_than_one_block(self):
+        curve = CircleCurve(0.0, 1.0, n=20)
+        assert len(curve.points()) < domains._RUN
+        z = np.array([0.0, 0.3 + 0.1j, -0.5j, 0.99])
+        np.testing.assert_array_equal(curve._sample_index().least(z, 4), _stable_least(curve, z))
+
+    @pytest.mark.parametrize("name, value", [("_RUN", 1), ("_RUN", 7), ("_RUN", 4096), ("_CHUNK", 1)])
+    def test_block_lengths_keep_the_bits(self, name, value, monkeypatch):
+        def results():
+            lens = build_omega_prime()  # fresh curves, whose indices are built at the patched length
+            p, q = _report_points(lens)
+            out = list(boundary_distance(build_omega(lens), q, (lens, p)))
+            out += [boundary_distance(dom, random_interior_points(dom, 60, seed=6)) for dom in (disc(), annulus(0.3))]
+            return [x for bp in out for x in (bp.d, bp.nearest)], lens
+
+        default, _ = results()
+        monkeypatch.setattr(domains, name, value)
+        got, lens = results()
+        for a, b in zip(got, default):
+            assert a.tobytes() == b.tobytes()
+        z = random_interior_points(lens, 100, seed=8)
+        np.testing.assert_array_equal(lens.outer._sample_index().least(z, 4), _stable_least(lens.outer, z))
+
+
+_TIE_HEAVY = ("import hashlib, numpy as np; from squeezelab import domains; "
+              "v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float); "
+              "print(hashlib.sha256(domains._least(lambda block: v[block], 200, 4300, 4).tobytes()).hexdigest())")
+
+
+def _avx512_dispatched() -> list:
+    """The AVX-512 targets that numpy dispatches kernels to in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in ("X86_V4", "AVX512_SPR", "AVX512_ICL") if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+
+
+class TestTieOrder:
+    """``_least`` breaks ties by the lower column, the same on every CPU."""
+
+    def test_least_is_a_stable_sort(self):
+        v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float)
+        want = np.argsort(v, axis=1, kind="stable")[:, :4]
+        np.testing.assert_array_equal(domains._least(lambda block: v[block], 200, 4300, 4), want)
+
+    @pytest.mark.skipif(not _avx512_dispatched(), reason="numpy dispatches no AVX-512 kernel here")
+    def test_same_indices_without_avx512(self):
+        # numpy's partition breaks ties differently in its AVX-512 kernels;
+        # the variable is set for the child process only
+        src = str(Path(squeezelab.__file__).resolve().parent.parent)
+        env = {"PYTHONPATH": src, "PATH": "", "NPY_DISABLE_CPU_FEATURES": " ".join(_avx512_dispatched())}
+        child = subprocess.run([sys.executable, "-c", _TIE_HEAVY], capture_output=True, text=True, check=True,
+                               timeout=120, env=env)
+        v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float)
+        here = hashlib.sha256(domains._least(lambda block: v[block], 200, 4300, 4).tobytes()).hexdigest()
+        assert child.stdout.strip() == here
 
 
 class TestOneBrentRun:
