@@ -203,9 +203,9 @@ class _SampleIndex:
         out = np.empty((len(z), k), dtype=np.intp)
         for block in _blocks(len(z), len(self.starts)):
             zb = z[block, None]
-            gap, corner = _box_distances(zb, *self.boxes)
+            box, corner = _box_distances(zb, *self.boxes)
             reach = np.min(corner, axis=1, where=self.sizes >= k, initial=np.inf, keepdims=True)
-            row, run = np.nonzero(gap <= reach * (1.0 + 1e-9))
+            row, run = np.nonzero(box <= reach * (1.0 + 1e-9))
             # the candidates' samples, row after row and in order within a row
             size = self.sizes[run]
             row = np.repeat(row, size)
@@ -669,8 +669,8 @@ def _planar_distances(queries) -> list[DomainPoint]:
         for curve in dom.curves():
             index = curve._sample_index()
             near = np.flatnonzero(_box_distances(z, *index.box)[0] - 2.0 * index.gap <= reach * (1.0 + 1e-9))
-            lo, hi, lanes, gap = _sample_windows(curve, z[near])
-            reach[near] = np.minimum(reach[near], gap + 2.0 * index.gap)
+            lo, hi, lanes, nearest = _sample_windows(curve, z[near])
+            reach[near] = np.minimum(reach[near], nearest + 2.0 * index.gap)
             owner, k = np.nonzero(lanes)
             curves.append(curve)
             windows.append((lo[lanes], hi[lanes], base + near[owner]))

@@ -726,8 +726,8 @@ class TestNearestSampleOrder:
         assert bp.nearest == 0.9972945961325087 + 0.07350842485658554j
 
     @pytest.mark.parametrize("name, digest", [
-        ("omega_prime", "eb70997c91c0c2b9a360c1c6c6a1aa927f39076a4a5249d9c644a9d961ecdcf0"),
-        ("omega_zlogz", "d8854b2c1279611c7b71a91779166c7e3156bb85f5ee7fc59adce7ab1327490a"),
+        pytest.param("omega_prime", "eb70997c91c0c2b9a360c1c6c6a1aa927f39076a4a5249d9c644a9d961ecdcf0", id="omega_prime"),
+        pytest.param("omega_zlogz", "d8854b2c1279611c7b71a91779166c7e3156bb85f5ee7fc59adce7ab1327490a", id="omega_zlogz"),
     ])
     def test_counterexample_points(self, name, digest):
         p = 2.0 ** -np.arange(3, 43)
@@ -778,7 +778,7 @@ def _index_probes(name):
 
 
 class TestSampleIndex:
-    """Each curve's block index finds the four nearest samples of a stable sort, skipping most samples."""
+    """Each curve's block index finds the four nearest samples that a stable sort of the dense row finds."""
 
     @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
     def test_four_nearest_match_a_stable_sort(self, name):
@@ -813,9 +813,16 @@ class TestSampleIndex:
         np.testing.assert_array_equal(lens.outer._sample_index().least(z, 4), _stable_least(lens.outer, z))
 
 
-_TIE_HEAVY = ("import hashlib, numpy as np; from squeezelab import domains; "
-              "v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float); "
-              "print(hashlib.sha256(domains._least(lambda block: v[block], 200, 4300, 4).tobytes()).hexdigest())")
+def _tie_heavy():
+    """200 rows of 4,300 values in 0..5, nearly all tied, and ``_least``'s four columns of each row."""
+    v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float)
+    return v, domains._least(lambda block: v[block], 200, 4300, 4)
+
+
+# the digest of ``_tie_heavy``'s columns, computed in a child process
+_TIE_HEAVY_CHILD = ("import hashlib, numpy as np; from squeezelab import domains; "
+                    "v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float); "
+                    "print(hashlib.sha256(domains._least(lambda block: v[block], 200, 4300, 4).tobytes()).hexdigest())")
 
 
 def _avx512_dispatched() -> list:
@@ -831,9 +838,8 @@ class TestTieOrder:
     """``_least`` breaks ties by the lower column, the same on every CPU."""
 
     def test_least_is_a_stable_sort(self):
-        v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float)
-        want = np.argsort(v, axis=1, kind="stable")[:, :4]
-        np.testing.assert_array_equal(domains._least(lambda block: v[block], 200, 4300, 4), want)
+        v, least = _tie_heavy()
+        np.testing.assert_array_equal(least, np.argsort(v, axis=1, kind="stable")[:, :4])
 
     @pytest.mark.skipif(not _avx512_dispatched(), reason="numpy dispatches no AVX-512 kernel here")
     def test_same_indices_without_avx512(self):
@@ -841,11 +847,9 @@ class TestTieOrder:
         # the variable is set for the child process only
         src = str(Path(squeezelab.__file__).resolve().parent.parent)
         env = {"PYTHONPATH": src, "PATH": "", "NPY_DISABLE_CPU_FEATURES": " ".join(_avx512_dispatched())}
-        child = subprocess.run([sys.executable, "-c", _TIE_HEAVY], capture_output=True, text=True, check=True,
-                               timeout=120, env=env)
-        v = np.random.default_rng(3).integers(0, 6, size=(200, 4300)).astype(float)
-        here = hashlib.sha256(domains._least(lambda block: v[block], 200, 4300, 4).tobytes()).hexdigest()
-        assert child.stdout.strip() == here
+        child = subprocess.run([sys.executable, "-c", _TIE_HEAVY_CHILD], capture_output=True, text=True,
+                               check=True, timeout=120, env=env)
+        assert child.stdout.strip() == hashlib.sha256(_tie_heavy()[1].tobytes()).hexdigest()
 
 
 class TestOneBrentRun:
