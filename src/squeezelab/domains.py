@@ -199,22 +199,22 @@ class _SampleIndex:
         from z, so only the blocks no farther than the nearest such corner
         are measured, by ``np.abs(points - z)``.
         """
-        pts = self.points
         out = np.empty((len(z), k), dtype=np.intp)
         for block in _blocks(len(z), len(self.starts)):
-            zb = z[block, None]
-            box, corner = _box_distances(zb, *self.boxes)
+            box, corner = _box_distances(z[block, None], *self.boxes)
             reach = np.min(corner, axis=1, where=self.sizes >= k, initial=np.inf, keepdims=True)
-            row, run = np.nonzero(box <= reach * (1.0 + 1e-9))
-            # the candidates' samples, row after row and in order within a row
-            size = self.sizes[run]
-            row = np.repeat(row, size)
-            sample = np.repeat(self.starts[run] - np.cumsum(size) + size, size) + np.arange(len(row))
-            count = np.bincount(row, minlength=len(zb))
-            first = np.cumsum(count) - count
-            v = np.full((len(zb), count.max()), np.inf)  # a row's unused tail stays infinite
-            v[row, np.arange(len(row)) - first[row]] = np.abs(pts[sample] - zb[row, 0])
-            out[block] = sample[first[:, None] + _least(lambda rows: v[rows], len(zb), v.shape[1], k)]
+            near = box <= reach * (1.0 + 1e-9)
+            count = near @ self.sizes  # each row's candidate samples, which also bound the rows of a block
+            for rows in _blocks(len(near), count.max()):
+                # the candidates' samples, row after row and in order within a row
+                row, run = np.nonzero(near[rows])
+                size = self.sizes[run]
+                row = np.repeat(row, size)
+                sample = np.repeat(self.starts[run] - np.cumsum(size) + size, size) + np.arange(len(row))
+                first = np.cumsum(count[rows]) - count[rows]
+                v = np.full((len(first), count[rows].max()), np.inf)  # a row's unused tail stays infinite
+                v[row, np.arange(len(row)) - first[row]] = np.abs(self.points[sample] - z[block][rows][row])
+                out[block][rows] = sample[first[:, None] + _least(lambda r: v[r], len(first), v.shape[1], k)]
         return out
 
 
