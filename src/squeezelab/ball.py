@@ -18,7 +18,6 @@ __all__ = [
     "as_point",
     "psi_apply",
     "psi_invert",
-    "unitary_align",
     "kobayashi_ball",
     "norm_psi_identity",
     "lemma25_bound",
@@ -103,16 +102,8 @@ def _moebius(r, z: np.ndarray) -> np.ndarray:
     return w
 
 
-def unitary_align(p) -> np.ndarray:
-    """Unitary U with U p = (||p||, 0, ..., 0)."""
-    p = as_point(p)
-    if np.linalg.norm(p) == 0.0:
-        raise DomainError("cannot align the zero vector: undefined direction")
-    return _align_rows(p[None])[0]
-
-
 def _align_rows(rows: np.ndarray) -> np.ndarray:
-    """:func:`unitary_align` of each nonzero row of ``(m, n)``, an ``(m, n, n)`` stack.
+    """The unitary U with U p = (||p||, 0, ..., 0) for each nonzero row p of ``(m, n)``, an ``(m, n, n)`` stack.
 
     Built from one stacked QR factorisation whose first column is fixed to
     p/||p|| with the phase normalised away; each row gets the bits of its

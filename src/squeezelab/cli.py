@@ -32,15 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sq = subs.add_parser("squeeze", help="squeezing lower bound at one point")
     sq.add_argument("--preset", default="omega_prime")
-    sq.add_argument("--at", required=True, help="evaluation point, e.g. 0.05 or 0.1+0.2j")
+    sq.add_argument("--at", type=complex, required=True, help="evaluation point, e.g. 0.05 or 0.1+0.2j")
     return parser
 
 
 def _run(args) -> int:
     if args.command == "squeeze":
-        z = complex(args.at)
-        bound = squeeze_lower_planar(preset(args.preset), z)
-        print(f"squeeze_lower({args.preset}, {z}) = {bound.lower!r}")
+        bound = squeeze_lower_planar(preset(args.preset), args.at)
+        print(f"squeeze_lower({args.preset}, {args.at}) = {bound.lower!r}")
         print(f"one_minus_lower = {bound.one_minus_lower!r}  witness = {bound.witness}")
         return 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domains import Curve, PlanarDomain, _blocks, random_interior_points
+from .domains import Curve, PlanarDomain, _blocks
 from .errors import ConfigError, SolverError
 
 __all__ = ["AnnulusMap", "canonical_annulus_map"]
@@ -138,8 +138,6 @@ class AnnulusMap:
     _coef: np.ndarray = field(repr=False)
     _a: float = field(repr=False)
     _shift: float = field(repr=False)
-    _domain: PlanarDomain = field(repr=False)
-    _seeds: tuple | None = field(repr=False, default=None)
 
     def _prefactor(self, z):
         """The branch-free factor (z - z_h), or its mirrored ratio."""
@@ -175,37 +173,6 @@ class AnnulusMap:
         if self.mirrored:
             dlog = dlog - 1.0 / (z + np.conj(z_h))
         return w * dlog
-
-    def backward(self, w):
-        """Invert the map by Newton iteration from seeds drawn on the first call."""
-        if self._seeds is None:
-            seeds = random_interior_points(self._domain, 400, seed=11)
-            self._seeds = (seeds, self.forward(seeds))
-        w = np.asarray(w, dtype=complex)
-        scalar = w.ndim == 0
-        out = np.array([self._backward_one(x) for x in np.atleast_1d(w)])
-        return out[0] if scalar else out
-
-    def _backward_one(self, w: complex) -> complex:
-        seeds, images = self._seeds
-        for idx in np.argsort(np.abs(images - w))[:8]:
-            z = seeds[idx]
-            for _ in range(80):
-                f = self.forward(z) - w
-                if abs(f) < 1e-13:
-                    break
-                df = self.derivative(z)
-                if df == 0:
-                    break
-                step = f / df
-                if abs(step) > 0.5:
-                    step *= 0.5 / abs(step)
-                z = z - step
-            # the analytic formula extends beyond the ring; only an
-            # in-domain preimage inverts the restriction
-            if abs(self.forward(z) - w) < 1e-10 and self._domain.contains(z):
-                return z
-        raise SolverError(f"backward map failed to converge at w={w}")
 
 
 def _outer_charges(dom, zo: np.ndarray, count: int, mirror: bool):
@@ -251,7 +218,7 @@ def _matrix(basis: _Basis, pts) -> np.ndarray:
     return A
 
 
-def _fit(dom: PlanarDomain, A: np.ndarray, rhs: np.ndarray, basis: _Basis) -> AnnulusMap:
+def _fit(A: np.ndarray, rhs: np.ndarray, basis: _Basis) -> AnnulusMap:
     """Least-squares harmonic measure in the columns ``A`` of ``basis``; deviation not yet measured."""
     coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.max(np.abs(A @ coef - rhs)))
@@ -263,7 +230,7 @@ def _fit(dom: PlanarDomain, A: np.ndarray, rhs: np.ndarray, basis: _Basis) -> An
         raise SolverError(f"log coefficient a={a:.3e} not positive; solve inconsistent")
     shift = 0.0 if mirror else float(coef[0]) - 1.0
     return AnnulusMap(float(np.exp(-1.0 / a)), residual, mirror, np.inf,
-                      basis, coef[off + 1:], a, shift, dom)
+                      basis, coef[off + 1:], a, shift)
 
 
 def canonical_annulus_map(dom: PlanarDomain, resolution: int = 1) -> AnnulusMap:
@@ -290,7 +257,7 @@ def _build(dom: PlanarDomain, resolution: int) -> AnnulusMap:
     zi = hole.points()
     if len(zo) < 1024 or len(zi) < 256:
         raise ConfigError("boundary resolution too low for the harmonic solve")
-    # read from the curve, not the name, so that a domain rebuilt from its spec gets the same basis
+    # read from the curve, not the name, so that an unnamed domain with the lens's curve gets the same basis
     mirror = bool(-1e-12 <= zo.real.min() < 1e-9)
     z_h = complex(np.mean(zi))
     r_h = float(np.mean(np.abs(zi - z_h)))
@@ -306,7 +273,7 @@ def _build(dom: PlanarDomain, resolution: int) -> AnnulusMap:
 
     for charges in _CHARGES:
         basis = _Basis(z_h, r_h, z_c, r_c, *_outer_charges(dom, zo, charges, mirror), mirror)
-        amap = _fit(dom, _matrix(basis, pts), rhs, basis)
+        amap = _fit(_matrix(basis, pts), rhs, basis)
         # boundary correspondence: outer -> |w| = 1, hole -> |w| = modulus
         out_dev = float(np.max(np.abs(np.abs(amap.forward(mid_o)) - 1.0)))
         in_dev = float(np.max(np.abs(np.abs(amap.forward(mid_i)) - amap.modulus)))

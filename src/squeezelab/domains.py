@@ -20,7 +20,6 @@ __all__ = [
     "Curve",
     "ParamCurve",
     "CircleCurve",
-    "PolylineCurve",
     "MappedCurve",
     "PlanarDomain",
     "DefiningFunctionDomain",
@@ -35,7 +34,6 @@ __all__ = [
     "ball",
     "ellipsoid",
     "preset",
-    "domain_from_spec",
     "random_interior_points",
 ]
 
@@ -255,31 +253,6 @@ class CircleCurve(ParamCurve):
         super().__init__(f, n=n)
 
 
-class PolylineCurve(Curve):
-    """Closed polyline through given vertices (arc-length parameterized)."""
-
-    def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=complex)
-        if v.size < 3:
-            raise ConfigError("polyline needs at least 3 vertices")
-        self.vertices = v
-        seg = np.abs(np.roll(v, -1) - v)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self._total = cum[-1]
-        self._cum = cum / self._total
-        super().__init__(self._cum[:-1])
-
-    def point(self, t):
-        t = np.asarray(t, dtype=float) % 1.0
-        idx = np.clip(np.searchsorted(self._cum, t, side="right") - 1, 0, len(self.vertices) - 1)
-        t0 = self._cum[idx]
-        t1 = self._cum[idx + 1]
-        frac = np.where(t1 > t0, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
-        a = self.vertices[idx]
-        b = self.vertices[(idx + 1) % len(self.vertices)]
-        return a + frac * (b - a)
-
-
 class MappedCurve(Curve):
     """Pointwise image of another curve under a holomorphic map."""
 
@@ -389,10 +362,6 @@ class PlanarDomain:
         """
         return _planar_distances([(self, z)])[0]
 
-    def inward_normal(self, p) -> complex:
-        """Inward unit normal of the boundary curve at a boundary point."""
-        return complex(self._frames(np.array([complex(p)]))[1][0])
-
     def tangent_ball_radius(self, p, inward):
         """Radius of the largest disc in the domain tangent at the boundary point ``p`` with inward normal n = ``inward``.
 
@@ -473,13 +442,6 @@ class PlanarDomain:
         if z.ndim == 0:
             return float(radius[0]), complex(offset[0])
         return radius.reshape(z.shape), offset.reshape(z.shape)
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "planar",
-            "outer": [[float(p.real), float(p.imag)] for p in self.outer.points()],
-            "holes": [[[float(p.real), float(p.imag)] for p in h.points()] for h in self.holes],
-        }
 
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
         """Interior points among ``count`` uniform draws from the outer curve's bounding box.
@@ -753,12 +715,6 @@ class DefiningFunctionDomain:
         inside = np.add.reduce(self.w * np.abs(np.asarray(z, dtype=complex)) ** 2, axis=-1) < 1.0
         return bool(inside) if inside.ndim == 0 else inside
 
-    def inward_normal(self, p) -> np.ndarray:
-        return -_unit(self.w * self.as_point(p))
-
-    def to_spec(self) -> dict:
-        return {"kind": "defining", "name": self.name, "w": self.w.tolist()}
-
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
         """Interior points among ``count`` uniform draws from the box |Re z_j|, |Im z_j| <= 1/sqrt(w_j).
 
@@ -1024,18 +980,12 @@ def preset(name: str):
     if name == "omega_zlogz":
         return build_omega(build_omega_prime())
     if name.startswith("annulus_"):
-        return annulus(float(name.split("_", 1)[1]))
+        try:
+            modulus = float(name.split("_", 1)[1])
+        except ValueError:
+            raise ConfigError(f"preset {name!r} has no annulus modulus") from None
+        return annulus(modulus)
     raise ConfigError(f"unknown preset {name!r}")
-
-
-def domain_from_spec(spec: dict):
-    if spec["kind"] == "planar":
-        outer = PolylineCurve([complex(a, b) for a, b in spec["outer"]])
-        holes = [PolylineCurve([complex(a, b) for a, b in h]) for h in spec.get("holes", [])]
-        return PlanarDomain(outer, holes)
-    if spec["kind"] == "defining":
-        return DefiningFunctionDomain(spec["w"], name=spec.get("name", ""))
-    raise ConfigError(f"unknown domain kind {spec.get('kind')!r}")
 
 
 def random_interior_points(dom, count: int, seed: int = 0) -> np.ndarray:

@@ -21,6 +21,7 @@ from .ball import lemma25_bound
 from .conformal import canonical_annulus_map
 from .domains import (
     _LENS_WIDTH,
+    _integer,
     boundary_distance,
     build_omega,
     build_omega_prime,
@@ -62,8 +63,8 @@ class ExperimentConfig:
         if self.domain_preset not in presets:
             raise ConfigError(f"{self.experiment} takes a domain preset from {presets}, "
                               f"not {self.domain_preset!r}")
-        if self.scales < 3:
-            raise ConfigError("scales must be at least 3")
+        _integer(self.scales, "scales", 3)
+        _integer(self.seed, "seed", 0)
 
 
 @dataclass

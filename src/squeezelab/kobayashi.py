@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import kobayashi_ball
-from .domains import _integer, _unit, random_interior_points
+from .domains import _integer, _unit
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -26,10 +25,7 @@ __all__ = [
     "infinitesimal_upper",
     "distance_upper",
     "lemma_log_bound_verify",
-    "inclusion_monotonicity_check",
     "tangent_ball_radius",
-    "exact_disc_distance",
-    "slit_disc_distance",
 ]
 
 
@@ -219,68 +215,3 @@ def lemma_log_bound_verify(dom, base, boundary_target, inward, num_scales: int =
         "delta0": float(delta0),
     }
 
-
-# ---------------------------------------------------------------------------
-# exact planar oracles and the inclusion check
-
-
-def exact_disc_distance(a: complex, b: complex) -> float:
-    """Poincare/Kobayashi distance of the unit disc."""
-    a, b = complex(a), complex(b)
-    if abs(a) >= 1 or abs(b) >= 1:
-        raise DomainError("points must lie in the open unit disc")
-    m = abs((a - b) / (1.0 - np.conj(b) * a))
-    return float(np.arctanh(m))
-
-
-def _slit_disc_uniformize(z: complex) -> complex:
-    """Conformal map of the unit disc minus the radius [0, 1) onto the disc."""
-    z = complex(z)
-    if abs(z) >= 1 or (z.imag == 0 and z.real >= 0):
-        raise DomainError("point not in the slit disc")
-    w = np.sqrt(abs(z)) * np.exp(0.5j * (np.angle(z) % (2.0 * np.pi)))  # upper half disc
-    zeta = -0.5 * (w + 1.0 / w)  # upper half plane
-    return (zeta - 1j) / (zeta + 1j)
-
-
-def slit_disc_distance(a: complex, b: complex) -> float:
-    """Exact Kobayashi distance of the disc minus the radius [0, 1)."""
-    return exact_disc_distance(_slit_disc_uniformize(a), _slit_disc_uniformize(b))
-
-
-def inclusion_monotonicity_check(inner_dom, pairs: int = 200, seed: int = 0, oracle=None) -> dict:
-    """Distance monotonicity under inclusion: d_outer <= d_inner.
-
-    The enclosing domain is the unit ball (or disc), whose exact distance is
-    ``kobayashi_ball``.  Where an exact ``oracle`` for the inner distance
-    exists the inequality is asserted strictly; without one, only computed
-    upper bounds are available and a bound falling below the outer formula
-    is recorded as a flag, not a failure, since an upper bound cannot
-    certify the lower inequality on its own.
-    """
-    sample_points = random_interior_points(inner_dom, pairs, seed=seed)
-    strict_failures = []
-    flags = []
-    checked = 0
-    base = inner_dom.as_point(sample_points[0])
-    for z in sample_points[1:]:
-        z = inner_dom.as_point(z)
-        outer_val = kobayashi_ball(base, z)
-        checked += 1
-        if oracle is not None:
-            inner_val = oracle(base, z)
-            if inner_val < outer_val - 1e-10:
-                strict_failures.append({"z": str(z), "inner": inner_val, "outer": outer_val})
-        else:
-            try:
-                ub = distance_upper(inner_dom, base, z).value
-            except DomainError:
-                ub = None  # straight segment leaves the domain; skip
-            if ub is not None and ub < outer_val - 1e-9:
-                flags.append({"z": str(z), "upper": ub, "outer": outer_val})
-    return {
-        "checked": checked,
-        "strict_failures": strict_failures,
-        "flags": flags,
-        "passed": not strict_failures,
-    }

@@ -38,13 +38,13 @@ def rng():
 
 @pytest.fixture()
 def fitted_domains(monkeypatch):
-    """The domain of each least-squares fit that canonical_annulus_map makes during the test, in order."""
+    """The domain of each map that canonical_annulus_map builds during the test, in order."""
     fits = []
-    fit = conformal._fit
+    build = conformal._build
 
     def spy(dom, *args):
         fits.append(dom)
-        return fit(dom, *args)
+        return build(dom, *args)
 
-    monkeypatch.setattr(conformal, "_fit", spy)
+    monkeypatch.setattr(conformal, "_build", spy)
     return fits

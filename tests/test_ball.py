@@ -19,7 +19,6 @@ from squeezelab.ball import (
     psi_apply,
     psi_invert,
     sphere_samples,
-    unitary_align,
 )
 from squeezelab.errors import ConfigError, DomainError
 
@@ -66,7 +65,7 @@ class TestUnitaryAlign:
         for n in (1, 2, 3):
             for _ in range(50):
                 p = random_ball_point(rng, n)
-                u = unitary_align(p)
+                u = BallAutomorphism.centering(p).align
                 img = u @ p
                 np.testing.assert_allclose(img[0], np.linalg.norm(p), atol=1e-13)
                 np.testing.assert_allclose(img[1:], 0.0, atol=1e-13)

@@ -6,7 +6,6 @@ values of the map z log z and its collisions outside the source lens.
 
 import gc
 import hashlib
-import json
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +22,7 @@ import squeezelab
 from squeezelab import conformal, domains
 from squeezelab.domains import (
     CircleCurve,
+    Curve,
     DefiningFunctionDomain,
     ParamCurve,
     PlanarDomain,
@@ -34,7 +34,6 @@ from squeezelab.domains import (
     build_omega,
     build_omega_prime,
     disc,
-    domain_from_spec,
     ellipsoid,
     phi_deriv,
     phi_map,
@@ -42,6 +41,31 @@ from squeezelab.domains import (
     random_interior_points,
 )
 from squeezelab.errors import ConfigError, DomainError, SolverError
+
+
+class PolylineCurve(Curve):
+    """Closed polyline through given vertices (arc-length parameterized)."""
+
+    def __init__(self, vertices):
+        v = np.asarray(vertices, dtype=complex)
+        if v.size < 3:
+            raise ConfigError("polyline needs at least 3 vertices")
+        self.vertices = v
+        seg = np.abs(np.roll(v, -1) - v)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        self._total = cum[-1]
+        self._cum = cum / self._total
+        super().__init__(self._cum[:-1])
+
+    def point(self, t):
+        t = np.asarray(t, dtype=float) % 1.0
+        idx = np.clip(np.searchsorted(self._cum, t, side="right") - 1, 0, len(self.vertices) - 1)
+        t0 = self._cum[idx]
+        t1 = self._cum[idx + 1]
+        frac = np.where(t1 > t0, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
+        a = self.vertices[idx]
+        b = self.vertices[(idx + 1) % len(self.vertices)]
+        return a + frac * (b - a)
 
 
 class TestDiscDomain:
@@ -272,29 +296,6 @@ class TestUtilities:
         assert fine.crossings(z)[0][0]
         assert not coarse.crossings(z)[0][0] and len(coarse.points()) == 8
 
-    def test_spec_roundtrip(self, omega_prime):
-        spec = omega_prime.to_spec()
-        dom2 = domain_from_spec(spec)
-        assert dom2.connectivity == 2
-        assert dom2.contains(0.05) and not dom2.contains(0.5)
-        # specs written before the smoothness label was dropped still load
-        assert domain_from_spec({**spec, "smoothness": "C2"}).connectivity == 2
-
-    def test_defining_spec_roundtrip_keeps_parameters(self):
-        e = ellipsoid(b=0.3)
-        dom2 = domain_from_spec(json.loads(json.dumps(e.to_spec())))
-        assert not e.contains(np.array([0.0, 0.5]))
-        assert not dom2.contains(np.array([0.0, 0.5]))
-        assert dom2.contains(np.array([0.0, 0.25]))
-        assert domain_from_spec(ball(3).to_spec()).dim == 3
-
-    def test_defining_spec_roundtrip_from_weights_alone(self):
-        dom = DefiningFunctionDomain([1.0, 3.0])
-        rebuilt = domain_from_spec(json.loads(json.dumps(dom.to_spec())))
-        assert rebuilt.w.tobytes() == dom.w.tobytes()
-        e = ellipsoid(b=0.3)
-        assert domain_from_spec(json.loads(json.dumps(e.to_spec()))).w.tobytes() == e.w.tobytes()
-
     def test_random_interior_points(self, omega_prime):
         pts = random_interior_points(omega_prime, 100, seed=4)
         assert all(omega_prime.contains(p) for p in pts)
@@ -365,18 +366,6 @@ class TestContainsProtocol:
         for name, batch in (("disc", planar), ("omega_prime", planar), ("ball", rows), ("ellipsoid", rows)):
             got = _PROTOCOL_DOMAINS[name].contains(batch)
             assert got.any() and not got.all(), name
-
-    @pytest.mark.parametrize("name", sorted(_PROTOCOL_DOMAINS))
-    def test_spec_roundtrip_agrees_on_contains(self, name):
-        dom = _PROTOCOL_DOMAINS[name]
-        rebuilt = domain_from_spec(json.loads(json.dumps(dom.to_spec())))
-        rng = np.random.default_rng(3)
-        xy = rng.uniform(-1.1, 1.1, size=(300, 4))
-        pts = xy[:, 0] + 1j * xy[:, 1] if name in ("disc", "omega_prime") else xy[:, :2] + 1j * xy[:, 2:]
-        pts = np.concatenate([pts, random_interior_points(dom, 50, seed=5)])
-        inside = dom.contains(pts)
-        assert inside.any() and not inside.all()
-        np.testing.assert_array_equal(rebuilt.contains(pts), inside)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +629,7 @@ class TestBoundaryDistanceBatch:
         _assert_distance_batch_equals_points(_PLANAR_DOMAINS[name], p if name == "omega_prime" else phi_map(p))
 
     def test_polygon_with_three_samples(self):
-        triangle = domain_from_spec({"kind": "planar", "outer": [[0, 0], [1, 0], [0, 1]]})
+        triangle = PlanarDomain(PolylineCurve([0, 1, 1j]))
         _assert_distance_batch_equals_points(triangle, np.array([0.2 + 0.2j, 0.1 + 0.5j]))
         assert boundary_distance(triangle, 0.1 + 0.5j).d == pytest.approx(0.1, abs=1e-15)
 
@@ -1048,7 +1037,7 @@ class TestSliceDistance:
     def test_planar_disc_at_a_corner_raises(self):
         # in the unit square the disc tangent at an edge's midpoint is the
         # inscribed circle, while at a corner no tangent disc holds the point
-        square = domain_from_spec({"kind": "planar", "outer": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+        square = PlanarDomain(PolylineCurve([0, 1, 1 + 1j, 1j]))
         radius, offset = square.slice_disc(0.5 + 0.1j, 1.0)
         assert radius == pytest.approx(0.5, abs=1e-12) and offset == pytest.approx(0.4j, abs=1e-12)
         with pytest.raises(DomainError, match="tangent disc misses"):

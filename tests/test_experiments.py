@@ -68,6 +68,9 @@ class TestConfig:
             ExperimentConfig("no-such-experiment")
         with pytest.raises(ConfigError):
             ExperimentConfig("lemma22", scales=2)
+        for bad in ({"scales": 3.5}, {"scales": "5"}, {"seed": -1}, {"seed": 1.0}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig("pipeline", **bad)
 
     def test_unknown_lemma22_preset_rejected(self):
         # an unknown preset used to run no job and return an empty report that passed
@@ -210,6 +213,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "nosuch" in captured.err and "Traceback" not in captured.err
+
+    def test_unparsable_annulus_modulus_reported(self, capsys):
+        assert main(["squeeze", "--preset", "annulus_x", "--at", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "annulus_x" in captured.err and "Traceback" not in captured.err
+
+    def test_unparsable_point_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["squeeze", "--at", "abc"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert "--at" in captured.err and "abc" in captured.err and "Traceback" not in captured.err
 
     def test_squeeze_rejects_non_planar_preset(self, capsys):
         with pytest.raises(ConfigError):

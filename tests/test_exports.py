@@ -1,11 +1,15 @@
-"""Every name a module exports resolves, so ``from module import *`` works.
+"""Every name a module exports resolves, so ``from module import *`` works,
+and the library itself reaches it.
 
 A stale ``__all__`` entry (a deleted class or function left in the list)
-makes the star import raise ``AttributeError``.
+makes the star import raise ``AttributeError``; an exported name that only
+tests use is code to delete, or to move into the test that needs it.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +30,46 @@ def test_all_resolves_and_star_import_succeeds(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+# the acceptance gate's API: the gate's tests are its only callers
+_GATE_API = {"norm_psi_identity", "annulus_squeeze_lower"}
+
+
+def _reached_names(tree) -> set:
+    """Names that ``tree`` reaches outside their own definitions.
+
+    A name is reached as an ``ast.Name``, an ``ast.Attribute``, an import
+    alias, or a string equal to it: a lookup by name, as the benchmark
+    tracer patches its entry points.  The strings of ``__all__`` do not count.
+    """
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                else None)
+        if name is not None and name not in defining:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_export_is_reached_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    reached = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
+        if not path.name.startswith("test_"):
+            reached |= _reached_names(ast.parse(path.read_text(), str(path)))
+    unreached = [f"{name}.{n}" for name in MODULES for n in getattr(importlib.import_module(name), "__all__", [])
+                 if n not in reached and n not in _GATE_API]
+    assert unreached == []
