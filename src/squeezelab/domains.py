@@ -9,6 +9,7 @@ the origin lives at scales of 1e-9.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +118,19 @@ def _least(values, rows: int, width: int, k: int) -> np.ndarray:
         least = np.take_along_axis(v, part, axis=1)
         out[block] = np.take_along_axis(part, np.lexsort((part, least)), axis=1)
         kth = least.max(axis=1, keepdims=True)
-        for r in np.flatnonzero(np.count_nonzero(v == kth, axis=1) > np.count_nonzero(least == kth, axis=1)):
-            out[block.start + r] = np.argsort(v[r], kind="stable")[:k]
+        tied = np.flatnonzero(np.count_nonzero(v == kth, axis=1) > np.count_nonzero(least == kth, axis=1))
+        if len(tied):
+            out[block.start + tied] = np.argsort(v[tied], axis=1, kind="stable")[:, :k]
     return out
 
 
-def _box_distances(z, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest distance from ``z`` to the box [x0, x1] x [y0, y1], the least 0 inside it; broadcasts."""
+def _box_squares(z, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
+    """Squared least and greatest distance from ``z`` to the box [x0, x1] x [y0, y1], the least 0 inside it; broadcasts."""
     # x0 - x and x - x1 sum to x0 - x1 <= 0: the greater is the gap to the box, the lesser minus that to its far side
     ax, bx, ay, by = x0 - z.real, z.real - x1, y0 - z.imag, z.imag - y1
-    return (np.hypot(np.maximum(np.maximum(ax, bx), 0.0), np.maximum(np.maximum(ay, by), 0.0)),
-            np.hypot(np.minimum(ax, bx), np.minimum(ay, by)))
+    gx, gy = np.maximum(np.maximum(ax, bx), 0.0), np.maximum(np.maximum(ay, by), 0.0)
+    fx, fy = np.minimum(ax, bx), np.minimum(ay, by)
+    return gx * gx + gy * gy, fx * fx + fy * fy
 
 
 class _SampleIndex:
@@ -141,6 +144,11 @@ class _SampleIndex:
     candidate edges of a batch of points.  Runs of ``_RUN`` consecutive
     samples form blocks, ``boxes`` holds x0, x1, y0, y1 of each one's box
     (``box`` of the curve's), and ``gap`` is the largest sample step.
+
+    The first crossing test also builds a grid over the box (``_build_grid``):
+    ``shape`` gives its columns and rows of square cells of side ``side``
+    from ``origin``, and one lookup in ``_state`` answers most points without
+    the strip gather.
     """
 
     def __init__(self, points: np.ndarray):
@@ -171,24 +179,98 @@ class _SampleIndex:
         self.sizes = np.minimum(_RUN, n - self.starts)
         self.boxes = [f.reduceat(c, self.starts) for c in (x0, y0) for f in (np.minimum, np.maximum)]
         self.box = [f.reduce(b) for f, b in zip((np.minimum, np.maximum) * 2, self.boxes)]
+        self._state = None
 
-    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        odd = np.zeros(len(z), dtype=bool)
-        on_sample = np.zeros(len(z), dtype=bool)
+    def _strip(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``crossings`` of the points ``x + iy`` by the strip table, each point against its strip's edges."""
+        odd = np.zeros(len(x), dtype=bool)
+        on_sample = np.zeros(len(x), dtype=bool)
         # a point above or below every sample crosses no edge and equals no sample
-        level = np.flatnonzero((z.imag >= self.box[2]) & (z.imag <= self.box[3]))
+        level = np.flatnonzero((y >= self.box[2]) & (y <= self.box[3]))
         for block in _blocks(len(level), self.table.shape[1]):
             at = level[block]
-            x = z.real[at, None]
-            y = z.imag[at, None]
-            x0, y0, y1, dxdy = self.edges[:, self.table[np.searchsorted(self.cuts, y[:, 0], "right")]]
+            px, py = x[at, None], y[at, None]
+            x0, y0, y1, dxdy = self.edges[:, self.table[np.searchsorted(self.cuts, py[:, 0], "right")]]
             with np.errstate(invalid="ignore", over="ignore"):
                 # offsets from the edge's first sample are exact for nearby
                 # points, so the side of the edge is decided at their scale
-                hit = ((y0 > y) != (y1 > y)) & (x - x0 < (y - y0) * dxdy)
+                hit = ((y0 > py) != (y1 > py)) & (px - x0 < (py - y0) * dxdy)
             odd[at] = np.logical_xor.reduce(hit, axis=1)
-            on_sample[at] = ((x0 == x) & (y0 == y)).any(axis=1)
+            on_sample[at] = ((x0 == px) & (y0 == py)).any(axis=1)
         return odd, on_sample
+
+    def _build_grid(self):
+        """Square cells over the box, each in ``_state`` 0 or 1, the parity of a cell no edge comes near, or 2, one an edge does.
+
+        Cells are about 8 per sample and no smaller than ``gap``, laid row
+        after row from the box's lower left corner less ``reach``.  A cell is
+        marked (2) when it meets an edge's box dilated by ``reach``, 1e-6
+        plus 4096 ulps of the largest sample coordinate: the strip test's
+        intercepts round by far less, so it decides a point outside every
+        dilated box as the exact polygon does, and such a point is more than
+        1e-6 from every sample.  The map from a point to its cell is
+        monotone in x and y, and the dilated boxes are marked through the
+        same map, so a point placed in an unmarked cell is outside all of
+        them.  A row's run of unmarked cells is then a rectangle that misses
+        the polygon, and the strip test's parity at the centre of its first
+        cell holds for all of it.
+        """
+        p, n = self.points, len(self.points)
+        x0, x1, y0, y1 = self.box
+        reach = 1e-6 + 4096 * np.spacing(max(-x0, x1, -y0, y1))
+        self.side = side = max(self.gap, np.sqrt((x1 - x0) * (y1 - y0) / (8 * n)), reach)
+        self.origin = (x0 - reach, y0 - reach)
+        nx, ny = self.shape = (int(self._place(x1 + reach, 0)) + 1, int(self._place(y1 + reach, 1)) + 1)
+        nxt = np.roll(p, -1)
+        lo_x, hi_x, lo_y, hi_y = (
+            self._place(f(a, b) + s, axis).astype(np.intp)
+            for a, b, axis in ((p.real, nxt.real, 0), (p.imag, nxt.imag, 1))
+            for f, s in ((np.minimum, -reach), (np.maximum, reach)))
+        # a dilated box is at most gap + 2 reach <= 3 side wide, so it spans at most 4 cells a side
+        free = np.ones(nx * ny, dtype=bool)
+        for i in range(int(np.max(hi_x - lo_x)) + 1):
+            for j in range(int(np.max(hi_y - lo_y)) + 1):
+                free[((lo_y + j) * nx + lo_x + i)[(lo_x + i <= hi_x) & (lo_y + j <= hi_y)]] = False
+        first = free.copy()  # the first cell of each run of unmarked cells in a row
+        first[1:] &= ~free[:-1]
+        first[::nx] = free[::nx]
+        start = np.flatnonzero(first)
+        parity = self._strip(self.origin[0] + (start % nx + 0.5) * side, self.origin[1] + (start // nx + 0.5) * side)[0]
+        # uint8, read by `> 1` and a cast to bool: numpy loops the reports run anyway, so the
+        # grid faults in no more numpy code (`== 1` on int8 would, 64 kB of it)
+        self._state = np.full(nx * ny, 2, dtype=np.uint8)
+        runs = np.flatnonzero(first[free])  # each run's first cell among the unmarked ones
+        self._state[free] = np.repeat(parity, np.diff(runs, append=np.count_nonzero(free)))
+
+    def _place(self, c, axis: int):
+        """Grid coordinate of ``c`` along x (``axis`` 0) or y (1), the cell's index at its integer part."""
+        return (c - self.origin[axis]) / self.side
+
+    def _cells(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the points of ``z`` on the grid, and the state of each one's cell (``_build_grid``)."""
+        if self._state is None:
+            self._build_grid()
+        u, v = self._place(z.real, 0), self._place(z.imag, 1)
+        at = np.flatnonzero((u >= 0.0) & (u < self.shape[0]) & (v >= 0.0) & (v < self.shape[1]))  # NaN is off it
+        return at, self._state[v[at].astype(np.intp) * self.shape[0] + u[at].astype(np.intp)]
+
+    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Curve.crossings``: off the grid both are False, in an unmarked cell ``odd`` is its parity, else the strip test's."""
+        odd = np.zeros(len(z), dtype=bool)
+        on_sample = np.zeros(len(z), dtype=bool)
+        at, state = self._cells(z)
+        odd[at] = state  # a marked cell's 2 reads True until the strip test answers its points
+        near = at[state > 1]
+        if len(near):
+            odd[near], on_sample[near] = self._strip(z.real[near], z.imag[near])
+        return odd, on_sample
+
+    def marked(self, z: np.ndarray) -> np.ndarray:
+        """Mask of the points of ``z`` in a marked cell, the only ones that can lie within 1e-6 of a sample."""
+        mask = np.zeros(len(z), dtype=bool)
+        at, state = self._cells(z)
+        mask[at[state > 1]] = True
+        return mask
 
     def least(self, z: np.ndarray, k: int) -> np.ndarray:
         """Indices of the ``k`` samples nearest each point of ``z``, in ``_least``'s order (ties to the lower index).
@@ -199,9 +281,10 @@ class _SampleIndex:
         """
         out = np.empty((len(z), k), dtype=np.intp)
         for block in _blocks(len(z), len(self.starts)):
-            box, corner = _box_distances(z[block, None], *self.boxes)
+            box, corner = _box_squares(z[block, None], *self.boxes)
             reach = np.min(corner, axis=1, where=self.sizes >= k, initial=np.inf, keepdims=True)
-            near = box <= reach * (1.0 + 1e-9)
+            # squares keep their relative precision down to tiny, and a tiny square may keep no digits
+            near = box <= reach * (1.0 + 2e-9) + np.finfo(float).tiny
             count = near @ self.sizes  # each row's candidate samples, which also bound the rows of a block
             for rows in _blocks(len(near), count.max()):
                 # the candidates' samples, row after row and in order within a row
@@ -305,11 +388,14 @@ class PlanarDomain:
         self.holes = list(holes)
         self.name = name
         self._conformal_maps = {}  # conformal.canonical_annulus_map's memo, keyed by resolution
-        if outer.signed_area() <= 0:
+        self._area = outer.signed_area()  # the sample polygons' area, each hole's signed area negative
+        if self._area <= 0:
             raise ConfigError("outer curve must be positively oriented")
         for h in self.holes:
-            if h.signed_area() >= 0:
+            hole_area = h.signed_area()
+            if hole_area >= 0:
                 raise ConfigError("hole curves must be negatively oriented")
+            self._area += hole_area
             hp = h.points()
             odd, on_sample = outer.crossings(hp[:: max(1, len(hp) // 16)])
             if not np.all(odd & ~on_sample):
@@ -443,24 +529,31 @@ class PlanarDomain:
             return float(radius[0]), complex(offset[0])
         return radius.reshape(z.shape), offset.reshape(z.shape)
 
+    def _acceptance(self) -> float:
+        """Share of the sampling box (``_interior_candidates``) inside the domain: the polygons' area over the box's."""
+        x0, x1, y0, y1 = self.outer._sample_index().box
+        return float(self._area / ((x1 - x0) * (y1 - y0)))
+
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
         """Interior points among ``count`` uniform draws from the outer curve's bounding box.
 
         One draw is an (x, y) pair; points within 1e-6 of a boundary sample
         are dropped too.
         """
-        p = self.outer.points()
-        xy = rng.uniform((p.real.min(), p.imag.min()), (p.real.max(), p.imag.max()), size=(count, 2))
+        x0, x1, y0, y1 = self.outer._sample_index().box
+        xy = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
         z = xy.view(complex)[:, 0]  # each row read as x + iy, bit for bit
         inner = z[self.contains(z)]
-        # a sample within 1e-6 of a point is within 1e-6 of it in x: only the
+        # only a point in a marked grid cell of some curve can lie within 1e-6
+        # of a sample, and such a sample lies within 1e-6 of it in x: only the
         # samples in an x-window twice that wide are measured exactly
-        s = self._x_sorted
-        lo = np.searchsorted(s.real, inner.real - 2e-6)
-        width = np.searchsorted(s.real, inner.real + 2e-6, "right") - lo
-        owner = np.repeat(np.arange(len(inner)), width)
+        near = np.flatnonzero(np.logical_or.reduce([c._sample_index().marked(inner) for c in self.curves()]))
+        s, q = self._x_sorted, inner[near]
+        lo = np.searchsorted(s.real, q.real - 2e-6)
+        width = np.searchsorted(s.real, q.real + 2e-6, "right") - lo
+        owner = np.repeat(np.arange(len(q)), width)
         sample = np.repeat(lo - np.cumsum(width) + width, width) + np.arange(len(owner))
-        return np.delete(inner, owner[np.abs(s[sample] - inner[owner]) <= 1e-6])
+        return np.delete(inner, near[owner[np.abs(s[sample] - q[owner]) <= 1e-6]])
 
 
 # Brent's bounded minimiser (R. P. Brent, Algorithms for Minimization without
@@ -630,7 +723,9 @@ def _planar_distances(queries) -> list[DomainPoint]:
         reach, col = np.full(len(z), np.inf), 0
         for curve in dom.curves():
             index = curve._sample_index()
-            near = np.flatnonzero(_box_distances(z, *index.box)[0] - 2.0 * index.gap <= reach * (1.0 + 1e-9))
+            near = np.flatnonzero(np.sqrt(_box_squares(z, *index.box)[0]) - 2.0 * index.gap <= reach * (1.0 + 1e-9))
+            if col and not len(near):  # a hole no point needs; the outer curve gives every row its windows
+                continue
             lo, hi, lanes, nearest = _sample_windows(curve, z[near])
             reach[near] = np.minimum(reach[near], nearest + 2.0 * index.gap)
             owner, k = np.nonzero(lanes)
@@ -714,6 +809,10 @@ class DefiningFunctionDomain:
         """
         inside = np.add.reduce(self.w * np.abs(np.asarray(z, dtype=complex)) ** 2, axis=-1) < 1.0
         return bool(inside) if inside.ndim == 0 else inside
+
+    def _acceptance(self) -> float:
+        """Share of the sampling box (``_interior_candidates``) inside the domain, pi^n / (n! 4^n) for every ``w``."""
+        return math.pi**self.dim / (math.factorial(self.dim) * 4**self.dim)
 
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
         """Interior points among ``count`` uniform draws from the box |Re z_j|, |Im z_j| <= 1/sqrt(w_j).
@@ -830,8 +929,8 @@ class DefiningFunctionDomain:
 
 
 def _integer(value, what: str, least: int) -> int:
-    """``value`` as an int; ``ConfigError`` unless it is an integer of at least ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """``value`` as an int; ``ConfigError`` unless it is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ConfigError(f"{what} must be an integer of at least {least}, not {value!r}")
     return int(value)
 
@@ -991,15 +1090,18 @@ def preset(name: str):
 def random_interior_points(dom, count: int, seed: int = 0) -> np.ndarray:
     """Rejection-sampled interior points (planar: complex; defining: C^n rows).
 
-    The first round draws ``count`` candidates, and each later one enough
-    for the points still missing at the acceptance rate seen so far.  The
+    The first round draws a tenth more candidates than the domain's
+    acceptance rate (``_acceptance``: the share of its sampling box inside
+    it) predicts, and each later one enough for the points still missing at
+    the rate seen so far; no round draws more than 64 per point.  The
     generator draws its stream in order and the first accepted candidates
     are kept, so the points are those a one-candidate-at-a-time loop would
     return.
     """
     count = _integer(count, "point count", 0)
     rng = np.random.default_rng(seed)
-    points, drawn = dom._interior_candidates(rng, count), count
+    drawn = int(1.1 * count / max(dom._acceptance(), 1.1 / 64))
+    points = dom._interior_candidates(rng, drawn)
     while len(points) < count:
         missing = count - len(points)
         # a quarter more than the rate predicts, and at most 64 draws per missing point

@@ -68,7 +68,8 @@ class TestConfig:
             ExperimentConfig("no-such-experiment")
         with pytest.raises(ConfigError):
             ExperimentConfig("lemma22", scales=2)
-        for bad in ({"scales": 3.5}, {"scales": "5"}, {"seed": -1}, {"seed": 1.0}):
+        # a bool is an int to isinstance, and was written into the report as "seed": true
+        for bad in ({"scales": 3.5}, {"scales": "5"}, {"seed": -1}, {"seed": 1.0}, {"seed": True}):
             with pytest.raises(ConfigError):
                 ExperimentConfig("pipeline", **bad)
 

@@ -301,7 +301,7 @@ class TestDistanceUpper:
         with pytest.raises(ConfigError):
             PathSpec(refinement=1)
 
-    @pytest.mark.parametrize("refinement", [2.5, 8.0, "8"])
+    @pytest.mark.parametrize("refinement", [2.5, 8.0, "8", True])
     def test_refinement_must_be_an_integer(self, refinement):
         with pytest.raises(ConfigError, match="refinement"):
             PathSpec(refinement=refinement)
