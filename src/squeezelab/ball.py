@@ -171,15 +171,19 @@ class BallAutomorphism:
     align: np.ndarray
 
     def __post_init__(self):
-        r = _check_r(self.r)
-        a = np.asarray(self.align, dtype=complex)
-        if a.shape[:-2] != np.shape(r) or a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-            raise ConfigError("alignment must be a square matrix, or a stack of them with one per r")
-        n = a.shape[-1]
+        self._store(self.r, self.align)
+        a, n = self.align, self.align.shape[-1]
         # the largest row norm of a a^H - I over the stack
         dev = np.max(_row_norms((a @ a.conj().swapaxes(-1, -2) - np.eye(n)).reshape(-1, n)), initial=0.0)
         if dev > 1e-12:
             raise ConfigError(f"alignment not unitary: deviation {dev:.3e}")
+
+    def _store(self, r, align):
+        """Check ``r`` and the shape of ``align``, and store both; whether ``align`` is unitary is not checked."""
+        r = _check_r(r)
+        a = np.asarray(align, dtype=complex)
+        if a.shape[:-2] != np.shape(r) or a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+            raise ConfigError("alignment must be a square matrix, or a stack of them with one per r")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "align", a)
 
@@ -188,7 +192,9 @@ class BallAutomorphism:
         """The automorphism sending the interior point p to the origin; rows ``(m, n)`` give a stack, one per row.
 
         ``r`` is the norm of p, and a zero p gets r = 0 and the identity.
-        Each row gets the bits of its one-point call.
+        Each row gets the bits of its one-point call.  The alignments come
+        from QR, so unlike a caller's ``align`` they are not re-checked for
+        being unitary (``TestCenteringIsUnitary`` holds them to 1e-12).
         """
         p = _check_in_ball(_as_points(p))
         rows = np.atleast_2d(p)
@@ -196,7 +202,11 @@ class BallAutomorphism:
         zero = r == 0.0
         align = _align_rows(np.where(zero[:, None], 1.0, rows))  # a zero row aligns a stand-in
         align[zero] = np.eye(rows.shape[1])
-        return cls(float(r[0]), align[0]) if p.ndim == 1 else cls(r, align)
+        if p.ndim == 1:
+            r, align = float(r[0]), align[0]
+        aut = object.__new__(cls)  # not through ``__post_init__``, which would check a a^H - I
+        aut._store(r, align)
+        return aut
 
     # The stacked matrix-vector product rotates every row exactly as
     # ``align @ z`` rotates one point; ``z @ align.T`` may differ in the last bits.

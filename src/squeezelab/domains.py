@@ -864,11 +864,12 @@ class DefiningFunctionDomain:
         # the bisection's root u ~ 1e-154 would inherit; such rows take the
         # limit u = 0 instead, on the sphere point in their direction
         sphere = (k[:, top] < np.finfo(float).tiny).all(axis=-1) & (excess <= 0.0)
-        nearest[np.ix_(sphere, ~top)] = rows[np.ix_(sphere, ~top)] / c[~top]
-        nearest[sphere, np.argmax(top)] = np.sqrt(-excess[sphere] / m)
-        lift = np.flatnonzero(sphere & (rows[:, top] != 0).any(axis=-1))
-        zt = rows[np.ix_(lift, top)] * 2.0**600  # exact, and now safe to square
-        nearest[np.ix_(lift, top)] = zt / _row_norms(zt)[:, None] * np.sqrt(-excess[lift] / m)[:, None]
+        if sphere.any():
+            nearest[np.ix_(sphere, ~top)] = rows[np.ix_(sphere, ~top)] / c[~top]
+            nearest[sphere, np.argmax(top)] = np.sqrt(-excess[sphere] / m)
+            lift = np.flatnonzero(sphere & (rows[:, top] != 0).any(axis=-1))
+            zt = rows[np.ix_(lift, top)] * 2.0**600  # exact, and now safe to square
+            nearest[np.ix_(lift, top)] = zt / _row_norms(zt)[:, None] * np.sqrt(-excess[lift] / m)[:, None]
         rest = ~sphere
         if top.all():  # a ball of radius 1/sqrt(w)
             radius, nz = 1.0 / np.sqrt(w[0]), _row_norms(rows[rest])

@@ -202,10 +202,10 @@ def run_lemma24_25(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _pipeline_tables(config: ExperimentConfig) -> dict:
-    """Closed-form rows on the ball and the ellipsoid; the seed enters only the provenance."""
+    """Closed-form rows on the ball and the ellipsoid, from one stacked call; the seed enters only the provenance."""
     pts = [np.array([1.0 - 2.0 ** (-i), 0.0], dtype=complex) for i in range(1, min(config.scales, 10) + 1)]
-    return {"ball": theorem21_pipeline(ball(2), pts, C=0.35),
-            "ellipsoid": theorem21_pipeline(ellipsoid(), pts, C=0.50)}
+    ball_table, ellipsoid_table = theorem21_pipeline(ball(2), pts, 0.35, (ellipsoid(), pts, 0.50))
+    return {"ball": ball_table, "ellipsoid": ellipsoid_table}
 
 
 def run_pipeline(config: ExperimentConfig) -> ExperimentReport:

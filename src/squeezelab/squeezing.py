@@ -245,7 +245,7 @@ def _centering_gap(w: np.ndarray, p: np.ndarray):
     return float(gap[0]) if np.ndim(p) == 1 else gap
 
 
-def theorem21_pipeline(dom, points, C) -> dict:
+def theorem21_pipeline(dom, points, C, *more):
     """Confinement + recentring chain for the centering automorphisms of a family of points.
 
     ``dom`` is a weighted quadratic domain {sum_j w_j |z_j|^2 < 1} with every
@@ -261,13 +261,42 @@ def theorem21_pipeline(dom, points, C) -> dict:
       of (psi o F)(dom) is the least boundary norm 1/sqrt(max w), certified
       against 1 - 6 C eps_i with a slack of 1e-6.
 
-    The points are stacked once: one ``boundary_distance`` query gives every
-    d_i, one stacked ``BallAutomorphism.centering`` gives every F and another
-    every psi, and each row has the bits of a one-point call.  A point off
-    the coordinate axes on a domain whose weights are not all equal, or a
-    weight below 1, raises ``ConfigError``; an error names the first
-    offending point.
+    Further ``(domain, points, C)`` triples of the same dimension run in the
+    same stacks, and the result is then a list with one dict per triple,
+    ``dom``'s first.  Each domain gets one ``boundary_distance`` query; one
+    stacked ``BallAutomorphism.centering`` gives every F of every triple and
+    another every psi, and each row has the bits of a one-point call.
+    Triples of different dimensions, a point off the coordinate axes on a
+    domain whose weights are not all equal, or a weight below 1 raise
+    ``ConfigError``; an error names the first offending point of its triple.
     """
+    jobs = [(dom, points, C), *more]
+    if not all(isinstance(job, tuple) and len(job) == 3 for job in jobs):
+        raise ConfigError("pipelines run together take (domain, points, C) triples")
+    jobs = [_pipeline_job(*job) for job in jobs]
+    dims = sorted({job[2].shape[1] for job in jobs})
+    if len(dims) > 1:
+        raise ConfigError(f"pipelines run together must share one dimension, not {dims}")
+
+    P = np.array([p for job in jobs for p in job[2]] or np.zeros((0, dims[0])), dtype=complex)
+    phi0 = BallAutomorphism.centering(P).apply(np.zeros_like(P))
+    r = _row_norms(phi0)
+    psi = BallAutomorphism.centering(phi0)
+    residual = _row_norms(psi.apply(phi0))
+
+    tables, stop = [], 0
+    for c, inscribed, _, d, eps in jobs:
+        rows = slice(stop, stop + len(d))
+        stop = rows.stop
+        if (residual[rows] > 1e-12).any():
+            i = int(np.argmax(residual[rows] > 1e-12))
+            raise SolverError(f"row {i + 1}: the recentring leaves ||psi(F(0))|| = {residual[rows][i]:.3e} > 1e-12")
+        tables.append(_pipeline_table(c, inscribed, d, eps, r[rows]))
+    return tables if more else tables[0]
+
+
+def _pipeline_job(dom, points, C):
+    """One triple of ``theorem21_pipeline``, checked: (C, inscribed radius, points (m, n), d, eps)."""
     c = float(C)
     if not c > 0:
         raise ConfigError(f"C must be positive, got {c}")
@@ -276,8 +305,6 @@ def theorem21_pipeline(dom, points, C) -> dict:
     w = dom.w
     if w.min() < 1.0:
         raise ConfigError(f"weights must be >= 1 so that the domain lies in the unit ball, not {w}")
-    inscribed = float(1.0 / np.sqrt(w.max()))
-    tol = 1e-6
 
     P = np.array([dom.as_point(p) for p in points] or np.zeros((0, dom.dim)), dtype=complex)
     off = np.where(P != 0, 1.0, 0.0).sum(axis=-1) > 1.0  # more than one nonzero coordinate
@@ -286,17 +313,13 @@ def theorem21_pipeline(dom, points, C) -> dict:
         raise ConfigError(f"point {i + 1} = {P[i]} is off the coordinate axes of a domain that is not a ball")
     d = boundary_distance(dom, P).d
     gap = _centering_gap(w, P)
-    eps = gap / (1.0 + np.sqrt(1.0 - gap)) / d
+    return c, float(1.0 / np.sqrt(w.max())), P, d, gap / (1.0 + np.sqrt(1.0 - gap)) / d
 
-    phi0 = BallAutomorphism.centering(P).apply(np.zeros_like(P))
-    r = _row_norms(phi0)
+
+def _pipeline_table(c: float, inscribed: float, d, eps, r) -> dict:
+    """The rows and verdicts of one triple, from its distances ``d``, its ``eps`` and the norms ``r`` of F(0)."""
+    tol = 1e-6
     confinement_margin = 1.0 - d / np.exp(2.0 * c) - r
-
-    psi = BallAutomorphism.centering(phi0)
-    residual = _row_norms(psi.apply(phi0))
-    if (residual > 1e-12).any():
-        i = int(np.argmax(residual > 1e-12))
-        raise SolverError(f"row {i + 1}: the recentring leaves ||psi(F(0))|| = {residual[i]:.3e} > 1e-12")
     floor = 1.0 - 6.0 * c * eps
     weak_radius_warning = (d < c) & (r > 1.0 - d / c)
 
@@ -315,13 +338,13 @@ def theorem21_pipeline(dom, points, C) -> dict:
         "weak_radius_warning": warn_i,
         "evidence": "closed form",
     } for i, d_i, eps_i, r_i, margin_i, floor_i, warn_i in zip(
-        range(1, len(P) + 1), d.tolist(), eps.tolist(), r.tolist(), confinement_margin.tolist(),
+        range(1, len(d) + 1), d.tolist(), eps.tolist(), r.tolist(), confinement_margin.tolist(),
         floor.tolist(), weak_radius_warning.tolist())]
 
     return {
         "C": c,
         "rows": rows,
-        "all_confined": all(r["confinement_margin"] >= 0 for r in rows),
-        "all_inscribed": all(r["inscribed_margin"] >= 0 for r in rows),
-        "trend_ok": all(r["trend_margin"] >= 0 for r in rows),
+        "all_confined": all(row["confinement_margin"] >= 0 for row in rows),
+        "all_inscribed": all(row["inscribed_margin"] >= 0 for row in rows),
+        "trend_ok": all(row["trend_margin"] >= 0 for row in rows),
     }

@@ -158,6 +158,36 @@ class TestBallAutomorphism:
             BallAutomorphism(0.5, 2.0 * np.eye(2))
 
 
+class TestCenteringIsUnitary:
+    """``centering`` skips the unitary check of ``__post_init__``; its QR factors must pass it anyway."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacks_deviate_by_at_most_1e_12(self, rng, n):
+        p = np.array([random_ball_point(rng, n) for _ in range(200)])
+        p[::7] = 0.0
+        p[1::11] *= 1e-150  # tiny rows, whose squares underflow
+        a = BallAutomorphism.centering(p).align
+        dev = np.linalg.norm(a @ a.conj().swapaxes(-1, -2) - np.eye(n), axis=-1)
+        assert dev.max() <= 1e-12
+        assert np.array_equal(a[::7], np.broadcast_to(np.eye(n), a[::7].shape))
+
+    def test_centering_does_not_run_the_check(self, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("__post_init__ ran")
+
+        monkeypatch.setattr(BallAutomorphism, "__post_init__", refuse)
+        aut = BallAutomorphism.centering(random_ball_point(rng, 2))
+        assert np.array_equal(aut.apply(np.zeros(2)), [-aut.r, 0.0])
+
+    def test_a_caller_alignment_is_still_checked(self, rng):
+        aut = BallAutomorphism.centering(random_ball_point(rng, 3))
+        BallAutomorphism(aut.r, aut.align)  # the QR factor passes the caller's check too
+        with pytest.raises(ConfigError, match="not unitary"):
+            BallAutomorphism(0.5, aut.align * (1.0 + 1e-9))
+        with pytest.raises(ConfigError, match="not unitary"):
+            BallAutomorphism(0.5, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 def _ball_rows(data, m, n, rmax=0.999):
     """Hypothesis-drawn complex rows (m, n) strictly inside the ball."""
     coords = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * m * n, max_size=2 * m * n))

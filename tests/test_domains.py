@@ -943,7 +943,9 @@ class TestTieOrder:
         # numpy's partition breaks ties differently in its AVX-512 kernels;
         # the variable is set for the child process only
         src = str(Path(squeezelab.__file__).resolve().parent.parent)
-        env = {"PYTHONPATH": src, "PATH": "", "NPY_DISABLE_CPU_FEATURES": " ".join(_avx512_dispatched())}
+        # no bytecode: the child would otherwise write it into the package directory
+        env = {"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1",
+               "NPY_DISABLE_CPU_FEATURES": " ".join(_avx512_dispatched())}
         child = subprocess.run([sys.executable, "-c", _TIE_HEAVY_CHILD], capture_output=True, text=True,
                                check=True, timeout=120, env=env)
         assert child.stdout.strip() == hashlib.sha256(_tie_heavy()[1].tobytes()).hexdigest()

@@ -142,6 +142,13 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "757f45d319a4ba2c45403c87b3052129c5ab8f4153373664dc76d1dd51ffe46f")
 
+    def test_pipeline_report_bytes_frozen_at_the_point_cap(self):
+        # ten points per domain, the most a report takes; recorded before the ball and the
+        # ellipsoid shared one stacked pipeline call
+        text = emit(run_pipeline(ExperimentConfig("pipeline", scales=10, seed=1)), "json", None)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "02a58a4ff9ef5d4276e3cc909738294ba2d3446d06d4dd95f914e60aa2d900e8")
+
     def test_lemma24_25_report_bytes_frozen(self):
         text = emit(run_lemma24_25(ExperimentConfig("lemma24_25", scales=20, seed=7)), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -376,6 +376,73 @@ class TestBatchedPipeline:
         assert calls == [("boundary_distance", 10), ("centering", 10), ("centering", 10)]
 
 
+class TestStackedPipeline:
+    """Triples run together keep the bits of their own calls and share two stacked centerings."""
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["ball-first", "ellipsoid-first"])
+    def test_each_triple_equals_its_lone_call(self, order):
+        jobs = [(BATCH_CASES[k].values[0], BATCH_CASES[k].values[1], c) for k, c in zip(order, (0.35, 0.5))]
+        tables = theorem21_pipeline(*jobs[0], jobs[1])
+        assert isinstance(tables, list) and len(tables) == 2
+        for job, table in zip(jobs, tables):
+            assert repr(table) == repr(theorem21_pipeline(*job))  # repr tells -0.0 from 0.0
+
+    def test_three_dimensional_triples(self):
+        dom, points = BATCH_CASES[2].values
+        ball3 = [_axis_point(3, 0, 0.5), np.array([0.1, 0.2j, -0.3]), np.zeros(3)]
+        tables = theorem21_pipeline(dom, points, 0.5, (ball(3), ball3, 0.35), (dom, points[:2], 0.7))
+        for job, table in zip([(dom, points, 0.5), (ball(3), ball3, 0.35), (dom, points[:2], 0.7)], tables):
+            assert repr(table) == repr(theorem21_pipeline(*job))
+
+    def test_mixed_dimensions_raise(self):
+        dom, points = BATCH_CASES[2].values
+        with pytest.raises(ConfigError, match="one dimension"):
+            theorem21_pipeline(ball(2), [_axis_point(2, 0, 0.5)], 0.35, (dom, points, 0.5))
+        with pytest.raises(ConfigError, match="triples"):
+            theorem21_pipeline(ball(2), [_axis_point(2, 0, 0.5)], 0.35, (ellipsoid(), [_axis_point(2, 0, 0.5)]))
+
+    def test_errors_name_the_offending_point_of_its_triple(self, monkeypatch):
+        good = (ball(2), [_axis_point(2, 0, 0.5), np.array([0.3j, 0.4]), np.zeros(2)], 0.35)
+        off = [_axis_point(2, 0, 0.5), np.array([0.3, 0.2])]
+        with pytest.raises(ConfigError, match=r"point 2 = \[0.3\+0.j 0.2\+0.j\] is off the coordinate axes"):
+            theorem21_pipeline(*good, (ellipsoid(), off, 0.5))
+        with pytest.raises(ConfigError, match="C must be positive"):
+            theorem21_pipeline(*good, (ellipsoid(), off[:1], 0.0))
+        with pytest.raises(DomainError, match="not interior"):
+            theorem21_pipeline(*good, (ellipsoid(), [_axis_point(2, 1, 0.8)], 0.5))
+
+        apply = BallAutomorphism.apply
+
+        def nudged(self, z):
+            w = apply(self, z)
+            w[4, 0] += 1e-9  # row 2 of the second triple
+            return w
+
+        monkeypatch.setattr(BallAutomorphism, "apply", nudged)
+        with pytest.raises(SolverError, match="row 2: the recentring"):
+            theorem21_pipeline(*good, (ellipsoid(), off[:1] * 2, 0.5))
+
+    def test_a_report_makes_two_distance_queries_and_two_centerings(self, monkeypatch):
+        from squeezelab.experiments import ExperimentConfig, run_pipeline
+
+        calls = []
+        distance, centering = squeezing.boundary_distance, BallAutomorphism.centering.__func__
+
+        def distance_spy(dom, z):
+            calls.append(("boundary_distance", dom.name, len(z)))
+            return distance(dom, z)
+
+        def centering_spy(cls, p):
+            calls.append(("centering", len(p)))
+            return centering(cls, p)
+
+        monkeypatch.setattr(squeezing, "boundary_distance", distance_spy)
+        monkeypatch.setattr(BallAutomorphism, "centering", classmethod(centering_spy))
+        run_pipeline(ExperimentConfig("pipeline", scales=3, seed=1))
+        assert calls == [("boundary_distance", ball(2).name, 3), ("boundary_distance", ellipsoid().name, 3),
+                         ("centering", 6), ("centering", 6)]
+
+
 class TestPipeline:
     def test_ball_small(self):
         pts = [np.array([1.0 - 2.0 ** (-i), 0.0], dtype=complex) for i in (1, 2, 3)]

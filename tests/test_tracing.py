@@ -43,8 +43,8 @@ def test_install_finds_every_entry_point_and_restores_it():
     tracer, report = _traced(
         lambda: experiments.run_pipeline(experiments.ExperimentConfig("pipeline", scales=3, seed=1)))
     assert report.passed
-    # the closed-form pipeline builds no boundary samples
-    assert tracer.calls("squeezing.theorem21_pipeline") == 2
+    # one stacked call for the ball and the ellipsoid; the closed form builds no boundary samples
+    assert tracer.calls("squeezing.theorem21_pipeline") == 1
     assert tracer.calls("squeezing.ball_centering_embeddings") == 0
     assert tracer.calls("squeezing.ellipsoid_boundary_samples") == 0
 
