@@ -37,15 +37,13 @@ _CHARGES = (64, 128, 256)
 _TOLERANCE = 1e-3
 
 
-def _powers(x, ks, lone: bool):
-    """``x ** k`` for each exponent in ``ks``, along a new last axis, with the bits of ``x ** k``.
+def _powers(x, ks):
+    """``x ** k`` for each exponent in ``ks``, along a new last axis, with the bits of an array's ``x ** k``.
 
-    numpy's ``**`` squares an array but takes the general power of a lone
-    point; ``np.power`` always takes the general power.
+    numpy's ``**`` squares an array, while ``np.power`` takes the general power.
     """
     p = np.power(x[..., None], ks)
-    if not lone:
-        p[..., ks == 2] = np.square(x)[..., None]
+    p[..., ks == 2] = np.square(x)[..., None]
     return p
 
 
@@ -75,49 +73,45 @@ class _Basis:
     def size(self) -> int:
         return 2 * (len(_LAURENT) + len(_TAYLOR) + len(self.poles))
 
-    def _raw(self, z, deriv: bool, lone: bool):
+    def _raw(self, z, deriv: bool):
         dq = z[..., None] - self.poles
         if deriv:
-            poles = -self.strengths / (np.power(dq, 2) if lone else np.square(dq))
+            poles = -self.strengths / np.square(dq)
         else:
             poles = self.strengths / dq
         dz = z - self.z_h
-        laurent = _powers(self.r_h / dz, _LAURENT, lone)
+        laurent = _powers(self.r_h / dz, _LAURENT)
         v = (z - self.z_c) / self.r_c
         if not deriv:
-            return np.concatenate([laurent, _powers(v, _TAYLOR, lone), poles], axis=-1)
+            return np.concatenate([laurent, _powers(v, _TAYLOR), poles], axis=-1)
         return np.concatenate([
             -_LAURENT * laurent / dz[..., None],
-            (_TAYLOR / self.r_c) * _powers(v, _TAYLOR - 1, lone),
+            (_TAYLOR / self.r_c) * _powers(v, _TAYLOR - 1),
             poles,
         ], axis=-1)
 
-    def __call__(self, z, deriv: bool = False, lone: bool = False):
-        """The columns (or their derivatives) at ``z``, along a new last axis.
-
-        ``lone`` takes the powers of a lone point (``_powers``) at every point.
-        """
-        g = self._raw(z, deriv, lone)
+    def __call__(self, z, deriv: bool = False):
+        """The columns (or their derivatives) at ``z``, along a new last axis."""
+        g = self._raw(z, deriv)
         out = np.empty(g.shape[:-1] + (2 * g.shape[-1],), dtype=complex)
         if not self.mirrored:
             out[..., 0::2] = g
             out[..., 1::2] = 1j * g
             return out
         # the reflection h(z) = conj(g(-conj(z))) has h'(z) = -conj(g'(-conj(z)))
-        h = np.conj(self._raw(-np.conj(z), deriv, lone))
+        h = np.conj(self._raw(-np.conj(z), deriv))
         if deriv:
             h = -h
         out[..., 0::2] = g - h
         out[..., 1::2] = 1j * (g + h)
         return out
 
-    def fold(self, coef: np.ndarray, z, deriv: bool = False, lone: bool = False):
-        """Sum_j coef_j g_j(z), added left to right over the columns, in row blocks; a lone point takes lone powers."""
-        lone = lone or z.ndim == 0
+    def fold(self, coef: np.ndarray, z, deriv: bool = False):
+        """Sum_j coef_j g_j(z), added left to right over the columns, in row blocks; a lone point is a one-row block."""
         flat = z.ravel()
         out = np.empty(len(flat), dtype=complex)
         for rows in _blocks(len(flat), self.size):
-            out[rows] = np.cumsum(coef * self(flat[rows], deriv, lone=lone), axis=-1)[:, -1]
+            out[rows] = np.cumsum(coef * self(flat[rows], deriv), axis=-1)[:, -1]
         return out.reshape(z.shape)
 
 
@@ -146,33 +140,31 @@ class AnnulusMap:
             return (z - z_h) / (z + np.conj(z_h))
         return z - z_h
 
-    def _exponent(self, z, deriv: bool = False, lone: bool = False):
-        return (self._shift + self._basis.fold(self._coef, z, deriv, lone)) / self._a
+    def _exponent(self, z):
+        return (self._shift + self._basis.fold(self._coef, z)) / self._a
 
     def forward(self, z):
         """Map domain points to the standard annulus."""
         z = np.asarray(z, dtype=complex)
-        return self._prefactor(z) * np.exp(self._exponent(z))
+        flat = z.ravel()  # a lone point as one row: numpy's scalar complex product rounds differently
+        return (self._prefactor(flat) * np.exp(self._exponent(flat))).reshape(z.shape)[()]
 
-    def forward_gap(self, z, _lone: bool = False):
-        """Return (|w|, 1 - |w|) with the gap evaluated without cancellation.
-
-        ``_lone`` gives each point of an array the bits of its one-point call.
-        """
+    def forward_gap(self, z):
+        """Return (|w|, 1 - |w|) with the gap evaluated without cancellation."""
         z = np.asarray(z, dtype=complex)
-        logw = np.log(np.abs(self._prefactor(z))) + self._exponent(z, lone=_lone).real
+        logw = np.log(np.abs(self._prefactor(z))) + self._exponent(z).real
         gap = -np.expm1(logw)
         return np.exp(logw), gap
 
     def derivative(self, z):
         """dw/dz at domain points."""
         z = np.asarray(z, dtype=complex)
-        w = self.forward(z)
+        flat = z.ravel()  # as in ``forward``
         z_h = self._basis.z_h
-        dlog = 1.0 / (z - z_h) + self._basis.fold(self._coef, z, deriv=True) / self._a
+        dlog = 1.0 / (flat - z_h) + self._basis.fold(self._coef, flat, deriv=True) / self._a
         if self.mirrored:
-            dlog = dlog - 1.0 / (z + np.conj(z_h))
-        return w * dlog
+            dlog = dlog - 1.0 / (flat + np.conj(z_h))
+        return (self.forward(flat) * dlog).reshape(z.shape)[()]
 
 
 def _outer_charges(dom, zo: np.ndarray, count: int, mirror: bool):

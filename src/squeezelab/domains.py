@@ -69,7 +69,7 @@ class Curve:
         Returns ``odd`` (a ray from each point towards +x crosses the polygon
         an odd number of times) and ``on_sample`` (the point equals a sample).
         """
-        return self._sample_index().crossings(z)
+        return self._sample_index().crossings(z)[:2]
 
     def _sample_index(self) -> "_SampleIndex":
         if self._index is None:
@@ -254,23 +254,16 @@ class _SampleIndex:
         at = np.flatnonzero((u >= 0.0) & (u < self.shape[0]) & (v >= 0.0) & (v < self.shape[1]))  # NaN is off it
         return at, self._state[v[at].astype(np.intp) * self.shape[0] + u[at].astype(np.intp)]
 
-    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``Curve.crossings``: off the grid both are False, in an unmarked cell ``odd`` is its parity, else the strip test's."""
-        odd = np.zeros(len(z), dtype=bool)
-        on_sample = np.zeros(len(z), dtype=bool)
+    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``Curve.crossings`` (off the grid both False, in an unmarked cell ``odd`` its parity, else the strip test's), and which points are in a marked cell."""
+        odd, on_sample, marked = (np.zeros(len(z), dtype=bool) for _ in range(3))
         at, state = self._cells(z)
         odd[at] = state  # a marked cell's 2 reads True until the strip test answers its points
-        near = at[state > 1]
+        marked[at] = state > 1
+        near = np.flatnonzero(marked)
         if len(near):
             odd[near], on_sample[near] = self._strip(z.real[near], z.imag[near])
-        return odd, on_sample
-
-    def marked(self, z: np.ndarray) -> np.ndarray:
-        """Mask of the points of ``z`` in a marked cell, the only ones that can lie within 1e-6 of a sample."""
-        mask = np.zeros(len(z), dtype=bool)
-        at, state = self._cells(z)
-        mask[at[state > 1]] = True
-        return mask
+        return odd, on_sample, marked
 
     def least(self, z: np.ndarray, k: int) -> np.ndarray:
         """Indices of the ``k`` samples nearest each point of ``z``, in ``_least``'s order (ties to the lower index).
@@ -432,13 +425,18 @@ class PlanarDomain:
         non-finite point and a point equal to a boundary sample are outside.
         """
         z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        inside = np.isfinite(flat)
+        inside = self._crossing_pass(z.ravel())[0]
+        return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
+
+    def _crossing_pass(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``contains`` of the 1-d array ``flat``, and the mask of its points in a marked grid cell of a curve they were tested on."""
+        inside, marked = np.isfinite(flat), np.zeros(len(flat), dtype=bool)
         for k, curve in enumerate(self.curves()):
             idx = np.flatnonzero(inside)  # holes only test the points still inside
-            odd, on_sample = curve.crossings(flat[idx])
+            odd, on_sample, near = curve._sample_index().crossings(flat[idx])
+            marked[idx] |= near
             inside[idx] = (odd if k == 0 else ~odd) & ~on_sample
-        return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
+        return inside, marked
 
     def boundary_distance(self, z) -> DomainPoint:
         """Distance from one interior point (a float ``d``) or from each point of an array (arrays).
@@ -543,11 +541,12 @@ class PlanarDomain:
         x0, x1, y0, y1 = self.outer._sample_index().box
         xy = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
         z = xy.view(complex)[:, 0]  # each row read as x + iy, bit for bit
-        inner = z[self.contains(z)]
+        inside, marked = self._crossing_pass(z)
+        inner = z[inside]
         # only a point in a marked grid cell of some curve can lie within 1e-6
         # of a sample, and such a sample lies within 1e-6 of it in x: only the
         # samples in an x-window twice that wide are measured exactly
-        near = np.flatnonzero(np.logical_or.reduce([c._sample_index().marked(inner) for c in self.curves()]))
+        near = np.flatnonzero(marked[inside])
         s, q = self._x_sorted, inner[near]
         lo = np.searchsorted(s.real, q.real - 2e-6)
         width = np.searchsorted(s.real, q.real + 2e-6, "right") - lo
@@ -793,11 +792,6 @@ class DefiningFunctionDomain:
         self.w = w
         self.dim = len(w)
         self.name = name
-
-    @property
-    def scale(self) -> float:
-        """Longest semi-axis, 1/sqrt(min w)."""
-        return float(1.0 / np.sqrt(self.w.min()))
 
     def as_point(self, z) -> np.ndarray:
         return np.atleast_1d(np.asarray(z, dtype=complex))

@@ -163,8 +163,7 @@ def squeeze_lower_planar(dom: PlanarDomain, z):
                                witness={"kind": "riemann-family", "symbolic": True}) for a in ats]
     elif dom.connectivity == 2:
         amap = canonical_annulus_map(dom)
-        # the lone powers give every point the bits of a point passed alone
-        t_abs, gap = amap.forward_gap(flat, _lone=True)
+        t_abs, gap = amap.forward_gap(flat)
         bounds = [_transported(a, amap.modulus, t, g) for a, t, g in zip(ats, t_abs.tolist(), gap.tolist())]
     else:
         raise ConfigError("only connectivity 1 or 2 supported")
@@ -234,8 +233,9 @@ def _centering_gap(w: np.ndarray, p: np.ndarray):
     r = _row_norms(rows)
     k = np.argmax(np.abs(rows), axis=-1)
     wk = w[k]
-    # the largest other weight of each axis; one coordinate has none, and s = 1/sqrt(w_k) is forced
-    wo = np.array([np.delete(w, j).max() if len(w) > 1 else w[j] for j in range(len(w))])[k]
+    # each axis's largest other weight, from the two largest; one coordinate has none, and s = 1/sqrt(w_k) is forced
+    top = np.sort(w)[-2:]
+    wo = np.where(wk == top[-1], top[0], top[-1])
     a, b = 1.0 - 1.0 / wo, 1.0 - wk / wo
     q = (1.0 - r) * (1.0 + r)
     with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken may divide by b = 0

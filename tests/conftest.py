@@ -1,3 +1,9 @@
+import sys
+
+# set before squeezelab is imported: bytecode cached in src/ would be read by
+# a later benchmark run from this checkout, which then skips compiling
+sys.dont_write_bytecode = True
+
 import numpy as np
 import pytest
 

@@ -1174,5 +1174,5 @@ def test_import_loads_no_scipy():
     code = ("import sys, squeezelab.cli, squeezelab.experiments; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
-                         env={"PYTHONPATH": src, "PATH": ""})
+                         env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"})
     assert out.stdout.strip() == "[]"

@@ -26,7 +26,7 @@ from squeezelab.experiments import (
 from squeezelab.squeezing import squeeze_lower_planar
 
 
-_COUNTEREXAMPLE_SEED7 = "00e0354ffc4ecce292c06982725169ea2647e66a9f875e7b993cdf1a22887661"
+_COUNTEREXAMPLE_SEED7 = "23d1722d034a429520472fb6471a523e6cf4611b61ec5fb8c03c83253fc2d3e3"
 
 
 @pytest.fixture(scope="module")

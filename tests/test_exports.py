@@ -9,6 +9,7 @@ tests use is code to delete, or to move into the test that needs it.
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,15 @@ def test_every_export_is_reached_outside_the_tests():
     unreached = [f"{name}.{n}" for name in MODULES for n in getattr(importlib.import_module(name), "__all__", [])
                  if n not in reached and n not in _GATE_API]
     assert unreached == []
+
+
+def test_imports_write_no_bytecode(tmp_path, monkeypatch):
+    # conftest turns bytecode off before squeezelab is imported, so a test
+    # run leaves no cache in the package directory for a later run to read
+    (tmp_path / "_bytecode_probe.py").write_text("X = 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        assert importlib.import_module("_bytecode_probe").X == 1
+    finally:
+        sys.modules.pop("_bytecode_probe", None)
+    assert not (tmp_path / "__pycache__").exists()
