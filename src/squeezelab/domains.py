@@ -69,7 +69,7 @@ class Curve:
         Returns ``odd`` (a ray from each point towards +x crosses the polygon
         an odd number of times) and ``on_sample`` (the point equals a sample).
         """
-        return self._sample_index().crossings(z)[:2]
+        return self._sample_index().crossings(z)
 
     def _sample_index(self) -> "_SampleIndex":
         if self._index is None:
@@ -207,10 +207,9 @@ class _SampleIndex:
         marked (2) when it meets an edge's box dilated by ``reach``, 1e-6
         plus 4096 ulps of the largest sample coordinate: the strip test's
         intercepts round by far less, so it decides a point outside every
-        dilated box as the exact polygon does, and such a point is more than
-        1e-6 from every sample.  The map from a point to its cell is
-        monotone in x and y, and the dilated boxes are marked through the
-        same map, so a point placed in an unmarked cell is outside all of
+        dilated box as the exact polygon does.  The map from a point to its
+        cell is monotone in x and y, and the dilated boxes are marked through
+        the same map, so a point placed in an unmarked cell is outside all of
         them.  A row's run of unmarked cells is then a rectangle that misses
         the polygon, and the strip test's parity at the centre of its first
         cell holds for all of it.
@@ -254,16 +253,15 @@ class _SampleIndex:
         at = np.flatnonzero((u >= 0.0) & (u < self.shape[0]) & (v >= 0.0) & (v < self.shape[1]))  # NaN is off it
         return at, self._state[v[at].astype(np.intp) * self.shape[0] + u[at].astype(np.intp)]
 
-    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``Curve.crossings`` (off the grid both False, in an unmarked cell ``odd`` its parity, else the strip test's), and which points are in a marked cell."""
-        odd, on_sample, marked = (np.zeros(len(z), dtype=bool) for _ in range(3))
+    def crossings(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Curve.crossings``: off the grid both False, in an unmarked cell ``odd`` its parity, else the strip test's."""
+        odd, on_sample = np.zeros(len(z), dtype=bool), np.zeros(len(z), dtype=bool)
         at, state = self._cells(z)
         odd[at] = state  # a marked cell's 2 reads True until the strip test answers its points
-        marked[at] = state > 1
-        near = np.flatnonzero(marked)
+        near = at[state > 1]
         if len(near):
             odd[near], on_sample[near] = self._strip(z.real[near], z.imag[near])
-        return odd, on_sample, marked
+        return odd, on_sample
 
     def least(self, z: np.ndarray, k: int) -> np.ndarray:
         """Indices of the ``k`` samples nearest each point of ``z``, in ``_least``'s order (ties to the lower index).
@@ -398,8 +396,6 @@ class PlanarDomain:
                 q = g.points()[::8]
                 if np.any(h.points()[h._sample_index().least(q, 1)[:, 0]] == q):  # a sample of g is one of h's
                     raise ConfigError("holes intersect")
-        # every curve's samples in order of x (then y), for the sampler's 1e-6 test
-        self._x_sorted = np.sort(np.concatenate([c.points() for c in self.curves()]))
 
     @property
     def connectivity(self) -> int:
@@ -425,18 +421,13 @@ class PlanarDomain:
         non-finite point and a point equal to a boundary sample are outside.
         """
         z = np.asarray(z, dtype=complex)
-        inside = self._crossing_pass(z.ravel())[0]
-        return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
-
-    def _crossing_pass(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``contains`` of the 1-d array ``flat``, and the mask of its points in a marked grid cell of a curve they were tested on."""
-        inside, marked = np.isfinite(flat), np.zeros(len(flat), dtype=bool)
+        flat = z.ravel()
+        inside = np.isfinite(flat)
         for k, curve in enumerate(self.curves()):
             idx = np.flatnonzero(inside)  # holes only test the points still inside
-            odd, on_sample, near = curve._sample_index().crossings(flat[idx])
-            marked[idx] |= near
+            odd, on_sample = curve.crossings(flat[idx])
             inside[idx] = (odd if k == 0 else ~odd) & ~on_sample
-        return inside, marked
+        return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
 
     def boundary_distance(self, z) -> DomainPoint:
         """Distance from one interior point (a float ``d``) or from each point of an array (arrays).
@@ -535,24 +526,12 @@ class PlanarDomain:
     def _interior_candidates(self, rng, count: int) -> np.ndarray:
         """Interior points among ``count`` uniform draws from the outer curve's bounding box.
 
-        One draw is an (x, y) pair; points within 1e-6 of a boundary sample
-        are dropped too.
+        One draw is an (x, y) pair.
         """
         x0, x1, y0, y1 = self.outer._sample_index().box
         xy = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
         z = xy.view(complex)[:, 0]  # each row read as x + iy, bit for bit
-        inside, marked = self._crossing_pass(z)
-        inner = z[inside]
-        # only a point in a marked grid cell of some curve can lie within 1e-6
-        # of a sample, and such a sample lies within 1e-6 of it in x: only the
-        # samples in an x-window twice that wide are measured exactly
-        near = np.flatnonzero(marked[inside])
-        s, q = self._x_sorted, inner[near]
-        lo = np.searchsorted(s.real, q.real - 2e-6)
-        width = np.searchsorted(s.real, q.real + 2e-6, "right") - lo
-        owner = np.repeat(np.arange(len(q)), width)
-        sample = np.repeat(lo - np.cumsum(width) + width, width) + np.arange(len(owner))
-        return np.delete(inner, near[owner[np.abs(s[sample] - q[owner]) <= 1e-6]])
+        return z[self.contains(z)]
 
 
 # Brent's bounded minimiser (R. P. Brent, Algorithms for Minimization without
@@ -708,7 +687,8 @@ def _planar_distances(queries) -> list[DomainPoint]:
         inside = dom.contains(flat)
         if not inside.all():
             bad = complex(flat[np.argmin(inside)])
-            raise DomainError(f"point {bad} is not interior (boundary gap {np.min(np.abs(dom._x_sorted - bad)):.3e})")
+            gap = min(np.min(np.abs(c.points() - bad)) for c in dom.curves())
+            raise DomainError(f"point {bad} is not interior (boundary gap {gap:.3e})")
         flats.append(flat)
     flat = np.concatenate(flats)  # every query's points, query after query
 
@@ -1049,15 +1029,15 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
 # presets and serialization
 
 
-def disc(n: int = 2048) -> PlanarDomain:
-    return PlanarDomain(CircleCurve(0.0, 1.0, orientation=1, n=n), [], name="disc")
+def disc() -> PlanarDomain:
+    return PlanarDomain(CircleCurve(0.0, 1.0, orientation=1), [], name="disc")
 
 
-def annulus(modulus: float, center: complex = 0.0, scale: float = 1.0, n: int = 2048) -> PlanarDomain:
+def annulus(modulus: float, center: complex = 0.0, scale: float = 1.0) -> PlanarDomain:
     if not 0.0 < modulus < 1.0:
         raise ConfigError("annulus modulus must lie in (0, 1)")
-    outer = CircleCurve(center, scale, orientation=1, n=n)
-    inner = CircleCurve(center, scale * modulus, orientation=-1, n=n)
+    outer = CircleCurve(center, scale, orientation=1)
+    inner = CircleCurve(center, scale * modulus, orientation=-1)
     return PlanarDomain(outer, [inner], name=f"annulus_{modulus}")
 
 

@@ -314,16 +314,6 @@ _CSV_COLUMNS = {
 }
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, complex):
-        return [o.real, o.imag]
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def report_json(report: ExperimentReport) -> str:
     payload = {
         "schema_version": 1,
@@ -333,7 +323,7 @@ def report_json(report: ExperimentReport) -> str:
         "passed": report.passed,
         "provenance": report.provenance,
     }
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def report_csv(report: ExperimentReport) -> str:

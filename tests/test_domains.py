@@ -531,12 +531,12 @@ class TestCellGrid:
             assert curve._sample_index()._state.tobytes() == state.tobytes()
             assert got_odd.tobytes() == odd.tobytes() and got_on.tobytes() == on_sample.tobytes()
 
-    @pytest.mark.parametrize("name", ["omega_prime", "omega_zlogz"])
-    def test_sampler_gap_skip_drops_the_dense_checks_points(self, name):
+    @pytest.mark.parametrize("name", sorted(_GRID_DOMAINS))
+    def test_sampler_keeps_exactly_the_draws_contains_accepts(self, name):
         dom = _GRID_DOMAINS[name]
         samples = _samples(dom)
         rng = np.random.default_rng(5)
-        # samples, points just inside and outside 1e-6 of them, and uniform box points
+        # samples, points 0.5e-6 to 1.5e-6 from them, and uniform box points
         r = np.concatenate([np.zeros(300), rng.uniform(0.5e-6, 1.5e-6, 3000), np.full(300, 1e-6)])
         z = samples[rng.integers(0, len(samples), len(r))] + r * np.exp(2j * np.pi * rng.uniform(size=len(r)))
         p = dom.outer.points()
@@ -548,10 +548,9 @@ class TestCellGrid:
                 assert size == (len(z), 2)
                 return z.view(float).reshape(size)
 
-        inner = z[dom.contains(z)]
-        dense = np.array([np.min(np.abs(samples - q)) > 1e-6 for q in inner])
-        assert not dense.all() and dense.any()
-        np.testing.assert_array_equal(dom._interior_candidates(Fixed(), len(z)), inner[dense])
+        inside = dom.contains(z)
+        assert inside.any() and not inside.all()
+        assert dom._interior_candidates(Fixed(), len(z)).tobytes() == z[inside].tobytes()
 
     def test_index_and_grid_builds_hold_little_memory(self):
         lens = build_omega_prime()
@@ -616,6 +615,14 @@ class TestSamplerRounds:
         assert random_interior_points(lens, 2000, seed=0).shape == (2000,)
         # one round, a tenth more than the polygons' share of the box predicts
         assert rounds == [int(1.1 * 2000 / lens._acceptance())] == [3724]
+
+    def test_a_domain_finer_than_1e_6_is_sampled(self):
+        # every draw lies within 1e-6 of a boundary sample; the first round must keep some,
+        # or the rounds would never end
+        dom = _tiny_domain()
+        assert len(dom._interior_candidates(np.random.default_rng(0), 64))
+        points = random_interior_points(dom, 5, seed=0)
+        assert points.shape == (5,) and dom.contains(points).all()
 
 
 # ---------------------------------------------------------------------------

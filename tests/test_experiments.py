@@ -1,5 +1,6 @@
 """Experiment drivers: configs, verdict margins, serialization, CLI."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -186,6 +187,14 @@ class TestSerialization:
     def test_emit_format_validation(self, small_margin_report):
         with pytest.raises(ConfigError):
             emit(small_margin_report, "xml")
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), np.array([0.5]), 0.5 + 1j])
+    def test_emit_rejects_a_non_json_table_value(self, small_margin_report, value):
+        # tables hold JSON-native values only (np.float64 subclasses float, so json writes it
+        # as one): any other value is an error, not rewritten
+        report = dataclasses.replace(small_margin_report, tables={"sweep": [{"margin": value}]})
+        with pytest.raises(TypeError):
+            emit(report, "json")
 
     def test_emit_writes_file(self, small_margin_report, tmp_path):
         p = tmp_path / "report.json"

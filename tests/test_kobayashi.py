@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from squeezelab import domains, kobayashi
 from squeezelab.ball import kobayashi_ball
 from squeezelab.domains import (
+    CircleCurve,
+    PlanarDomain,
     annulus,
     ball,
     boundary_distance,
@@ -294,7 +296,7 @@ class TestDistanceUpper:
         assert distance_upper(disc(), pts[0], pts[1], PathSpec(refinement=8)) == bound
 
     def test_waypoints_and_validation(self):
-        d = disc(512)
+        d = PlanarDomain(CircleCurve(0.0, 1.0, n=512), name="disc")
         b = distance_upper(d, -0.5, 0.5, PathSpec(waypoints=(0.2j,)))
         assert b.value >= exact_disc_distance(-0.5, 0.5) - 1e-9
         assert repr(b.value) == "1.1987837157774464"  # frozen: discs tangent at the round circle
