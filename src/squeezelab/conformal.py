@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domains import Curve, PlanarDomain, _blocks
+from .domains import Curve, PlanarDomain, _blocks, _integer
 from .errors import ConfigError, SolverError
 
 __all__ = ["AnnulusMap", "canonical_annulus_map"]
@@ -236,6 +236,7 @@ def canonical_annulus_map(dom: PlanarDomain, resolution: int = 1) -> AnnulusMap:
     """
     if dom.connectivity != 2:
         raise ConfigError(f"need connectivity 2, got {dom.connectivity}")
+    resolution = _integer(resolution, "resolution", 1)
     if resolution not in dom._conformal_maps:
         dom._conformal_maps[resolution] = _build(dom, resolution)
     return dom._conformal_maps[resolution]

@@ -312,10 +312,10 @@ class CircleCurve(ParamCurve):
     """Circle of given center/radius; orientation +1 (ccw) or -1 (cw)."""
 
     def __init__(self, center: complex, radius: float, orientation: int = 1, n: int = 2048):
-        if radius <= 0:
-            raise ConfigError("circle radius must be positive")
         self.center = center = complex(center)
         self.radius = radius = float(radius)
+        if not (np.isfinite(center) and np.isfinite(radius) and radius > 0):
+            raise ConfigError(f"circle needs a finite centre and a finite positive radius, not {center!r}, {radius!r}")
         self.orientation = orientation = int(orientation)
 
         # the closure holds the values, not ``self``: a curve that referred to
@@ -466,9 +466,7 @@ class PlanarDomain:
             k = min(4, len(t))
             best = _least(lambda block: ratio(q, rows[block, None]), len(p), len(t), k)
             r = np.minimum(r, ratio(q[best[:, 0]], rows))
-            lo = t[best - 1].ravel()
-            hi = lo + (t[(best + 1).ravel() % len(t)] - lo) % 1.0
-            lanes.append((lo, hi, np.repeat(rows, k)))
+            lanes.append((*_windows(curve, best.ravel()), np.repeat(rows, k)))
         fx, _, owner = _refine(curves, lanes, ratio, xatol=1e-12)
         np.minimum.at(r, owner, fx)
         if not np.all(self.contains(p + r * n)):
@@ -615,24 +613,11 @@ def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, n
                 raise SolverError(f"bounded Brent: {len(lanes)} windows unconverged after {maxiter} evaluations")
 
 
-def _sample_windows(curve: Curve, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parameter windows about the four samples of ``curve`` nearest each point of ``z`` (``_SampleIndex.least``), nearest first.
-
-    A window runs between the sample's two neighbours; one that wraps past
-    t = 0 splits into two lanes, (lo, 1 + hi) and (lo - 1, hi).  Returns
-    arrays ``lo`` and ``hi`` with one row per point and two lanes per
-    sample, the mask of the lanes in use (an unwrapped window leaves its
-    second lane unused) and each point's distance to its nearest sample.
-    """
-    t, pts = curve.params, curve.points()
-    n, k = len(t), min(4, len(t))
-    closest = curve._sample_index().least(z, k)
-    lo, hi = t[(closest - 1) % n], t[(closest + 1) % n]
-    wrap = hi < lo
-    lanes = np.stack([np.ones_like(wrap), wrap], axis=-1).reshape(len(z), 2 * k)
-    lo = np.stack([lo, lo - 1.0], axis=-1).reshape(len(z), 2 * k)
-    hi = np.stack([np.where(wrap, 1.0 + hi, hi), hi], axis=-1).reshape(len(z), 2 * k)
-    return lo, hi, lanes, np.abs(pts[closest[:, 0]] - z)
+def _windows(curve: Curve, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter windows ``(lo, hi)`` about each sample index, neighbour to neighbour; one that wraps past t = 0 ends past 1."""
+    t = curve.params
+    lo = t[(samples - 1) % len(t)]
+    return lo, lo + (t[(samples + 1) % len(t)] - lo) % 1.0
 
 
 def _refine(curves, windows, objective, xatol: float):
@@ -696,34 +681,29 @@ def _planar_distances(queries) -> list[DomainPoint]:
         w = q - flat[rows]
         return w.real * w.real + w.imag * w.imag
 
-    # each point's windows fill one row, curve after curve
-    curves, windows, cells, base, width = [], [], [], 0, 0
+    curves, windows, base = [], [], 0
     for (dom, _), z in zip(queries, flats):
-        reach, col = np.full(len(z), np.inf), 0
-        for curve in dom.curves():
+        reach = np.full(len(z), np.inf)
+        for c, curve in enumerate(dom.curves()):
             index = curve._sample_index()
             near = np.flatnonzero(np.sqrt(_box_squares(z, *index.box)[0]) - 2.0 * index.gap <= reach * (1.0 + 1e-9))
-            if col and not len(near):  # a hole no point needs; the outer curve gives every row its windows
+            if c and not len(near):  # a hole no point needs; the outer curve always runs, even for no points
                 continue
-            lo, hi, lanes, nearest = _sample_windows(curve, z[near])
-            reach[near] = np.minimum(reach[near], nearest + 2.0 * index.gap)
-            owner, k = np.nonzero(lanes)
+            closest = index.least(z[near], min(4, len(curve.params)))
+            reach[near] = np.minimum(reach[near], np.abs(curve.points()[closest[:, 0]] - z[near]) + 2.0 * index.gap)
             curves.append(curve)
-            windows.append((lo[lanes], hi[lanes], base + near[owner]))
-            cells.append((base + near[owner], col + k))
-            col += lanes.shape[1]
-        base, width = base + len(z), max(width, col)
+            windows.append((*_windows(curve, closest.ravel()), base + np.repeat(near, closest.shape[1])))
+        base += len(z)
     _, w, owner = _refine(curves, windows, sq_dist, xatol=1e-15)
-    cells = tuple(np.concatenate(x) for x in zip(*cells))
     dw = w - flat[owner]
-    d = np.full((len(flat), width), np.inf)  # a domain with fewer windows than the widest leaves its row's tail empty
-    d[cells] = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
-    at = np.zeros(d.shape, dtype=complex)
-    at[cells] = w
-    rows, best = np.arange(len(flat)), np.argmin(d, axis=1)
+    d = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
+    # lanes come curve after curve, point after point, window after window, so a stable sort
+    # by point, then distance, puts each point's first strict minimum first
+    order = np.lexsort((d, owner))
+    best = order[np.searchsorted(owner[order], np.arange(len(flat)))]
     split = np.cumsum([len(z) for z in flats])[:-1]
     out = []
-    for (_, z), dq, nq in zip(queries, np.split(d[rows, best], split), np.split(at[rows, best], split)):
+    for (_, z), dq, nq in zip(queries, np.split(d[best], split), np.split(w[best], split)):
         z = np.asarray(z, dtype=complex)
         if z.ndim == 0:
             out.append(DomainPoint(z=complex(z), d=float(dq[0]), nearest=nq[0]))

@@ -308,12 +308,6 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 # serialization
 
-_CSV_COLUMNS = {
-    "counterexample": ["k", "p_k", "d_k", "L_k", "R_k"],
-    "lemma22": ["k", "d", "bound", "u"],
-}
-
-
 def report_json(report: ExperimentReport) -> str:
     payload = {
         "schema_version": 1,
@@ -327,26 +321,23 @@ def report_json(report: ExperimentReport) -> str:
 
 
 def report_csv(report: ExperimentReport) -> str:
-    out = io.StringIO()
+    """The report's main table as CSV, floats written by ``repr``.
+
+    The radial rows of ``counterexample``, every scale of each ``lemma22`` domain, else the verdicts.
+    """
     if report.experiment == "counterexample":
-        writer = csv.DictWriter(out, fieldnames=_CSV_COLUMNS["counterexample"],
-                                extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        for row in report.tables["radial"]:
-            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k]
-                             for k in _CSV_COLUMNS["counterexample"]})
+        header = ["k", "p_k", "d_k", "L_k", "R_k"]
+        rows = [[row[c] for c in header] for row in report.tables["radial"]]
     elif report.experiment == "lemma22":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["domain"] + _CSV_COLUMNS["lemma22"])
-        for name, rep in report.tables.items():
-            for row in rep["scales"]:
-                writer.writerow([name] + [repr(row[c]) if isinstance(row[c], float) else row[c]
-                                          for c in _CSV_COLUMNS["lemma22"]])
+        header = ["domain", "k", "d", "bound", "u"]
+        rows = [[name] + [row[c] for c in header[1:]] for name, rep in report.tables.items() for row in rep["scales"]]
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "margin", "passed"])
-        for v in report.verdicts:
-            writer.writerow([v["name"], repr(v["margin"]), v["passed"]])
+        header = ["name", "margin", "passed"]
+        rows = [[v[c] for c in header] for v in report.verdicts]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in rows)
     return out.getvalue()
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import _integer, _unit
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "PathSpec",
@@ -181,8 +181,7 @@ def lemma_log_bound_verify(dom, base, boundary_target, inward, num_scales: int =
     The fitted constant is max u_k; the tail-slope diagnostic certifies
     there is no upward drift at small scales.
     """
-    if num_scales < 3:
-        raise ConfigError("need at least 3 scales")
+    num_scales = _integer(num_scales, "num_scales", 3)
     base = dom.as_point(base)
     target = dom.as_point(boundary_target)
     inward = _unit(dom.as_point(inward))

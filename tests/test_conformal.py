@@ -48,6 +48,13 @@ class TestRoundAnnulusOracle:
         with pytest.raises(ConfigError):
             canonical_annulus_map(disc())
 
+    @pytest.mark.parametrize("resolution", [0, 1.5, "2", True])
+    def test_rejects_a_bad_resolution(self, resolution):
+        dom = annulus(0.3)
+        with pytest.raises(ConfigError, match="resolution"):
+            canonical_annulus_map(dom, resolution=resolution)
+        assert dom._conformal_maps == {}
+
 
 class TestLensMap:
     def test_modulus_frozen_value(self, lens_map):

@@ -307,6 +307,15 @@ class TestUtilities:
             random_interior_points(disc(), count)
         assert random_interior_points(disc(), 0).shape == (0,)
 
+    @pytest.mark.parametrize("center, radius", [
+        (0.0, np.nan), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0), (np.nan, 1.0), (complex(0.0, np.inf), 1.0),
+    ])
+    def test_circle_needs_a_finite_centre_and_radius(self, center, radius):
+        with pytest.raises(ConfigError, match="circle"):
+            CircleCurve(center, radius)
+        with pytest.raises(ConfigError, match="circle"):
+            annulus(0.3, center=center, scale=radius)
+
     def test_presets(self):
         assert preset("disc").connectivity == 1
         assert annulus(0.3).connectivity == 2
@@ -998,10 +1007,17 @@ class TestOneBrentRun:
         lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
         p, q = _report_points(lens)
         boundary_distance(omega, q, (lens, p))
-        # the outer curves only: no window of these points wraps past t = 0, and no hole can hold a
-        # nearest point, so neither hole reaches the run
+        # the outer curves only: no hole can hold a nearest point, so neither hole reaches the run
         assert runs == [len(q) * 4 + len(p) * 4]
         assert curve_windows == [[len(q) * 4, len(p) * 4]]
+
+    @pytest.mark.parametrize("z", [0.9, 0.9 + 1e-9j])
+    def test_a_window_past_t_0_is_one_lane(self, z, runs):
+        # the four samples nearest z straddle t = 0, and the windows about two of them wrap;
+        # each is one lane ending past 1, not two lanes searching the same arc
+        d = boundary_distance(disc(), z).d
+        assert runs == [4]
+        assert d == pytest.approx(1.0 - abs(z), rel=4.1e-13)
 
     def test_report_query_stops_after_21_evaluations(self, monkeypatch):
         evaluations = []

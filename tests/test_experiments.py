@@ -13,6 +13,7 @@ from squeezelab.conformal import AnnulusMap
 from squeezelab.domains import ball, preset
 from squeezelab.errors import ConfigError, DomainError
 from squeezelab.experiments import (
+    RUNNERS,
     ExperimentConfig,
     _lemma22_job,
     _lens_and_image,
@@ -162,8 +163,11 @@ class TestSerialization:
 
     def test_counterexample_report_bytes_frozen(self):
         _lens_and_image.cache_clear()  # the lens, its image and the lens's map are built afresh
-        text = emit(run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7)), "json")
-        assert hashlib.sha256(text.encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
+        report = run_counterexample(ExperimentConfig("counterexample", scales=12, seed=7))
+        assert hashlib.sha256(emit(report, "json").encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
+        # its CSV too, in this test because both carry the bits of the lens's map fit
+        assert hashlib.sha256(emit(report, "csv").encode()).hexdigest() == (
+            "09445afdc38c1e00cf2da696377019cf29885a8447854a2c0a46b772ab6d6499")
 
     def test_counterexample_bytes_frozen_with_a_warm_cache(self):
         # the digest was recorded from fresh builds; a report after another one reuses them
@@ -172,7 +176,7 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
 
     @pytest.mark.parametrize("name, digest", [
-        pytest.param("disc", "16155bf2c0d1f9ae40c50ee225da414d091d74eeb797efe8079800a04e299d96", id="disc"),
+        pytest.param("disc", "c3ecee89d0ef8f64c24d120a68c894b1099ae53e8e5dce11926b4640169761a3", id="disc"),
         pytest.param("ball", "d169de14160690698c46b74811316200de1027f537a1674cbe2aac158cf744ec", id="ball"),
         pytest.param("ellipsoid", "0ae8ba7a2e50460caf0c57854a5a02d7feef92b9d7e4c7141c9794d2cac28f89", id="ellipsoid"),
         pytest.param("omega_prime", "9d9239865f8d7a4de182073af2dfe8aadfbfb6b2b2c3f1bfaadf09e522afb31e", id="omega_prime"),
@@ -180,8 +184,24 @@ class TestSerialization:
     def test_lemma22_report_bytes_frozen(self, name, digest):
         # digests recorded with the shrinking-ball tangent radius and, on the
         # quadratic presets, the closed-form distance in the slice disc; the
-        # disc's, again with ties among sample distances taken by lower index
+        # disc's, again with ties among sample distances taken by lower index,
+        # and once more with one Brent lane per window that wraps past t = 0
         text = emit(run_lemma22(ExperimentConfig("lemma22", domain_preset=name, scales=20)), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        pytest.param(ExperimentConfig("pipeline", scales=3, seed=1),
+                     "29f57f5454efb35f4ae0c7b16ba28888f4662aa6de6ecfead7dbb843e5b2e5a9", id="pipeline"),
+        pytest.param(ExperimentConfig("lemma24_25", scales=3),
+                     "387c4a92bbc9aba05e7d483a6fd081a8aaeae2eabd9d1a9babea31d70eb0804c", id="lemma24_25"),
+        pytest.param(ExperimentConfig("lemma22", domain_preset="omega_prime", scales=20),
+                     "3aeb6c96af60bfbe466f53fed8a4a746986c6371fdb885eca09b77336ecae170", id="lemma22-omega_prime"),
+        pytest.param(ExperimentConfig("lemma22", domain_preset="ellipsoid", scales=20),
+                     "889c41f2aff085f24ec69fbbd1d09ffe10370833b76fabde229706cbe6195c21", id="lemma22-ellipsoid"),
+    ])
+    def test_csv_bytes_frozen(self, config, digest):
+        # the verdicts, or each lemma22 scale; the counterexample rows are frozen with its JSON
+        text = emit(RUNNERS[config.experiment](config), "csv")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_emit_format_validation(self, small_margin_report):

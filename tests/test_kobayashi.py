@@ -372,6 +372,11 @@ class TestLogBoundVerify:
         assert rep["tail_slope"] <= 1e-2
         assert rep["passed"]
 
+    @pytest.mark.parametrize("num_scales", [2, 3.5, "20", True])
+    def test_rejects_a_bad_scale_count(self, num_scales):
+        with pytest.raises(ConfigError, match="num_scales"):
+            lemma_log_bound_verify(disc(), 0.0, 1.0, num_scales=num_scales, inward=-1.0)
+
     def test_ellipsoid_finite_constant(self):
         rep = lemma_log_bound_verify(
             ellipsoid(),
