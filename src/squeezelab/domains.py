@@ -54,6 +54,10 @@ class Curve:
     def point(self, t):
         raise NotImplementedError
 
+    def jet(self, t):
+        """The curve points ``point(t)`` and their derivatives in t, from one evaluation; batch-first."""
+        raise NotImplementedError
+
     @property
     def params(self) -> np.ndarray:
         return self._params
@@ -263,6 +267,18 @@ class _SampleIndex:
             odd[near], on_sample[near] = self._strip(z.real[near], z.imag[near])
         return odd, on_sample
 
+    def bounds(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distance from each point of ``z`` to the nearest block box, and the least distance to a block's farthest corner.
+
+        Every sample lies in its block's box, so the first is a lower and the
+        second an upper bound on the distance to the nearest sample.
+        """
+        box, corner = np.empty(len(z)), np.empty(len(z))
+        for block in _blocks(len(z), len(self.starts)):
+            near, far = _box_squares(z[block, None], *self.boxes)
+            box[block], corner[block] = near.min(axis=1), far.min(axis=1)
+        return np.sqrt(box), np.sqrt(corner)
+
     def least(self, z: np.ndarray, k: int) -> np.ndarray:
         """Indices of the ``k`` samples nearest each point of ``z``, in ``_least``'s order (ties to the lower index).
 
@@ -298,17 +314,24 @@ def _merged(t: np.ndarray, extra_params) -> np.ndarray:
 
 
 class ParamCurve(Curve):
-    """Curve given by an explicit callable t -> complex point."""
+    """Curve given by an explicit callable t -> complex point and its derivative ``deriv``, t -> d point / dt."""
 
-    def __init__(self, func, n: int = 4096, extra_params=None):
+    def __init__(self, func, deriv=None, n: int = 4096, extra_params=None):
+        if not callable(deriv):
+            raise ConfigError("a ParamCurve needs the derivative of its parameterisation")
         self.func = func
+        self.deriv = deriv
         super().__init__(_merged(np.arange(n) / n, extra_params))
 
     def point(self, t):
         return self.func(np.asarray(t, dtype=float) % 1.0)
 
+    def jet(self, t):
+        t = np.asarray(t, dtype=float) % 1.0
+        return self.func(t), self.deriv(t)
 
-class CircleCurve(ParamCurve):
+
+class CircleCurve(Curve):
     """Circle of given center/radius; orientation +1 (ccw) or -1 (cw)."""
 
     def __init__(self, center: complex, radius: float, orientation: int = 1, n: int = 2048):
@@ -316,27 +339,39 @@ class CircleCurve(ParamCurve):
         self.radius = radius = float(radius)
         if not (np.isfinite(center) and np.isfinite(radius) and radius > 0):
             raise ConfigError(f"circle needs a finite centre and a finite positive radius, not {center!r}, {radius!r}")
-        self.orientation = orientation = int(orientation)
+        if isinstance(orientation, bool) or orientation not in (1, -1):
+            raise ConfigError(f"circle orientation must be +1 or -1, not {orientation!r}")
+        self.orientation = int(orientation)
+        super().__init__(np.arange(n) / n)
 
-        # the closure holds the values, not ``self``: a curve that referred to
-        # itself would outlive its domain until a full garbage collection
-        def f(t):
-            ang = 2.0 * np.pi * t * orientation
-            return center + radius * np.exp(1j * ang)
+    def _turn(self, t):
+        return np.exp(1j * (2.0 * np.pi * (np.asarray(t, dtype=float) % 1.0) * self.orientation))
 
-        super().__init__(f, n=n)
+    def point(self, t):
+        return self.center + self.radius * self._turn(t)
+
+    def jet(self, t):
+        e = self._turn(t)
+        return self.center + self.radius * e, (2j * np.pi * self.orientation * self.radius) * e
 
 
 class MappedCurve(Curve):
-    """Pointwise image of another curve under a holomorphic map."""
+    """Pointwise image of another curve under a holomorphic map, ``deriv`` its derivative."""
 
-    def __init__(self, base: Curve, mapping, extra_params=None):
+    def __init__(self, base: Curve, mapping, deriv=None, extra_params=None):
+        if not callable(deriv):
+            raise ConfigError("a MappedCurve needs the derivative of its map")
         self.base = base
         self.mapping = mapping
+        self.deriv = deriv
         super().__init__(_merged(base.params, extra_params))
 
     def point(self, t):
         return self.mapping(self.base.point(t))
+
+    def jet(self, t):
+        b, db = self.base.jet(t)
+        return self.mapping(b), self.deriv(b) * db
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +467,9 @@ class PlanarDomain:
     def boundary_distance(self, z) -> DomainPoint:
         """Distance from one interior point (a float ``d``) or from each point of an array (arrays).
 
-        The nearest point is refined on every curve by one lockstep Brent
-        run; see ``_planar_distances``.
+        The nearest point is a zero of the slope Re(conj(q - z) q') of the
+        squared distance, refined on every curve by one lockstep run of
+        Brent's zero-finder; see ``_planar_distances``.
         """
         return _planar_distances([(self, z)])[0]
 
@@ -443,7 +479,8 @@ class PlanarDomain:
         The shrinking-ball minimum of |q - p|^2 / (2 <q - p, n>) over boundary
         points q with <q - p, n> > 0 (Ma, Bae & Choi, Visual Computer 28, 2012):
         over the samples, then around each curve's four smallest sample ratios
-        by one lockstep Brent run on the parameter.  Samples within 1e-3
+        by one lockstep run of Brent's zero-finder on the sign of the ratio's
+        derivative in the parameter (``_refine``).  Samples within 1e-3
         ``scale`` of p, where <q - p, n> has lost its digits, are left out.
         Batch-first like ``contains``; raises ``DomainError`` for a centre outside.
         """
@@ -451,23 +488,28 @@ class PlanarDomain:
         shape, p, n = p.shape, p.ravel(), n.ravel() / np.abs(n.ravel())
         near = (1e-3 * self.scale) ** 2
 
-        def ratio(q, rows):
-            w = q - p[rows]
-            along = w.real * n[rows].real + w.imag * n[rows].imag
+        def ratio(q, rows, dq=None):
+            """The ratio at the curve points ``q``, and given their derivatives ``dq``, a slope of its sign."""
+            w, nr = q - p[rows], n[rows]
+            along = w.real * nr.real + w.imag * nr.imag
             sq = w.real * w.real + w.imag * w.imag
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where((along > 0.0) & (sq > near), sq / (2.0 * along), np.inf)
+                r = np.where((along > 0.0) & (sq > near), sq / (2.0 * along), np.inf)
+            if dq is None:
+                return r
+            # (sq / 2 along)' has the sign of 2 along Re(conj(w) dq) - sq <dq, n>, finite wherever q is
+            return r, 2.0 * along * (w.real * dq.real + w.imag * dq.imag) - sq * (dq.real * nr.real + dq.imag * nr.imag)
 
         rows = np.arange(len(p))
         r = np.full(len(p), np.inf)
-        curves, lanes = self.curves(), []  # each curve's Brent windows (start, width) and their rows
+        curves, lanes = self.curves(), []  # each curve's windows (lo, hi) and their rows
         for curve in curves:
             t, q = curve.params, curve.points()
             k = min(4, len(t))
             best = _least(lambda block: ratio(q, rows[block, None]), len(p), len(t), k)
             r = np.minimum(r, ratio(q[best[:, 0]], rows))
             lanes.append((*_windows(curve, best.ravel()), np.repeat(rows, k)))
-        fx, _, owner = _refine(curves, lanes, ratio, xatol=1e-12)
+        fx, _, owner = _refine(curves, lanes, lambda q, dq, rows: ratio(q, rows, dq))
         np.minimum.at(r, owner, fx)
         if not np.all(self.contains(p + r * n)):
             raise DomainError("no interior tangent ball found at the given boundary point")
@@ -532,85 +574,56 @@ class PlanarDomain:
         return z[self.contains(z)]
 
 
-# Brent's bounded minimiser (R. P. Brent, Algorithms for Minimization without
-# Derivatives, 1973), with the constants of scipy's ``fminbound``
-_SQRT_EPS = np.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+def _brentq(f, a, b, fa, fb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:
+    """A zero of ``f`` in every bracket ``[a[j], b[j]]`` at once, one lane per bracket.
 
-
-def _bounded_brent(f, lo, hi, xatol: float, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise ``f`` on every window ``[lo[j], hi[j]]`` at once, one lane per window.
-
-    Each lane takes the steps of scipy's bounded scalar minimiser, with the
-    same operations in the same order (its parabolic and golden-section
-    branches become masks), so its minimiser has the same bits.  A lane
-    that meets the stopping test is retired: its minimiser and value go to
-    the output and it leaves every state array.  ``f(x, lanes)`` maps one
-    abscissa per live lane to the objective values, ``lanes`` holding the
-    live lanes' indices in increasing order; it runs under the solver's
-    ``np.errstate``.  Returns the minimisers and their objective values.
-    Raises ``SolverError`` when an objective value is NaN or a lane still
-    moves after ``maxiter`` evaluations.
+    ``fa`` and ``fb`` are the values at the ends, nonzero and of opposite
+    signs.  Each lane takes the steps of scipy's ``brentq`` (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), with the
+    same operations in the same order (its branches become masks), so its
+    zero has the same bits.  A lane that meets the stopping test is
+    retired: its zero goes to the output and it leaves every state array.
+    ``f(x, lanes)`` maps one abscissa per live lane to the values there,
+    ``lanes`` holding the live lanes' indices in increasing order; it runs
+    under the solver's ``np.errstate``.  Raises ``SolverError`` when a value
+    is NaN or a lane still moves after ``maxiter`` evaluations.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    x_out, f_out = np.empty_like(a), np.empty_like(a)
-    lanes = np.arange(len(a))
-    xf = a + _GOLDEN * (b - a)
-    nfc, fulc = xf, xf
-    rat = e = np.zeros_like(xf)
-    num = 1
+    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    x_out = np.empty_like(xpre)
+    lanes = np.arange(len(xpre))
+    xblk, fblk, spre, scur = (np.zeros_like(xpre) for _ in range(4))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fx = f(xf, lanes)
-        if np.isnan(fx).any():
-            raise SolverError("bounded Brent: objective is NaN at a window's first point")
-        fnfc = ffulc = fx
-        while True:
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-            tol2 = 2.0 * tol1
-            live = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-            if not live.all():  # retire the converged lanes
-                done = ~live
-                x_out[lanes[done]], f_out[lanes[done]] = xf[done], fx[done]
-                lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2 = (
-                    v[live] for v in (lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2))
+        for _ in range(maxiter):
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)  # the end nearer zero becomes xcur
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (xtol + rtol * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():  # retire the converged lanes
+                x_out[lanes[done]] = xcur[done]
+                live = ~done
+                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    v[live] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
             if not len(lanes):
-                return x_out, f_out
-            to_mid, from_nfc, from_fulc, to_a, to_b = xm - xf, xf - nfc, xf - fulc, a - xf, b - xf
-            # parabola through the three best points, tried where the step before last was long
-            r = from_nfc * (fx - ffulc)
-            q = from_fulc * (fx - fnfc)
-            p = from_fulc * q - from_nfc * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * to_a) & (p < q * to_b)
-            step = (p + 0.0) / q
-            x = xf + step
-            near_end = ((x - a) < tol2) | ((b - x) < tol2)
-            step = np.where(near_end, tol1 * (np.sign(to_mid) + (to_mid == 0)), step)
-            golden = np.where(xf >= xm, to_a, to_b)
-            e = np.where(parabolic, rat, golden)
-            rat = np.where(parabolic, step, _GOLDEN * golden)
-            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-            fu = f(x, lanes)
-            num += 1
-            if np.isnan(fu).any():
-                raise SolverError("bounded Brent: objective is NaN inside a window")
-
-            better = fu <= fx
-            lower = np.where(better, x >= xf, x < xf)  # the end that moves is a, else b
-            end = np.where(better, xf, x)
-            a, b = np.where(lower, end, a), np.where(lower, b, end)
-            to_nfc = better | (fu <= fnfc) | (nfc == xf)
-            to_fulc = ~to_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-            fulc = np.where(to_nfc, nfc, np.where(to_fulc, x, fulc))
-            ffulc = np.where(to_nfc, fnfc, np.where(to_fulc, fu, ffulc))
-            nfc = np.where(to_nfc, end, nfc)
-            fnfc = np.where(to_nfc, np.where(better, fx, fu), fnfc)
-            xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
-            if num >= maxiter:
-                raise SolverError(f"bounded Brent: {len(lanes)} windows unconverged after {maxiter} evaluations")
+                return x_out
+            # inverse quadratic interpolation, or the secant step where xpre is the far end
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
+            fcur = f(xcur, lanes)
+            if np.isnan(fcur).any():
+                raise SolverError("Brent zero-finder: a value is NaN inside a bracket")
+    raise SolverError(f"Brent zero-finder: {len(lanes)} brackets unconverged after {maxiter} evaluations")
 
 
 def _windows(curve: Curve, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -620,30 +633,71 @@ def _windows(curve: Curve, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return lo, lo + (t[(samples + 1) % len(t)] - lo) % 1.0
 
 
-def _refine(curves, windows, objective, xatol: float):
-    """One lockstep Brent run over the parameter windows of every curve.
+# The zero-finder's tolerances, on the offset s = t - lo in a window, where rtol adds next to
+# nothing: 4 eps is the least relative tolerance scipy's brentq takes.  2^-53 is the spacing of
+# parameters in [0.5, 1), which holds the image's cusp, so the least step, xtol / 2, moves t
+# there by one or two spacings and a zero stops in a bracket under 3 spacings wide.  Measured on
+# the counterexample's image points: xtol = 2^-52 took 9 passes, as steps of one spacing
+# rounded back to the same t, and 3.5 * 2^-53 missed the least distance by 8e-13 relative.
+# On t itself, rtol = 4 eps would leave the zero 6 spacings of 0.75 wide.
+_XTOL = 3 * 2.0**-53
+_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _refine(curves, windows, objective):
+    """One lockstep run of the Brent zero-finder over the parameter windows of every curve.
 
     ``windows`` gives each curve's windows as arrays ``(lo, hi, rows)``,
-    ``rows`` naming the point each window serves, and ``objective(q, rows)``
-    maps the curve points ``q`` of the live windows, with those windows'
-    rows, to their values.  Each curve is evaluated on its live windows
-    only, and not at all once they have all converged.  Returns the least
-    values, the curve points where they are taken and ``rows``, each
-    concatenated curve after curve.
+    ``rows`` naming the point each window serves, and ``objective(q, dq,
+    rows)`` maps curve points ``q`` and their derivatives ``dq`` in t, with
+    their windows' rows, to values and to slopes of the sign of the values'
+    derivative in t.  One pass evaluates every window's two ends, the far
+    one at the parameter just below it: ``jet`` reads a corner's derivative
+    from above, so the slope at each end is the one inside the window.  A
+    window whose slope goes from negative to positive brackets a minimum,
+    and ``_brentq`` finds it as a zero of the slope; each curve is evaluated
+    on its live brackets only.  Returns, for each window, the least value
+    among its ends (ties to the first) and, where it brackets, its point of
+    least |slope| evaluated, the zero (ties to the zero, whose value is flat
+    to rounding over many spacings of t), then the curve points where they
+    are taken and ``rows``, each concatenated curve after curve.  Raises
+    ``SolverError`` when a curve point is NaN.
     """
     lo, hi, rows = (np.concatenate(x) for x in zip(*windows))
     cuts = np.cumsum([0] + [len(x[0]) for x in windows])
 
-    def points(x, lanes):  # ``point`` reads its parameter modulo 1, so a window may pass t = 1
+    def jets(s, lanes):  # at t = lo + s; ``jet`` reads t modulo 1, so a window may pass t = 1
         at = np.searchsorted(lanes, cuts)  # live lanes keep their order, so each curve's lie between its cuts
-        q = np.empty(len(x), dtype=complex)
+        t = (lo[lanes] + s.T).T
+        q, dq = np.empty(t.shape, dtype=complex), np.empty(t.shape, dtype=complex)
         for c, i, j in zip(curves, at, at[1:]):
             if i < j:
-                q[i:j] = c.point(x[i:j])
-        return q
+                q[i:j], dq[i:j] = c.jet(t[i:j])
+        return q, dq
 
-    x, fx = _bounded_brent(lambda x, lanes: objective(points(x, lanes), rows[lanes]), lo, hi, xatol=xatol, maxiter=400)
-    return fx, points(x, np.arange(len(x))), rows
+    lanes, width = np.arange(len(lo)), np.nextafter(hi, lo) - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as at a cusp, where a slope may be NaN
+        q, dq = jets(np.stack([np.zeros_like(width), width], axis=1), lanes)
+        value, slope = objective(q, dq, rows[:, None])
+        if np.isnan(value).any():
+            raise SolverError("a curve point is NaN at a window's end")
+        end = (value[:, 1] < value[:, 0]).astype(np.intp)
+        best, nearest = value[lanes, end], q[lanes, end]
+        bracket = np.flatnonzero((slope[:, 0] < 0.0) & (slope[:, 1] > 0.0))
+        flat, zero_value, zero = np.full(len(bracket), np.inf), np.full(len(bracket), np.inf), q[bracket, 0]
+
+        def f(s, live):  # the slopes, keeping each bracket's point of least |slope| so far
+            q, dq = jets(s, bracket[live])
+            v, g = objective(q, dq, rows[bracket[live]])
+            closer = np.abs(g) <= flat[live]  # ties to the later point
+            at = live[closer]
+            flat[at], zero_value[at], zero[at] = np.abs(g[closer]), v[closer], q[closer]
+            return g
+
+        _brentq(f, np.zeros(len(bracket)), width[bracket], slope[bracket, 0], slope[bracket, 1], _XTOL, _RTOL, 100)
+        inner = zero_value <= best[bracket]
+        best[bracket[inner]], nearest[bracket[inner]] = zero_value[inner], zero[inner]
+    return best, nearest, rows
 
 
 def _planar_distances(queries) -> list[DomainPoint]:
@@ -652,19 +706,25 @@ def _planar_distances(queries) -> list[DomainPoint]:
     Every query is checked first: a point outside its domain raises
     ``DomainError``.  A coarse scan then picks each point's four nearest
     samples on every curve of its domain, and the parameter windows about
-    them, on every curve of every query, are refined by one lockstep Brent
-    run (``_refine``).  The nearest point is the first strict minimum in
-    curve order, then in window order.  Each query gets the bits it would
-    get alone.
+    them, on every curve of every query, are refined by one lockstep run of
+    Brent's zero-finder on the slope Re(conj(q - z) q') of the squared
+    distance (``_refine``).  The nearest point is the first strict minimum
+    in curve order, then in window order.  Each query gets the bits it
+    would get alone.
 
     A curve is neither scanned nor refined for a point whose nearest point
     it cannot hold.  Assuming the scan's resolution, that the curve between
     a sample's neighbours stays within 2 gap of it (gap: the curve's largest
-    step between samples), every Brent value on curve c is at least
-    dist(z, box_c) - 2 gap_c, and the lane about a curve's nearest sample
-    ends at most 2 gap above that sample's distance (a lane never rises).
-    A curve whose first bound exceeds the second of a curve before it, by a
-    relative 1e-9, is left out; lanes are independent, so every bit stays.
+    step between samples), every value on curve c is at least the distance
+    to its nearest block box (``_SampleIndex.bounds``) less 2 gap_c.  The
+    lane about a curve's nearest sample evaluates that sample's neighbours,
+    so it ends at most gap above that sample's distance.  That distance is
+    at most the least distance to a block's farthest corner, which bounds
+    every curve before any is scanned.  A curve whose lower bound exceeds,
+    by a relative 1e-9, the least of these upper bounds plus 2 gap, or the
+    nearest sample's distance plus 2 gap on a curve scanned before it, is
+    left out, the outer curve too; lanes are independent, so every bit
+    stays.
     """
     flats = []
     for dom, z in queries:
@@ -677,16 +737,17 @@ def _planar_distances(queries) -> list[DomainPoint]:
         flats.append(flat)
     flat = np.concatenate(flats)  # every query's points, query after query
 
-    def sq_dist(q, rows):
+    def sq_dist(q, dq, rows):  # the squared distance and half its derivative, Re(conj(q - z) dq)
         w = q - flat[rows]
-        return w.real * w.real + w.imag * w.imag
+        return w.real * w.real + w.imag * w.imag, w.real * dq.real + w.imag * dq.imag
 
     curves, windows, base = [], [], 0
     for (dom, _), z in zip(queries, flats):
-        reach = np.full(len(z), np.inf)
-        for c, curve in enumerate(dom.curves()):
-            index = curve._sample_index()
-            near = np.flatnonzero(np.sqrt(_box_squares(z, *index.box)[0]) - 2.0 * index.gap <= reach * (1.0 + 1e-9))
+        indices = [curve._sample_index() for curve in dom.curves()]
+        bounds = [index.bounds(z) for index in indices]
+        reach = np.min([far + 2.0 * index.gap for index, (_, far) in zip(indices, bounds)], axis=0)
+        for c, (curve, index, (box, _)) in enumerate(zip(dom.curves(), indices, bounds)):
+            near = np.flatnonzero(box - 2.0 * index.gap <= reach * (1.0 + 1e-9))
             if c and not len(near):  # a hole no point needs; the outer curve always runs, even for no points
                 continue
             closest = index.least(z[near], min(4, len(curve.params)))
@@ -694,7 +755,7 @@ def _planar_distances(queries) -> list[DomainPoint]:
             curves.append(curve)
             windows.append((*_windows(curve, closest.ravel()), base + np.repeat(near, closest.shape[1])))
         base += len(z)
-    _, w, owner = _refine(curves, windows, sq_dist, xatol=1e-15)
+    _, w, owner = _refine(curves, windows, sq_dist)
     dw = w - flat[owner]
     d = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
     # lanes come curve after curve, point after point, window after window, so a stable sort
@@ -716,7 +777,7 @@ def boundary_distance(dom, z, *more):
     """Euclidean distance from an interior point, or from each point of an array, to the boundary of ``dom``.
 
     Further ``(domain, points)`` pairs are answered in the same lockstep
-    Brent run, each with the bits of its own call, and the result is then
+    zero-finder run, each with the bits of its own call, and the result is then
     a list with one ``DomainPoint`` per query, ``dom``'s first.  Such
     queries take planar domains only; a quadratic one raises
     ``ConfigError``.  The library asks every domain through this function
@@ -954,7 +1015,6 @@ def build_omega_prime() -> PlanarDomain:
     Y = _LENS_FLAT_HALF
 
     def outer(t):
-        t = np.asarray(t, dtype=float) % 1.0
         out = np.empty(t.shape, dtype=complex)
         arc = t < 0.5  # right-side graph, bottom to top (ccw)
         y = 4.0 * Y * t[arc] - Y
@@ -963,9 +1023,17 @@ def build_omega_prime() -> PlanarDomain:
         out[~arc] = 1j * y
         return out
 
+    def tangent(t):  # d outer / dt: 4Y (dx/dy + i) on the graph, dx/dy = -2y Y^2 x / (Y^2 - y^2)^2, and -4Yi on the segment
+        y = 4.0 * Y * t - Y
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # where |y| >= Y, masked below
+            gap = Y * Y - y * y
+            slope = -2.0 * y * (Y * Y) * (_LENS_WIDTH * np.exp(-y * y / gap)) / (gap * gap)
+        slope = np.where((t < 0.5) & (np.abs(y) < Y), slope, 0.0)
+        return np.where(t < 0.5, 4.0 * Y * (slope + 1j), -4.0j * Y)
+
     dt = _CUSP_STEPS
     extra = np.concatenate([0.75 + dt, 0.75 - dt, 0.25 + dt / 2, 0.25 - dt / 2])
-    outer_curve = ParamCurve(outer, n=_LENS_SAMPLES, extra_params=extra)
+    outer_curve = ParamCurve(outer, tangent, n=_LENS_SAMPLES, extra_params=extra)
     hole = CircleCurve(_LENS_HOLE_CENTER, _LENS_HOLE_RADIUS, orientation=-1, n=_LENS_HOLE_SAMPLES)
     return PlanarDomain(outer_curve, [hole], name="omega_prime")
 
@@ -991,6 +1059,11 @@ def phi_deriv(z):
     z = np.asarray(z, dtype=complex)
     if np.any(np.atleast_1d(z) == 0):
         raise DomainError("derivative unbounded at 0")
+    return _log_plus_one(z)
+
+
+def _log_plus_one(z):
+    """``phi_deriv`` without its check: at 0, where the derivative is unbounded, -inf, with numpy's warning."""
     return np.log(z) + 1.0
 
 
@@ -1000,8 +1073,9 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
         raise ConfigError("expected a doubly connected half-plane domain")
     # the image's cusp is the image of the lens's origin
     extra = np.concatenate([0.75 + _CUSP_STEPS, 0.75 - _CUSP_STEPS])
-    outer = MappedCurve(omega_prime.outer, phi_map, extra_params=extra)
-    holes = [MappedCurve(h, phi_map) for h in omega_prime.holes]
+    # at the cusp the chain rule gives a NaN slope, which brackets no minimum
+    outer = MappedCurve(omega_prime.outer, phi_map, _log_plus_one, extra_params=extra)
+    holes = [MappedCurve(h, phi_map, _log_plus_one) for h in omega_prime.holes]
     return PlanarDomain(outer, holes, name="omega_zlogz")
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 import squeezelab
 from squeezelab import conformal, domains
@@ -24,9 +24,10 @@ from squeezelab.domains import (
     CircleCurve,
     Curve,
     DefiningFunctionDomain,
+    MappedCurve,
     ParamCurve,
     PlanarDomain,
-    _bounded_brent,
+    _brentq,
     _unit,
     annulus,
     ball,
@@ -58,6 +59,9 @@ class PolylineCurve(Curve):
         super().__init__(self._cum[:-1])
 
     def point(self, t):
+        return self.jet(t)[0]
+
+    def jet(self, t):
         t = np.asarray(t, dtype=float) % 1.0
         idx = np.clip(np.searchsorted(self._cum, t, side="right") - 1, 0, len(self.vertices) - 1)
         t0 = self._cum[idx]
@@ -65,7 +69,7 @@ class PolylineCurve(Curve):
         frac = np.where(t1 > t0, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
         a = self.vertices[idx]
         b = self.vertices[(idx + 1) % len(self.vertices)]
-        return a + frac * (b - a)
+        return a + frac * (b - a), (b - a) / (t1 - t0)  # each edge is straight, traversed at constant speed
 
 
 class TestDiscDomain:
@@ -306,6 +310,14 @@ class TestUtilities:
         with pytest.raises(ConfigError, match="point count"):
             random_interior_points(disc(), count)
         assert random_interior_points(disc(), 0).shape == (0,)
+
+    @pytest.mark.parametrize("orientation", [2, -2, 0, 1.5, True])
+    def test_circle_orientation_is_plus_or_minus_one(self, orientation):
+        # orientation 2 wound the sample polygon twice: the domain built, held no point,
+        # and the rejection sampler never returned
+        with pytest.raises(ConfigError, match="orientation"):
+            CircleCurve(0.0, 1.0, orientation=orientation)
+        assert CircleCurve(0.0, 1.0, orientation=-1).signed_area() < 0
 
     @pytest.mark.parametrize("center, radius", [
         (0.0, np.nan), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0), (np.nan, 1.0), (complex(0.0, np.inf), 1.0),
@@ -635,7 +647,7 @@ class TestSamplerRounds:
 
 
 # ---------------------------------------------------------------------------
-# planar boundary distance: the lockstep bounded Brent kernel
+# planar boundary distance: the lockstep Brent zero-finder on bounded brackets
 
 
 _brent_windows = dict(
@@ -644,78 +656,92 @@ _brent_windows = dict(
                    min_size=1, max_size=12))
 
 
+def _slope(curve, z, lo):
+    """The slope Re(conj(q - z) dq) of the squared distance from ``z``, at the offset s from ``lo``, as ``_refine`` takes it."""
+
+    def slope(s, lanes):
+        q, dq = curve.jet(lo[lanes] + s)
+        w = q - z[lanes]
+        return w.real * dq.real + w.imag * dq.imag
+
+    return slope
+
+
 def _near_samples(name, which, picks):
-    """A curve, points near chosen samples of it, and the parameter window about each sample."""
+    """For points near chosen samples of a curve, the slope on the window about each sample, with the windows' widths
+    and the slope at both ends; only the windows over which it goes from negative to positive are kept."""
     curves = _PLANAR_DOMAINS[name].curves()
     curve = curves[which % len(curves)]
-    t, n = curve.params, len(curve.params)
-    i = np.array([k % n for k, _, _ in picks])
+    i = np.array([k % len(curve.params) for k, _, _ in picks])
     z = curve.points()[i] + np.array([r * np.exp(1j * a) for _, r, a in picks])
-    lo, hi = t[(i - 1) % n], t[(i + 1) % n]
-    return curve, z, np.where(hi < lo, lo - 1.0, lo), hi
+    lo, hi = domains._windows(curve, i)
+    every, slope = np.arange(len(z)), _slope(curve, z, lo)
+    ga, gb = slope(np.zeros(len(z)), every), slope(hi - lo, every)
+    keep = np.flatnonzero((ga < 0.0) & (gb > 0.0))
+    assume(len(keep))
+    return _slope(curve, z[keep], lo[keep]), (hi - lo)[keep], ga[keep], gb[keep]
 
 
-def _scipy_brent(curve, z, lo, hi):
-    """scipy's bounded minimiser of the squared distance on each window, one at a time."""
+def _scipy_brentq(slope, width):
+    """scipy's brentq on each bracket [0, width], one at a time, at the tolerances of ``_refine``."""
     ref = []
-    for zj, a, b in zip(z, lo, hi):
-
-        def one(s, zj=zj):
-            w = curve.point(np.array([s]))[0] - zj
-            return w.real * w.real + w.imag * w.imag
-
-        res = minimize_scalar(one, bounds=(a, b), method="bounded", options={"xatol": 1e-15, "maxiter": 400})
-        assert res.status == 0
+    for j, b in enumerate(width):
+        x, res = brentq(lambda s, j=j: float(slope(np.array([s]), np.array([j]))[0]), 0.0, b,
+                        xtol=domains._XTOL, rtol=domains._RTOL, maxiter=100, full_output=True)
+        assert res.converged
         ref.append(res)
     return ref
 
 
 class TestBoundedBrent:
-    @staticmethod
-    def _sq_dist(curve, z, seen):
-        """Squared distance from ``z`` on the live lanes, recording each ``lanes`` array it is given."""
+    """``_brentq`` against scipy's ``brentq`` on the slope of the squared distance, whose zero is a window's argmin."""
 
+    @staticmethod
+    def _run(slope, width, ga, gb, seen):
         def f(s, lanes):
             seen.append(lanes)
-            w = curve.point(s) - z[lanes]
-            return w.real * w.real + w.imag * w.imag
+            return slope(s, lanes)
 
-        return f
+        return _brentq(f, np.zeros(len(width)), width, ga, gb, domains._XTOL, domains._RTOL, maxiter=100)
 
     @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
     @settings(max_examples=25, deadline=None)
     @given(**_brent_windows)
     def test_argmin_matches_scipy_bit_for_bit(self, name, which, picks):
-        curve, z, lo, hi = _near_samples(name, which, picks)
-        got, _ = _bounded_brent(self._sq_dist(curve, z, []), lo, hi, xatol=1e-15, maxiter=400)
-        ref = [float(res.x) for res in _scipy_brent(curve, z, lo, hi)]
+        slope, width, ga, gb = _near_samples(name, which, picks)
+        got = self._run(slope, width, ga, gb, [])
+        ref = [res.root for res in _scipy_brentq(slope, width)]
         np.testing.assert_array_equal(got.view(np.int64), np.array(ref).view(np.int64))
 
     @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
     @settings(max_examples=10, deadline=None)
     @given(**_brent_windows)
     def test_each_lane_evaluates_as_often_as_scipy(self, name, which, picks):
-        curve, z, lo, hi = _near_samples(name, which, picks)
+        slope, width, ga, gb = _near_samples(name, which, picks)
         seen = []
-        _bounded_brent(self._sq_dist(curve, z, seen), lo, hi, xatol=1e-15, maxiter=400)
-        calls = np.bincount(np.concatenate(seen), minlength=len(z))
-        assert calls.tolist() == [res.nfev for res in _scipy_brent(curve, z, lo, hi)]
+        self._run(slope, width, ga, gb, seen)
+        # scipy's count holds the two ends, which the caller evaluates
+        calls = 2 + np.bincount(np.concatenate([np.zeros(0, dtype=np.intp)] + seen), minlength=len(width))
+        assert calls.tolist() == [res.function_calls for res in _scipy_brentq(slope, width)]
 
     @pytest.mark.parametrize("name", sorted(_PLANAR_DOMAINS))
     @settings(max_examples=10, deadline=None)
     @given(**_brent_windows)
     def test_live_lanes_only_shrink(self, name, which, picks):
-        curve, z, lo, hi = _near_samples(name, which, picks)
+        slope, width, ga, gb = _near_samples(name, which, picks)
         seen = []
-        _bounded_brent(self._sq_dist(curve, z, seen), lo, hi, xatol=1e-15, maxiter=400)
-        assert seen[0].tolist() == list(range(len(z)))
+        self._run(slope, width, ga, gb, seen)
+        if seen:
+            assert np.isin(seen[0], np.arange(len(width))).all()
         for before, now in zip(seen, seen[1:]):
             assert np.all(np.diff(now) > 0) and np.isin(now, before).all()
 
     def test_iteration_cap_raises(self):
-        with pytest.raises(SolverError):
-            _bounded_brent(lambda s, _: (s - 0.3) ** 2, np.array([0.0, 0.5]), np.array([1.0, 0.6]), xatol=1e-15,
-                           maxiter=5)
+        f = lambda s, _: s**3 - 0.3  # noqa: E731
+        a, b = np.array([0.0, 0.5]), np.array([1.0, 0.9])
+        with pytest.raises(SolverError, match="unconverged"):
+            _brentq(f, a, b, f(a, None), f(b, None), domains._XTOL, domains._RTOL, maxiter=3)
+        assert np.allclose(_brentq(f, a, b, f(a, None), f(b, None), domains._XTOL, domains._RTOL, 100), 0.3 ** (1 / 3))
 
     def test_nan_objective_raises(self):
         # samples lie on the unit circle; between them the curve is undefined
@@ -724,10 +750,37 @@ class TestBoundedBrent:
         def on_samples_only(t):
             return np.where(np.isin(t, grid), np.exp(2j * np.pi * t), np.nan)
 
-        dom = PlanarDomain(ParamCurve(on_samples_only, n=64))
-        assert dom.contains(0.1)
-        with pytest.raises(SolverError):
-            boundary_distance(dom, 0.1)
+        def deriv(t):
+            return np.where(np.isin(t, grid), 2j * np.pi * np.exp(2j * np.pi * t), np.nan)
+
+        dom = PlanarDomain(ParamCurve(on_samples_only, deriv, n=64))
+        assert dom.contains(0.1 + 0.03j)  # whose nearest point lies between samples
+        with pytest.raises(SolverError, match="NaN"):
+            boundary_distance(dom, 0.1 + 0.03j)
+
+    def test_a_curve_needs_its_derivative(self):
+        with pytest.raises(ConfigError, match="derivative"):
+            ParamCurve(lambda t: np.exp(2j * np.pi * t))
+        with pytest.raises(ConfigError, match="derivative"):
+            MappedCurve(disc().outer, phi_map)
+
+    def test_a_window_ending_at_the_cusp(self, recwarn):
+        # at t = 0.75 the lens's origin maps to the image's cusp, where phi' is
+        # unbounded: the end counts by its distance and brackets nothing
+        omega = _PLANAR_DOMAINS["omega_zlogz"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q, dq = omega.outer.jet(np.array([0.75]))
+        assert q[0] == 0 and not np.isfinite(dq[0])
+        z = phi_map(2.0 ** -np.arange(44, 56))
+        lo, hi = domains._windows(omega.outer, omega.outer._sample_index().least(z, 4))
+        assert np.any(lo == 0.75) and np.any(hi == 0.75) and np.any((lo < 0.75) & (hi > 0.75))
+        bp = boundary_distance(omega, z)
+        assert np.isfinite(bp.nearest).all() and np.all(bp.d <= np.abs(z))
+        # a window starting at the cusp, for a point whose nearest point in it is that end
+        value, at, _ = domains._refine([omega.outer], [(np.array([0.75]), np.array([0.75 + 2.0**-40]), np.array([0]))],
+                                       lambda q, dq, rows: (np.abs(q - 0.01) ** 2, np.real(np.conj(q - 0.01) * dq)))
+        assert value.tolist() == [np.abs(0.0 - 0.01) ** 2] and at.tolist() == [0j]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _assert_distance_batch_equals_points(dom, z):
@@ -831,16 +884,18 @@ class TestNearestSampleOrder:
     distances, whatever CPU features numpy dispatches to.  Where two windows
     reach the same least distance, as at the disc's centre or on the lens's
     axis of symmetry, the first in that order gives the nearest point.
+    Re-recorded when the windows were refined on the slope of the squared
+    distance rather than on the squared distance.
     """
 
     def test_disc_centre_where_every_sample_nearly_ties(self):
         bp = boundary_distance(disc(), 0)
         assert bp.d == 1.0
-        assert bp.nearest == 0.9972945961325087 + 0.07350842485658554j
+        assert bp.nearest == 0.9977230666441916 + 0.06744391956366405j
 
     @pytest.mark.parametrize("name, digest", [
-        pytest.param("omega_prime", "eb70997c91c0c2b9a360c1c6c6a1aa927f39076a4a5249d9c644a9d961ecdcf0", id="omega_prime"),
-        pytest.param("omega_zlogz", "d8854b2c1279611c7b71a91779166c7e3156bb85f5ee7fc59adce7ab1327490a", id="omega_zlogz"),
+        pytest.param("omega_prime", "9ac20a1665426883a6c30b32d49d24e4e80f5054e08bd5823c19f90e268791b8", id="omega_prime"),
+        pytest.param("omega_zlogz", "a2ba255eee733db9133f1dd4762807adb4ad760d88119df21afa78e9d92dc1c2", id="omega_zlogz"),
     ])
     def test_counterexample_points(self, name, digest):
         p = 2.0 ** -np.arange(3, 43)
@@ -853,15 +908,15 @@ class TestNearestSampleOrder:
         # equally far from both circles: the outer curve comes first
         (0.65, 0.35, 1.0),
         (-0.65j, 0.35, -1.8369701987210297e-16 - 1j),
-        (0.65 * np.exp(0.3j), 0.35, 0.2866009467355578 + 0.0886560620052682j),
+        (0.65 * np.exp(0.3j), 0.35, 0.955336489125606 + 0.29552020666133955j),
     ])
     def test_annulus_points(self, z, d, nearest):
         bp = boundary_distance(_PLANAR_DOMAINS["annulus"], z)
         assert (bp.d, bp.nearest) == (d, nearest)
 
     @pytest.mark.parametrize("holes, digest", [
-        (0, "1a7bf7baee5215e6a78b0d321a092c631b9bc83cf95ccf71226a6a6893ed2872"),
-        (1, "39714b79fb81559e10934f9f37884bc9dbd79fb4f965d4a32b7c0f93c667bef6"),
+        (0, "d922b9f256ed71f5e6baad2552b3e968422a819ee808a7c3d1f4b92fa30f4496"),
+        (1, "235e0c5c4f5d87052403a60ec1c698c63261627867f13ee52cd6c38a996329e7"),
     ])
     def test_annulus_curves_batch(self, holes, digest):
         ring = _PLANAR_DOMAINS["annulus"]
@@ -972,14 +1027,15 @@ class TestOneBrentRun:
 
     @pytest.fixture()
     def runs(self, monkeypatch):
+        """The number of brackets of each ``_brentq`` run."""
         lanes = []
-        brent = domains._bounded_brent
+        brentq_run = domains._brentq
 
-        def spy(f, lo, hi, **kw):
-            lanes.append(len(lo))
-            return brent(f, lo, hi, **kw)
+        def spy(f, a, *args, **kw):
+            lanes.append(len(a))
+            return brentq_run(f, a, *args, **kw)
 
-        monkeypatch.setattr(domains, "_bounded_brent", spy)
+        monkeypatch.setattr(domains, "_brentq", spy)
         return lanes
 
     @pytest.fixture()
@@ -996,10 +1052,11 @@ class TestOneBrentRun:
         return counts
 
     @pytest.mark.parametrize("name", ["annulus", "omega_prime", "omega_zlogz"])
-    def test_one_run_per_batch(self, name, runs):
+    def test_one_run_per_batch(self, name, runs, curve_windows):
         dom = _PLANAR_DOMAINS[name]
         boundary_distance(dom, random_interior_points(dom, 12, seed=1))
-        assert len(runs) == 1 and runs[0] >= 12 * 4
+        assert len(runs) == 1 and sum(curve_windows[0]) >= 12 * 4
+        assert 12 <= runs[0] <= sum(curve_windows[0])  # at least one bracket per point
         boundary_distance(dom, random_interior_points(dom, 1, seed=1)[0])
         assert len(runs) == 2
 
@@ -1008,43 +1065,97 @@ class TestOneBrentRun:
         p, q = _report_points(lens)
         boundary_distance(omega, q, (lens, p))
         # the outer curves only: no hole can hold a nearest point, so neither hole reaches the run
-        assert runs == [len(q) * 4 + len(p) * 4]
+        assert len(runs) == 1
         assert curve_windows == [[len(q) * 4, len(p) * 4]]
 
     @pytest.mark.parametrize("z", [0.9, 0.9 + 1e-9j])
-    def test_a_window_past_t_0_is_one_lane(self, z, runs):
+    def test_a_window_past_t_0_is_one_lane(self, z, runs, curve_windows):
         # the four samples nearest z straddle t = 0, and the windows about two of them wrap;
         # each is one lane ending past 1, not two lanes searching the same arc
         d = boundary_distance(disc(), z).d
-        assert runs == [4]
-        assert d == pytest.approx(1.0 - abs(z), rel=4.1e-13)
+        assert curve_windows == [[4]] and len(runs) == 1
+        assert d == pytest.approx(1.0 - abs(z), rel=1e-15)
 
-    def test_report_query_stops_after_21_evaluations(self, monkeypatch):
-        evaluations = []
-        brent = domains._bounded_brent
+    def test_report_query_takes_at_most_8_passes(self, monkeypatch):
+        passes = [1]  # the window ends
+        brentq_run = domains._brentq
 
-        def spy(f, lo, hi, **kw):
+        def spy(f, *args, **kw):
             def counted(x, lanes):
-                evaluations.append(len(x))
+                passes.append(len(x))
                 return f(x, lanes)
 
-            return brent(counted, lo, hi, **kw)
+            return brentq_run(counted, *args, **kw)
 
-        monkeypatch.setattr(domains, "_bounded_brent", spy)
+        monkeypatch.setattr(domains, "_brentq", spy)
         lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
         p, q = _report_points(lens)
         boundary_distance(omega, q, (lens, p))
-        assert 0 < len(evaluations) <= 21
+        assert 1 < len(passes) <= 8
 
     def test_point_equally_far_from_both_circles_keeps_both(self, curve_windows):
         ring = _PLANAR_DOMAINS["annulus"]
         assert boundary_distance(ring, 0.65).d == 0.35
         assert len(curve_windows) == 1 and all(n >= 4 for n in curve_windows[0])
 
+    def test_a_point_by_the_hole_leaves_the_outer_curve_out(self, curve_windows, monkeypatch):
+        # 0.695 from the outer circle and 0.005 from the hole: the outer curve's nearest block
+        # box lies farther than the hole's farthest corner, so it gets no window
+        ring = _PLANAR_DOMAINS["annulus"]
+        z = 0.305 * np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=100))
+        pruned = boundary_distance(ring, z)
+        assert curve_windows == [[0, 400]]
+        np.testing.assert_allclose(pruned.d, np.abs(z) - 0.3, rtol=1e-13)
+        # with no curve left out, both curves are refined and every bit stays
+        monkeypatch.setattr(domains._SampleIndex, "bounds", lambda index, z: (np.zeros(len(z)), np.full(len(z), np.inf)))
+        _assert_same_bits(boundary_distance(ring, z), pruned)
+        assert curve_windows[1] == [400, 400]
+
     def test_tangent_ball_radius_makes_one_run(self, runs):
         dom = _PLANAR_DOMAINS["annulus"]
         assert dom.tangent_ball_radius(np.array([1.0, 0.3j]), np.array([-1.0, 1j])) == pytest.approx(0.35)
         assert len(runs) == 1
+
+
+def _param_circle(center, radius, n=2048):
+    """A circle given as a plain ``ParamCurve``, by a callable and its derivative."""
+    return ParamCurve(lambda t: center + radius * np.exp(2j * np.pi * t),
+                      lambda t: 2j * np.pi * radius * np.exp(2j * np.pi * t), n=n)
+
+
+class TestNearestPointAccuracy:
+    """The nearest points are zeros of the slope of the squared distance, found to the parameter's resolution."""
+
+    @pytest.mark.parametrize("make, center, radii", [
+        pytest.param(disc, 0.0, [1.0], id="disc"),
+        pytest.param(lambda: annulus(0.3), 0.0, [1.0, 0.3], id="annulus"),
+        pytest.param(lambda: PlanarDomain(_param_circle(0.2, 0.7)), 0.2, [0.7], id="param_circle"),
+    ])
+    def test_circles_match_the_closed_form(self, make, center, radii):
+        dom = make()
+        z = random_interior_points(dom, 200, seed=3)
+        bp = boundary_distance(dom, z)
+        r = np.abs(z - center)
+        gaps = np.array([np.abs(radius - r) for radius in radii])
+        which = np.argmin(gaps, axis=0)
+        exact, radius = gaps[which, np.arange(len(z))], np.array(radii)[which]
+        # a curve point's coordinates are rounded, an absolute error of a few spacings
+        # of its size; relative to the distance that grows next to the circle
+        assert np.all(np.abs(bp.d - exact) <= 1e-14 * exact + 4.0 * np.spacing(abs(center) + radius))
+        np.testing.assert_allclose(bp.nearest, center + radius * (z - center) / r, rtol=0.0, atol=1e-13)
+
+    def test_report_image_points_reach_a_dense_scan(self):
+        # the counterexample's 48 image points, against |gamma(t) - q| at 4,001 parameters
+        # across each window of each curve
+        omega = _PLANAR_DOMAINS["omega_zlogz"]
+        _, q = _report_points(_PLANAR_DOMAINS["omega_prime"])
+        d = boundary_distance(omega, q).d
+        scan = np.full(len(q), np.inf)
+        for curve in omega.curves():
+            lo, hi = domains._windows(curve, curve._sample_index().least(q, 4))
+            t = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, 4001)
+            scan = np.minimum(scan, np.abs(curve.point(t) - q[:, None, None]).min(axis=(1, 2)))
+        assert np.all(d <= scan * (1.0 + 1e-15))
 
 
 def _assert_quadratic_batch_equals_points(dom, z):

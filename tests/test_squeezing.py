@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from squeezelab import squeezing
 from squeezelab.ball import BallAutomorphism
 from squeezelab.conformal import AnnulusMap, canonical_annulus_map
 from squeezelab.domains import (
     DefiningFunctionDomain,
-    _bounded_brent,
     annulus,
     ball,
     disc,
@@ -49,8 +49,9 @@ def _min_on_circle(a: complex, radius: float) -> float:
     vals = f(theta)
     k = int(np.argmin(vals))
     lo, hi = theta[k] - 2.0 * np.pi / 4096, theta[k] + 2.0 * np.pi / 4096
-    fun = _bounded_brent(lambda theta, _: f(theta), np.array([lo]), np.array([hi]), xatol=1e-14, maxiter=500)[1][0]
-    return float(min(fun, vals[k]))
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-14, "maxiter": 500})
+    assert res.status == 0
+    return float(min(res.fun, vals[k]))
 
 
 class TestAnnulusClosedForm:
