@@ -35,6 +35,7 @@ _TAYLOR = np.arange(1, 49)
 # collocation nodes is at most _TOLERANCE
 _CHARGES = (64, 128, 256)
 _TOLERANCE = 1e-3
+_ROWS = 768  # collocation rows per block of the fit's streamed QR
 
 
 def _powers(x, ks):
@@ -58,7 +59,9 @@ class _Basis:
     are g - g~ and i*(g + g~) with g~(z) = conj(g(-conj(z))) the Schwarz
     reflection across the imaginary axis; the real part of either vanishes
     identically on the axis, and the pair spans exactly the reflection-odd
-    harmonic space.
+    harmonic space.  A Taylor power about a centre on the axis reflects to (-1)^k
+    times itself, so its pair keeps g - g~ for odd k and i*(g + g~) for even k,
+    the other member being identically 0.
     """
 
     z_h: complex
@@ -70,8 +73,10 @@ class _Basis:
     mirrored: bool
 
     @property
-    def size(self) -> int:
-        return 2 * (len(_LAURENT) + len(_TAYLOR) + len(self.poles))
+    def live(self) -> np.ndarray:
+        """Indices of the pair columns that are not identically zero: the columns the basis gives."""
+        cols = np.arange(2 * (len(_LAURENT) + len(_TAYLOR) + len(self.poles)))
+        return np.delete(cols, 2 * (len(_LAURENT) + _TAYLOR - 1) + _TAYLOR % 2) if self.mirrored else cols
 
     def _raw(self, z, deriv: bool):
         dq = z[..., None] - self.poles
@@ -104,13 +109,13 @@ class _Basis:
             h = -h
         out[..., 0::2] = g - h
         out[..., 1::2] = 1j * (g + h)
-        return out
+        return out[..., self.live]
 
     def fold(self, coef: np.ndarray, z, deriv: bool = False):
         """Sum_j coef_j g_j(z), added left to right over the columns, in row blocks; a lone point is a one-row block."""
         flat = z.ravel()
         out = np.empty(len(flat), dtype=complex)
-        for rows in _blocks(len(flat), self.size):
+        for rows in _blocks(len(flat), len(self.live)):
             out[rows] = np.cumsum(coef * self(flat[rows], deriv), axis=-1)[:, -1]
         return out.reshape(z.shape)
 
@@ -121,7 +126,8 @@ class AnnulusMap:
 
     ``boundary_deviation`` is the largest distance of |w| from 1 on the
     outer curve and from ``modulus`` on the hole, measured halfway between
-    the collocation nodes.
+    the collocation nodes.  ``residual`` is the 2-norm of the fit's residual
+    at the collocation nodes, which bounds its largest entry.
     """
 
     modulus: float
@@ -197,23 +203,32 @@ def _midpoints(curve: Curve) -> np.ndarray:
     return curve.point((t + np.append(t[1:], t[0] + 1.0)) / 2)
 
 
-def _matrix(basis: _Basis, pts) -> np.ndarray:
-    """The least-squares matrix at the collocation points ``pts``: the constant (plain basis only), the log term, then ``basis``."""
+def _matrix(basis: _Basis, pts, rhs) -> np.ndarray:
+    """The least-squares rows at the collocation points ``pts``: the constant (plain basis only), the log term, ``basis``, then the right-hand side ``rhs``."""
     off = 0 if basis.mirrored else 1
-    A = np.empty((len(pts), off + 1 + basis.size))
+    A = np.empty((len(pts), off + 2 + len(basis.live)))
     A[:, :off] = 1.0
     A[:, off] = np.log(np.abs(pts - basis.z_h))
     if basis.mirrored:
         A[:, off] = A[:, off] - np.log(np.abs(pts + np.conj(basis.z_h)))
-    for rows in _blocks(len(pts), basis.size):
-        A[rows, off + 1:] = basis(pts[rows]).real
+    for rows in _blocks(len(pts), len(basis.live)):
+        A[rows, off + 1:-1] = basis(pts[rows]).real
+    A[:, -1] = rhs
     return A
 
 
-def _fit(A: np.ndarray, rhs: np.ndarray, basis: _Basis) -> AnnulusMap:
-    """Least-squares harmonic measure in the columns ``A`` of ``basis``; deviation not yet measured."""
-    coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    residual = float(np.max(np.abs(A @ coef - rhs)))
+def _fit(basis: _Basis, pts, rhs) -> AnnulusMap:
+    """Least-squares harmonic measure in ``basis`` at the collocation points ``pts``; deviation not yet measured.
+
+    [A | rhs] goes ``_ROWS`` rows at a time into the R = [[R11, r], [0, rho]] of a Householder QR, so A is never whole;
+    c solves R11 c = r truncated as ``lstsq(A, rhs)`` truncates, and |A c - rhs| = hypot(|R11 c - r|, rho).
+    """
+    R = _matrix(basis, pts[:0], rhs[:0])  # no rows yet
+    for s in range(0, len(pts), _ROWS):
+        R = np.linalg.qr(np.vstack([R, _matrix(basis, pts[s:s + _ROWS], rhs[s:s + _ROWS])]), mode="r")
+    n = R.shape[1] - 1
+    coef, *_ = np.linalg.lstsq(R[:n, :n], R[:n, n], rcond=np.finfo(float).eps * len(pts))
+    residual = float(np.hypot(np.linalg.norm(R[:n, :n] @ coef - R[:n, n]), R[n, n]))
 
     mirror = basis.mirrored
     off = 0 if mirror else 1
@@ -266,7 +281,7 @@ def _build(dom: PlanarDomain, resolution: int) -> AnnulusMap:
 
     for charges in _CHARGES:
         basis = _Basis(z_h, r_h, z_c, r_c, *_outer_charges(dom, zo, charges, mirror), mirror)
-        amap = _fit(_matrix(basis, pts), rhs, basis)
+        amap = _fit(basis, pts, rhs)
         # boundary correspondence: outer -> |w| = 1, hole -> |w| = modulus
         out_dev = float(np.max(np.abs(np.abs(amap.forward(mid_o)) - 1.0)))
         in_dev = float(np.max(np.abs(np.abs(amap.forward(mid_i)) - amap.modulus)))

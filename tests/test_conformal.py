@@ -6,14 +6,21 @@ parameter to near machine precision.
 """
 
 import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squeezelab
+from squeezelab import conformal
 from squeezelab.cli import main
 from squeezelab.conformal import canonical_annulus_map
 from squeezelab.domains import PlanarDomain, annulus, disc, phi_map, preset, random_interior_points
 from squeezelab.errors import ConfigError
+from squeezelab.experiments import ExperimentConfig, run_counterexample
 from squeezelab.squeezing import certify_injective, squeeze_lower_planar
 
 
@@ -22,6 +29,20 @@ def _sha256(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def _child(code, **env):
+    """The stdout of ``code`` run by a fresh interpreter, with ``env`` added to its environment only."""
+    src = str(Path(squeezelab.__file__).resolve().parent.parent)
+    # no bytecode: the child would otherwise write it into the package directory
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+                          env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1", **env}).stdout
+
+
+def _collocation(dom):
+    """The collocation points of ``dom``'s map and its mirrored right-hand side, as the fit takes them."""
+    zo, zi = dom.outer.points(), dom.holes[0].points()
+    return np.concatenate([zo, zi]), np.concatenate([np.zeros(len(zo)), -np.ones(len(zi))])
 
 
 class TestRoundAnnulusOracle:
@@ -84,15 +105,15 @@ class TestLensMap:
 
 
 class TestFrozenBits:
-    """Digests recorded with the per-column basis evaluation that the basis matrix replaced.
+    """Digests recorded with the streamed QR fit over the basis's nonzero columns.
 
     A lone point goes through the basis as a one-row block, so it has the
     bits of its row in a batch; the batch digests pin both.
     """
 
     @pytest.mark.parametrize("which, digest", [
-        ("lens", "d7f28636a730b229ba62189e7683005080815a8894c5e522a41e290912b28b49"),
-        ("annulus", "393b27a4fa94369c24f8cd2a80722591773fd9c27a03110b5cf2059ef9f85391"),
+        pytest.param("lens", "a6d504b103020e4a29f843b376b8b7ea9622b81d713767368e0a310070941113", id="lens"),
+        pytest.param("annulus", "51cdf267c6c751f3372e2373f08528009f28f3f93b24101ea73b5a0d528f9878", id="annulus"),
     ])
     def test_batch_forward_gap(self, which, digest, request):
         dom = request.getfixturevalue("omega_prime" if which == "lens" else "round_annulus")
@@ -101,8 +122,8 @@ class TestFrozenBits:
         assert _sha256(*amap.forward_gap(pts)) == digest
 
     @pytest.mark.parametrize("which, digest", [
-        ("lens", "7bf3ef75c7ac4e5739179f26cda9648d4858c1e0fb545fafeaa25069254e2d4d"),
-        ("annulus", "93397e8c9a7662af6bf7385257589df08d5ce9493df90f765e7f0fd71e6a7312"),
+        pytest.param("lens", "354440bdecef6aaa0ac60afe63e3ec09b5dc71dacc96388312ac8c62ebe8b020", id="lens"),
+        pytest.param("annulus", "a5d2f35f3fee710988b634cf0ca729f015a3e7a44f227a0fc97670ac2cf02200", id="annulus"),
     ])
     def test_batch_derivative(self, which, digest, request):
         dom = request.getfixturevalue("omega_prime" if which == "lens" else "round_annulus")
@@ -156,12 +177,12 @@ class TestChargeDoubling:
         assert image.one_minus_lower == pytest.approx(lens.one_minus_lower, rel=1e-4)
 
     def test_image_domain_map_keeps_its_bits(self, omega):
-        # the 64- and 128-charge fits each build every column, and the map
-        # keeps its frozen bits
+        # the 64- and 128-charge fits each stream their rows through a QR, and
+        # the map keeps its frozen bits
         amap = canonical_annulus_map(omega)
         assert len(amap._basis.poles) == 128
-        assert amap.modulus == 0.3484283085594218
-        assert amap.boundary_deviation == 4.807575502363548e-06
+        assert amap.modulus == 0.34842830855954293
+        assert amap.boundary_deviation == 4.807577649201811e-06
 
     def test_deviation_measured_between_nodes(self, lens_map, round_annulus_map):
         assert 0 < lens_map.boundary_deviation < 1e-7
@@ -181,3 +202,49 @@ class TestOneMapPerDomain:
         assert canonical_annulus_map(rebuilt) is not lens_map
         assert canonical_annulus_map(omega_prime) is lens_map
         assert fitted_domains == [rebuilt]
+
+
+class TestStreamedFit:
+    """The fit streams its rows through a QR over the basis's nonzero columns and keeps the dense solution."""
+
+    def test_agrees_with_a_dense_solve(self, omega_prime, lens_map):
+        pts, rhs = _collocation(omega_prime)
+        A = conformal._matrix(lens_map._basis, pts, rhs)[:, :-1]
+        dense, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        assert lens_map.modulus == pytest.approx(np.exp(-1.0 / dense[0]), rel=1e-12, abs=0)
+        u = A @ np.concatenate([[lens_map._a], lens_map._coef])
+        np.testing.assert_allclose(u, A @ dense, rtol=0, atol=1e-10)
+        # a 2-norm of the residual vector, so at least its largest entry
+        assert lens_map.residual >= np.max(np.abs(A @ dense - rhs))
+
+    def test_only_nonzero_columns(self, omega_prime, lens_map, round_annulus_map):
+        A = conformal._matrix(lens_map._basis, *_collocation(omega_prime))[:, :-1]
+        assert A.shape[1] == 225 and np.any(A != 0, axis=0).all()
+        # the plain basis keeps both columns of every raw element
+        basis = round_annulus_map._basis
+        assert len(basis.live) == 2 * (len(conformal._LAURENT) + len(conformal._TAYLOR) + len(basis.poles))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+    def test_fit_raises_the_peak_by_less_than_15_mb(self):
+        # a dense 5,324 x 273 matrix and lstsq's copy of it raised it by 25 MB.  The peak is VmHWM, the
+        # ru_maxrss of the child's own memory: Linux starts a child's ru_maxrss at its parent's resident size
+        code = ("from squeezelab.conformal import canonical_annulus_map; "
+                "from squeezelab.domains import build_omega_prime; dom = build_omega_prime(); "
+                "peak = lambda: int(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM'))); "
+                "before = peak(); canonical_annulus_map(dom); print(peak() - before)")
+        assert int(_child(code)) < 15 * 1024
+
+    @pytest.mark.parametrize("env", [pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one-thread"),
+                                     pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="prescott")])
+    def test_same_values_under_another_blas_setting(self, env, lens_map):
+        code = ("import json; from squeezelab.conformal import canonical_annulus_map; "
+                "from squeezelab.domains import build_omega_prime; "
+                "from squeezelab.experiments import ExperimentConfig, run_counterexample; "
+                "amap = canonical_annulus_map(build_omega_prime()); "
+                "rows = run_counterexample(ExperimentConfig('counterexample', scales=12)).tables['radial']; "
+                "print(json.dumps([amap.modulus, amap.boundary_deviation, [r['R_k'] for r in rows]]))")
+        modulus, deviation, ratios = json.loads(_child(code, **env))
+        rows = run_counterexample(ExperimentConfig("counterexample", scales=12)).tables["radial"]
+        assert modulus == pytest.approx(lens_map.modulus, rel=1e-11, abs=0)
+        assert deviation == pytest.approx(lens_map.boundary_deviation, rel=1e-3, abs=0)
+        np.testing.assert_allclose(ratios, [r["R_k"] for r in rows], rtol=1e-8, atol=0)

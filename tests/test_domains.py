@@ -676,7 +676,8 @@ def _near_samples(name, which, picks):
     z = curve.points()[i] + np.array([r * np.exp(1j * a) for _, r, a in picks])
     lo, hi = domains._windows(curve, i)
     every, slope = np.arange(len(z)), _slope(curve, z, lo)
-    ga, gb = slope(np.zeros(len(z)), every), slope(hi - lo, every)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in ``_refine``: an end may be a cusp
+        ga, gb = slope(np.zeros(len(z)), every), slope(hi - lo, every)
     keep = np.flatnonzero((ga < 0.0) & (gb > 0.0))
     assume(len(keep))
     return _slope(curve, z[keep], lo[keep]), (hi - lo)[keep], ga[keep], gb[keep]

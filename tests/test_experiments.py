@@ -28,7 +28,7 @@ from squeezelab.experiments import (
 from squeezelab.squeezing import squeeze_lower_planar
 
 
-_COUNTEREXAMPLE_SEED7 = "397ac0ddf8955e536af70131b7296c2b0402ee3d36eec618ab1c48cb76d98229"
+_COUNTEREXAMPLE_SEED7 = "b989e8707292c081fe0155e1ca8b1cd8ca2d30f5a86f290cd7b538439a97f244"
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ class TestSerialization:
         assert hashlib.sha256(emit(report, "json").encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
         # its CSV too, in this test because both carry the bits of the lens's map fit
         assert hashlib.sha256(emit(report, "csv").encode()).hexdigest() == (
-            "35e695c73dc9875bdd332850c453238120cfc6c036cb497db3be26f7bcd14a74")
+            "5c2627617cbf7964a71c9969a018e2ddebcc5e8a51be756f5eadec2c02120b4a")
 
     def test_counterexample_bytes_frozen_with_a_warm_cache(self):
         # the digest was recorded from fresh builds; a report after another one reuses them
