@@ -161,10 +161,10 @@ def norm_psi_identity(r: float, z) -> tuple[float, float]:
 class BallAutomorphism:
     """Axis Moebius map preceded by a unitary rotation.
 
-    ``apply`` sends ``align^-1 (r, 0, .., 0)`` to the origin.  ``apply`` and
-    ``invert`` take one point ``(n,)`` or rows ``(m, n)``.  A stack of ``m``
-    automorphisms has one ``r`` per row and ``align`` of shape ``(m, n, n)``,
-    and maps row i of ``(m, n)`` by automorphism i.
+    ``apply`` sends ``align^-1 (r, 0, .., 0)`` to the origin, and takes one
+    point ``(n,)`` or rows ``(m, n)``.  A stack of ``m`` automorphisms has
+    one ``r`` per row and ``align`` of shape ``(m, n, n)``, and maps row i
+    of ``(m, n)`` by automorphism i.
     """
 
     r: float | np.ndarray
@@ -213,10 +213,6 @@ class BallAutomorphism:
     def apply(self, z) -> np.ndarray:
         z = _check_in_ball(_as_points(z))
         return psi_apply(self.r, np.matmul(self.align, z[..., None])[..., 0])
-
-    def invert(self, w) -> np.ndarray:
-        z = psi_invert(self.r, w)
-        return np.matmul(self.align.conj().swapaxes(-1, -2), z[..., None])[..., 0]
 
 
 def sphere_samples(n: int, count: int, radius: float, seed: int) -> np.ndarray:

@@ -78,45 +78,30 @@ class _Basis:
         cols = np.arange(2 * (len(_LAURENT) + len(_TAYLOR) + len(self.poles)))
         return np.delete(cols, 2 * (len(_LAURENT) + _TAYLOR - 1) + _TAYLOR % 2) if self.mirrored else cols
 
-    def _raw(self, z, deriv: bool):
-        dq = z[..., None] - self.poles
-        if deriv:
-            poles = -self.strengths / np.square(dq)
-        else:
-            poles = self.strengths / dq
-        dz = z - self.z_h
-        laurent = _powers(self.r_h / dz, _LAURENT)
-        v = (z - self.z_c) / self.r_c
-        if not deriv:
-            return np.concatenate([laurent, _powers(v, _TAYLOR), poles], axis=-1)
-        return np.concatenate([
-            -_LAURENT * laurent / dz[..., None],
-            (_TAYLOR / self.r_c) * _powers(v, _TAYLOR - 1),
-            poles,
-        ], axis=-1)
+    def _raw(self, z):
+        laurent = _powers(self.r_h / (z - self.z_h), _LAURENT)
+        taylor = _powers((z - self.z_c) / self.r_c, _TAYLOR)
+        return np.concatenate([laurent, taylor, self.strengths / (z[..., None] - self.poles)], axis=-1)
 
-    def __call__(self, z, deriv: bool = False):
-        """The columns (or their derivatives) at ``z``, along a new last axis."""
-        g = self._raw(z, deriv)
+    def __call__(self, z):
+        """The columns at ``z``, along a new last axis."""
+        g = self._raw(z)
         out = np.empty(g.shape[:-1] + (2 * g.shape[-1],), dtype=complex)
         if not self.mirrored:
             out[..., 0::2] = g
             out[..., 1::2] = 1j * g
             return out
-        # the reflection h(z) = conj(g(-conj(z))) has h'(z) = -conj(g'(-conj(z)))
-        h = np.conj(self._raw(-np.conj(z), deriv))
-        if deriv:
-            h = -h
+        h = np.conj(self._raw(-np.conj(z)))  # the reflection conj(g(-conj(z)))
         out[..., 0::2] = g - h
         out[..., 1::2] = 1j * (g + h)
         return out[..., self.live]
 
-    def fold(self, coef: np.ndarray, z, deriv: bool = False):
+    def fold(self, coef: np.ndarray, z):
         """Sum_j coef_j g_j(z), added left to right over the columns, in row blocks; a lone point is a one-row block."""
         flat = z.ravel()
         out = np.empty(len(flat), dtype=complex)
         for rows in _blocks(len(flat), len(self.live)):
-            out[rows] = np.cumsum(coef * self(flat[rows], deriv), axis=-1)[:, -1]
+            out[rows] = np.cumsum(coef * self(flat[rows]), axis=-1)[:, -1]
         return out.reshape(z.shape)
 
 
@@ -161,16 +146,6 @@ class AnnulusMap:
         logw = np.log(np.abs(self._prefactor(z))) + self._exponent(z).real
         gap = -np.expm1(logw)
         return np.exp(logw), gap
-
-    def derivative(self, z):
-        """dw/dz at domain points."""
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()  # as in ``forward``
-        z_h = self._basis.z_h
-        dlog = 1.0 / (flat - z_h) + self._basis.fold(self._coef, flat, deriv=True) / self._a
-        if self.mirrored:
-            dlog = dlog - 1.0 / (flat + np.conj(z_h))
-        return (self.forward(flat) * dlog).reshape(z.shape)[()]
 
 
 def _outer_charges(dom, zo: np.ndarray, count: int, mirror: bool):

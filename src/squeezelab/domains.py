@@ -380,14 +380,18 @@ class MappedCurve(Curve):
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """Interior point with its boundary distance and a nearest boundary point.
+    """Boundary distance of an interior point, a nearest boundary point, and the inward unit normal there.
 
-    A planar batch query fills each field with an array, one entry per point.
+    A batch query fills each field with an array, one entry (planar) or row
+    (quadratic) per point.  The planar normal is i q' / |q'| from the
+    curve's derivative q' at the nearest point, as each curve has the domain
+    on its left; it is NaN where the curve has no derivative, as at the
+    image's cusp.  The quadratic one is -(w x) / |w x| at the nearest point x.
     """
 
-    z: complex | np.ndarray
     d: float | np.ndarray
     nearest: complex | np.ndarray
+    normal: complex | np.ndarray
 
 
 def _unit(v):
@@ -509,47 +513,28 @@ class PlanarDomain:
             best = _least(lambda block: ratio(q, rows[block, None]), len(p), len(t), k)
             r = np.minimum(r, ratio(q[best[:, 0]], rows))
             lanes.append((*_windows(curve, best.ravel()), np.repeat(rows, k)))
-        fx, _, owner = _refine(curves, lanes, lambda q, dq, rows: ratio(q, rows, dq))
+        fx, _, _, owner = _refine(curves, lanes, lambda q, dq, rows: ratio(q, rows, dq))
         np.minimum.at(r, owner, fx)
         if not np.all(self.contains(p + r * n)):
             raise DomainError("no interior tangent ball found at the given boundary point")
         return float(r[0]) if not shape else r.reshape(shape)
 
-    def _frames(self, p):
-        """A curve point next to each boundary point of the 1-d array ``p``, and the inward unit normal there.
-
-        The point is the curve where ``p`` projects on a chord about its nearest
-        sample, so it agrees with its normal whatever the error in ``p``; the
-        normal turns a central difference left, where each curve has the domain.
-        """
-        gap = np.full(p.shape, np.inf)
-        foot, normal = np.zeros_like(p), np.zeros_like(p)
-        for curve in self.curves():
-            t, q = curve.params, curve.points()
-            k = curve._sample_index().least(p, 1)[:, 0]
-            h = 0.125 / len(t)
-            chord = curve.point(t[k] + h) - curve.point(t[k] - h)
-            at = t[k] + 2.0 * h * (np.conj(chord) * (p - q[k])).real / (chord.real**2 + chord.imag**2)
-            tangent = curve.point(at + h) - curve.point(at - h)
-            d = np.abs(q[k] - p)
-            closer = d < gap
-            gap = np.where(closer, d, gap)
-            foot = np.where(closer, curve.point(at), foot)
-            normal = np.where(closer, 1j * tangent / np.abs(tangent), normal)
-        return foot, normal
-
     def slice_disc(self, z, v):
         """Radius R and centre offset c (centre z + c v/|v|) of the disc through one point (floats) or each point of an array.
 
-        The line z + C v is the plane.  The disc is tangent at the nearest
-        boundary point p, its centre ``tangent_ball_radius`` along the curve's
-        normal there, and R is the centre's boundary distance, which certifies
-        it.  Raises ``DomainError`` when the disc misses z, as at a corner.
+        The line z + C v is the plane.  The disc is tangent at z's nearest
+        boundary point p, its centre ``tangent_ball_radius`` along the inward
+        normal there, both from z's ``boundary_distance``, and R is the
+        centre's boundary distance, which certifies it.  Raises
+        ``DomainError`` when the disc misses z, as where p is a corner, or
+        when the curve has no normal at p.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        foot, normal = self._frames(boundary_distance(self, flat).nearest)
-        center = foot + self.tangent_ball_radius(foot, normal) * normal
+        near = boundary_distance(self, flat)
+        if np.isnan(near.normal).any():  # as where the nearest point is the image's cusp
+            raise DomainError(f"no boundary normal at the point nearest {complex(flat[np.argmax(np.isnan(near.normal))])}")
+        center = near.nearest + self.tangent_ball_radius(near.nearest, near.normal) * near.normal
         radius = boundary_distance(self, center).d
         offset = (center - flat) * np.conj(_unit(self.as_point(v)))
         if np.any(radius <= np.abs(offset)):
@@ -660,8 +645,9 @@ def _refine(curves, windows, objective):
     among its ends (ties to the first) and, where it brackets, its point of
     least |slope| evaluated, the zero (ties to the zero, whose value is flat
     to rounding over many spacings of t), then the curve points where they
-    are taken and ``rows``, each concatenated curve after curve.  Raises
-    ``SolverError`` when a curve point is NaN.
+    are taken, the curve's derivatives in t there, and ``rows``, each
+    concatenated curve after curve.  Raises ``SolverError`` when a curve
+    point is NaN.
     """
     lo, hi, rows = (np.concatenate(x) for x in zip(*windows))
     cuts = np.cumsum([0] + [len(x[0]) for x in windows])
@@ -682,22 +668,24 @@ def _refine(curves, windows, objective):
         if np.isnan(value).any():
             raise SolverError("a curve point is NaN at a window's end")
         end = (value[:, 1] < value[:, 0]).astype(np.intp)
-        best, nearest = value[lanes, end], q[lanes, end]
+        best, nearest, tangent = value[lanes, end], q[lanes, end], dq[lanes, end]
         bracket = np.flatnonzero((slope[:, 0] < 0.0) & (slope[:, 1] > 0.0))
-        flat, zero_value, zero = np.full(len(bracket), np.inf), np.full(len(bracket), np.inf), q[bracket, 0]
+        flat, zero_value = np.full(len(bracket), np.inf), np.full(len(bracket), np.inf)
+        zero, zero_tangent = q[bracket, 0], dq[bracket, 0]
 
         def f(s, live):  # the slopes, keeping each bracket's point of least |slope| so far
             q, dq = jets(s, bracket[live])
             v, g = objective(q, dq, rows[bracket[live]])
             closer = np.abs(g) <= flat[live]  # ties to the later point
             at = live[closer]
-            flat[at], zero_value[at], zero[at] = np.abs(g[closer]), v[closer], q[closer]
+            flat[at], zero_value[at], zero[at], zero_tangent[at] = np.abs(g[closer]), v[closer], q[closer], dq[closer]
             return g
 
         _brentq(f, np.zeros(len(bracket)), width[bracket], slope[bracket, 0], slope[bracket, 1], _XTOL, _RTOL, 100)
         inner = zero_value <= best[bracket]
         best[bracket[inner]], nearest[bracket[inner]] = zero_value[inner], zero[inner]
-    return best, nearest, rows
+        tangent[bracket[inner]] = zero_tangent[inner]
+    return best, nearest, tangent, rows
 
 
 def _planar_distances(queries) -> list[DomainPoint]:
@@ -755,21 +743,24 @@ def _planar_distances(queries) -> list[DomainPoint]:
             curves.append(curve)
             windows.append((*_windows(curve, closest.ravel()), base + np.repeat(near, closest.shape[1])))
         base += len(z)
-    _, w, owner = _refine(curves, windows, sq_dist)
+    _, w, tangents, owner = _refine(curves, windows, sq_dist)
     dw = w - flat[owner]
     d = np.hypot(dw.real, dw.imag)  # the scalar abs; numpy's vectorised one can differ in the last bit
     # lanes come curve after curve, point after point, window after window, so a stable sort
     # by point, then distance, puts each point's first strict minimum first
     order = np.lexsort((d, owner))
     best = order[np.searchsorted(owner[order], np.arange(len(flat)))]
+    tangent = tangents[best]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN normal where the curve has no derivative
+        normal = 1j * tangent / np.hypot(tangent.real, tangent.imag)
     split = np.cumsum([len(z) for z in flats])[:-1]
     out = []
-    for (_, z), dq, nq in zip(queries, np.split(d[best], split), np.split(w[best], split)):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            out.append(DomainPoint(z=complex(z), d=float(dq[0]), nearest=nq[0]))
+    for (_, z), dz, qz, nz in zip(queries, *(np.split(x, split) for x in (d[best], w[best], normal))):
+        shape = np.shape(z)
+        if not shape:
+            out.append(DomainPoint(float(dz[0]), qz[0], complex(nz[0])))
         else:
-            out.append(DomainPoint(z=z, d=dq.reshape(z.shape), nearest=nq.reshape(z.shape)))
+            out.append(DomainPoint(dz.reshape(shape), qz.reshape(shape), nz.reshape(shape)))
     return out
 
 
@@ -842,14 +833,16 @@ class DefiningFunctionDomain:
     def boundary_distance(self, z) -> DomainPoint:
         """Distance from one interior point ``(n,)`` (a float ``d``) or from each row of ``(m, n)`` (arrays).
 
-        Each row gets the bits of its one-point query, with a nearest boundary point.
+        Each row gets the bits of its one-point query, with a nearest boundary
+        point and the inward unit normal there.
         """
         z = self.as_point(z)
         inside = self.contains(z)
         if not np.all(inside):
             raise DomainError(f"point {z if z.ndim == 1 else z[np.argmin(inside)]} is not interior")
         d, nearest = self.exact_distance(z)
-        return DomainPoint(z=z, d=d, nearest=nearest)
+        wx = self.w * np.atleast_2d(nearest)
+        return DomainPoint(d, nearest, (-wx / _row_norms(wx)[:, None]).reshape(nearest.shape))
 
     def exact_distance(self, z: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         """Distance from the interior point ``z``, or from each row of ``z``, to the boundary, and a nearest boundary point.

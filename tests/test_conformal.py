@@ -121,28 +121,11 @@ class TestFrozenBits:
         pts = random_interior_points(dom, 300, seed=2)
         assert _sha256(*amap.forward_gap(pts)) == digest
 
-    @pytest.mark.parametrize("which, digest", [
-        pytest.param("lens", "354440bdecef6aaa0ac60afe63e3ec09b5dc71dacc96388312ac8c62ebe8b020", id="lens"),
-        pytest.param("annulus", "a5d2f35f3fee710988b634cf0ca729f015a3e7a44f227a0fc97670ac2cf02200", id="annulus"),
-    ])
-    def test_batch_derivative(self, which, digest, request):
-        dom = request.getfixturevalue("omega_prime" if which == "lens" else "round_annulus")
-        amap = request.getfixturevalue("lens_map" if which == "lens" else "round_annulus_map")
-        assert _sha256(amap.derivative(random_interior_points(dom, 300, seed=2))) == digest
-
     def test_lone_forward_gap_equals_its_batch_row(self, lens_map):
         # the counterexample's radial p_k
         pts = np.array([2.0 ** -(k + 2) for k in range(1, 41)])
         lone = np.array([lens_map.forward_gap(complex(p)) for p in pts]).T
         assert lone.tobytes() == np.array(lens_map.forward_gap(pts)).tobytes()
-
-    @pytest.mark.parametrize("which", ["lens", "annulus"])
-    def test_lone_derivative_equals_its_batch_row(self, which, request):
-        dom = request.getfixturevalue("omega_prime" if which == "lens" else "round_annulus")
-        amap = request.getfixturevalue("lens_map" if which == "lens" else "round_annulus_map")
-        pts = random_interior_points(dom, 50, seed=2)
-        lone = np.array([amap.derivative(complex(p)) for p in pts])
-        assert lone.tobytes() == amap.derivative(pts).tobytes()
 
 
 class TestBasisChoice:

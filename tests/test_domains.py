@@ -120,10 +120,11 @@ class TestDefiningFunctionDomains:
         e = ellipsoid()
         for x in np.linspace(-0.5, 0.5, 41):
             for phase in (1.0, np.exp(0.7j)):
-                bp = boundary_distance(e, np.array([x * phase, 0.0]))
+                z = np.array([x * phase, 0.0])
+                bp = boundary_distance(e, z)
                 assert bp.d == pytest.approx(np.sqrt(0.5 - x * x), abs=1e-15)
                 assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-15)
-                assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
+                assert np.linalg.norm(bp.nearest - z) == pytest.approx(bp.d, abs=1e-15)
                 # the distance is 1-Lipschitz, so next to the degenerate set it
                 # stays within |z2| of the limit; there the root nears the pole
                 for z2 in (1e-6, 1e-9, 1e-12, 1e-15):
@@ -142,7 +143,8 @@ class TestDefiningFunctionDomains:
         # the planar distance from (|z1|, |z2|) to the ellipse s1^2 + s2^2/b^2 = 1
         a1, a2 = rho * np.cos(alpha), b * rho * np.sin(alpha)
         e = ellipsoid(b=b)
-        bp = boundary_distance(e, np.array([a1 * np.exp(1j * phases[0]), a2 * np.exp(1j * phases[1])]))
+        z = np.array([a1 * np.exp(1j * phases[0]), a2 * np.exp(1j * phases[1])])
+        bp = boundary_distance(e, z)
 
         def sq_dist(theta):
             return (np.cos(theta) - a1) ** 2 + (b * np.sin(theta) - a2) ** 2
@@ -155,7 +157,7 @@ class TestDefiningFunctionDomains:
         ref = np.sqrt(min(res.fun, sq_dist(grid[k])))
         assert bp.d == pytest.approx(ref, abs=1e-12)
         assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
+        assert np.linalg.norm(bp.nearest - z) == pytest.approx(bp.d, abs=1e-15)
 
     @pytest.mark.parametrize("b, z, d", [
         (1.0, [1.5891830067814317e-156, 0.0], 1.0),
@@ -168,10 +170,11 @@ class TestDefiningFunctionDomains:
         # |z_j|^2 is subnormal for the coordinates of the largest weight; the
         # nearest point must still lie on the boundary, at distance d
         e = ellipsoid(b=b)
-        bp = boundary_distance(e, np.array(z, dtype=complex))
+        z = np.array(z, dtype=complex)
+        bp = boundary_distance(e, z)
         assert bp.d == pytest.approx(d, abs=1e-15)
         assert np.sum(e.w * np.abs(bp.nearest) ** 2) == pytest.approx(1.0, abs=1e-15)
-        assert np.linalg.norm(bp.nearest - bp.z) == pytest.approx(bp.d, abs=1e-15)
+        assert np.linalg.norm(bp.nearest - z) == pytest.approx(bp.d, abs=1e-15)
 
     @pytest.mark.parametrize("make", [ball, ellipsoid])
     def test_non_finite_point_raises(self, make, recwarn):
@@ -472,9 +475,8 @@ class TestRowBlockSeams:
 
         def results():
             near = boundary_distance(omega_prime, z)
-            foot, normal = omega_prime._frames(near.nearest)
-            return [omega_prime.contains(probe), near.d, near.nearest, foot, normal,
-                    omega_prime.tangent_ball_radius(foot, normal), *lens_map.forward_gap(z)]
+            return [omega_prime.contains(probe), near.d, near.nearest, near.normal,
+                    omega_prime.tangent_ball_radius(near.nearest, near.normal), *lens_map.forward_gap(z)]
 
         default = results()
         assert default[0].any() and not default[0].all()
@@ -778,19 +780,19 @@ class TestBoundedBrent:
         bp = boundary_distance(omega, z)
         assert np.isfinite(bp.nearest).all() and np.all(bp.d <= np.abs(z))
         # a window starting at the cusp, for a point whose nearest point in it is that end
-        value, at, _ = domains._refine([omega.outer], [(np.array([0.75]), np.array([0.75 + 2.0**-40]), np.array([0]))],
-                                       lambda q, dq, rows: (np.abs(q - 0.01) ** 2, np.real(np.conj(q - 0.01) * dq)))
+        value, at, _, _ = domains._refine([omega.outer], [(np.array([0.75]), np.array([0.75 + 2.0**-40]), np.array([0]))],
+                                          lambda q, dq, rows: (np.abs(q - 0.01) ** 2, np.real(np.conj(q - 0.01) * dq)))
         assert value.tolist() == [np.abs(0.0 - 0.01) ** 2] and at.tolist() == [0j]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _assert_distance_batch_equals_points(dom, z):
     batch = boundary_distance(dom, z)
-    assert batch.d.shape == batch.nearest.shape == z.shape
-    for zj, dj, wj in zip(z, batch.d, batch.nearest):
+    assert batch.d.shape == batch.nearest.shape == batch.normal.shape == z.shape
+    for zj, dj, wj, nj in zip(z, batch.d, batch.nearest, batch.normal):
         one = boundary_distance(dom, zj)
-        assert type(one.d) is float and type(one.z) is complex
-        assert (one.d, one.nearest) == (dj, wj)
+        assert type(one.d) is float and type(one.normal) is complex
+        assert (one.d, one.nearest, one.normal) == (dj, wj, nj)
 
 
 class TestBoundaryDistanceBatch:
@@ -828,9 +830,9 @@ def _report_points(lens):
 
 
 def _assert_same_bits(got, want):
-    assert type(got.d) is type(want.d) and type(got.z) is type(want.z)
-    assert np.asarray(got.d).tobytes() == np.asarray(want.d).tobytes()
-    assert np.asarray(got.nearest).tobytes() == np.asarray(want.nearest).tobytes()
+    assert type(got.d) is type(want.d) and type(got.normal) is type(want.normal)
+    for field in ("d", "nearest", "normal"):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
 
 
 class TestSeveralQueries:
@@ -1158,14 +1160,22 @@ class TestNearestPointAccuracy:
             scan = np.minimum(scan, np.abs(curve.point(t) - q[:, None, None]).min(axis=(1, 2)))
         assert np.all(d <= scan * (1.0 + 1e-15))
 
+    @pytest.mark.parametrize("name", ["disc", "annulus", "omega_prime"])
+    def test_normal_points_from_the_nearest_point_to_z(self, name):
+        # z lies on the inward normal at its nearest point, so (z - nearest) / d is that normal
+        dom = _PLANAR_DOMAINS[name]
+        z = random_interior_points(dom, 200, seed=4)
+        bp = boundary_distance(dom, z)
+        np.testing.assert_allclose(bp.normal, (z - bp.nearest) / bp.d, rtol=0.0, atol=1e-12)
+
 
 def _assert_quadratic_batch_equals_points(dom, z):
     batch = boundary_distance(dom, z)
-    assert batch.d.shape == (len(z),) and batch.nearest.shape == z.shape
-    for zj, dj, wj in zip(z, batch.d, batch.nearest):
+    assert batch.d.shape == (len(z),) and batch.nearest.shape == batch.normal.shape == z.shape
+    for zj, dj, wj, nj in zip(z, batch.d, batch.nearest, batch.normal):
         one = boundary_distance(dom, zj)
         assert type(one.d) is float and one.d == dj
-        assert np.array_equal(one.nearest, wj)
+        assert np.array_equal(one.nearest, wj) and np.array_equal(one.normal, nj)
 
 
 class TestQuadraticDistanceBatch:
@@ -1187,6 +1197,15 @@ class TestQuadraticDistanceBatch:
                 np.zeros((1, 2)), [[1.0 - 2.0**-i, 0.0] for i in range(1, 53)],
                 random_interior_points(make(), 5, seed=4)]
         _assert_quadratic_batch_equals_points(make(), np.concatenate(rows).astype(complex))
+
+    @pytest.mark.parametrize("make", [lambda: ball(2), ellipsoid, lambda: ellipsoid(0.3, 3)])
+    def test_tangent_ball_takes_the_normal(self, make):
+        dom = make()
+        z = random_interior_points(dom, 50, seed=1)
+        bp = boundary_distance(dom, z)
+        np.testing.assert_allclose(bp.normal, (z - bp.nearest) / bp.d[:, None], rtol=0.0, atol=1e-12)
+        for x, n in zip(bp.nearest, bp.normal):
+            assert dom.tangent_ball_radius(x, n) > 0.0
 
     def test_centre_of_ball(self):
         bp = boundary_distance(ball(2), np.zeros((3, 2)))
@@ -1282,12 +1301,36 @@ class TestSliceDistance:
 
     def test_planar_disc_at_a_corner_raises(self):
         # in the unit square the disc tangent at an edge's midpoint is the
-        # inscribed circle, while at a corner no tangent disc holds the point
+        # inscribed circle; next to a corner the nearest point is on an edge,
+        # and the disc tangent there is inscribed in the corner
         square = PlanarDomain(PolylineCurve([0, 1, 1 + 1j, 1j]))
         radius, offset = square.slice_disc(0.5 + 0.1j, 1.0)
         assert radius == pytest.approx(0.5, abs=1e-12) and offset == pytest.approx(0.4j, abs=1e-12)
+        radius, offset = square.slice_disc(0.01 + 0.01j, 1.0)
+        assert radius == pytest.approx(0.01, abs=1e-15) and abs(offset) <= 1e-15
+        # the nearest point of 0.99 + 0.8j is the reflex corner 1 + 1j, whose normal
+        # is that of the edge leaving it, and no disc tangent there holds the point
+        ell = PlanarDomain(PolylineCurve([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]))
+        assert boundary_distance(ell, 0.99 + 0.8j).nearest == 1 + 1j
         with pytest.raises(DomainError, match="tangent disc misses"):
-            square.slice_disc(0.01 + 0.01j, 1.0)
+            ell.slice_disc(0.99 + 0.8j, 1.0)
+        # the nearest point of phi(2^-50) is the image's cusp, where the curve has no normal
+        omega, z = _PLANAR_DOMAINS["omega_zlogz"], phi_map(2.0**-50)
+        bp = boundary_distance(omega, z)
+        assert bp.nearest == 0 and np.isnan(bp.normal)
+        with pytest.raises(DomainError, match="no boundary normal"):
+            omega.slice_disc(z, 1.0)
+
+    def test_planar_centre_lies_on_the_normal_through_z(self):
+        # the centre, the nearest point and z are collinear: the centre is on the
+        # inward normal at the nearest point, and so is z
+        lens = _PLANAR_DOMAINS["omega_prime"]
+        z = random_interior_points(lens, 200, seed=4)
+        radius, offset = lens.slice_disc(z, 1j)
+        foot = boundary_distance(lens, z).nearest
+        to_centre, to_z = z + offset * 1j - foot, z - foot
+        sine = (np.conj(to_centre) * to_z).imag / (np.abs(to_centre) * np.abs(to_z))
+        assert np.max(np.abs(sine)) <= 1e-11
 
     @pytest.mark.parametrize("make", [ball, ellipsoid])
     def test_outside_row_raises(self, make):

@@ -176,7 +176,7 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == _COUNTEREXAMPLE_SEED7
 
     @pytest.mark.parametrize("name, digest", [
-        pytest.param("disc", "2351c8ea62ca4877b27c001932fa697d2a44e2e5866320c0d333666f0b254fab", id="disc"),
+        pytest.param("disc", "c3fac891a76632b05b87b9beaca24cfd2507145a1e55068205ddcc8de2fc6e59", id="disc"),
         pytest.param("ball", "d169de14160690698c46b74811316200de1027f537a1674cbe2aac158cf744ec", id="ball"),
         pytest.param("ellipsoid", "0ae8ba7a2e50460caf0c57854a5a02d7feef92b9d7e4c7141c9794d2cac28f89", id="ellipsoid"),
         pytest.param("omega_prime", "9d9239865f8d7a4de182073af2dfe8aadfbfb6b2b2c3f1bfaadf09e522afb31e", id="omega_prime"),
@@ -186,7 +186,8 @@ class TestSerialization:
         # quadratic presets, the closed-form distance in the slice disc; the
         # disc's, again with ties among sample distances taken by lower index,
         # once more with one Brent lane per window that wraps past t = 0, and
-        # again with the nearest points and tangent radii found as zeros of slopes
+        # again with the nearest points and tangent radii found as zeros of slopes,
+        # and with each slice disc's foot and normal from its point's own distance query
         text = emit(run_lemma22(ExperimentConfig("lemma22", domain_preset=name, scales=20)), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -1,13 +1,16 @@
 """Every name a module exports resolves, so ``from module import *`` works,
-and the library itself reaches it.
+and the library itself reaches it, as it reaches every public method and
+property of an exported class.
 
 A stale ``__all__`` entry (a deleted class or function left in the list)
-makes the star import raise ``AttributeError``; an exported name that only
-tests use is code to delete, or to move into the test that needs it.
+makes the star import raise ``AttributeError``; an exported name or a method
+that only tests use is code to delete, or to move into the test that needs it.
 """
 
 import ast
+import functools
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -34,7 +37,7 @@ def test_all_resolves_and_star_import_succeeds(name):
 
 
 # the acceptance gate's API: the gate's tests are its only callers
-_GATE_API = {"norm_psi_identity", "annulus_squeeze_lower"}
+_GATE_API = {"norm_psi_identity", "annulus_squeeze_lower", "psi_invert"}
 
 
 def _reached_names(tree) -> set:
@@ -65,14 +68,33 @@ def _reached_names(tree) -> set:
     return used
 
 
-def test_every_export_is_reached_outside_the_tests():
+@functools.cache
+def _library_reached() -> frozenset:
+    """The names that the library and the benchmark, test files aside, reach (``_reached_names``)."""
     root = Path(__file__).resolve().parents[1]
     reached = set()
     for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
         if not path.name.startswith("test_"):
             reached |= _reached_names(ast.parse(path.read_text(), str(path)))
+    return frozenset(reached)
+
+
+def test_every_export_is_reached_outside_the_tests():
     unreached = [f"{name}.{n}" for name in MODULES for n in getattr(importlib.import_module(name), "__all__", [])
-                 if n not in reached and n not in _GATE_API]
+                 if n not in _library_reached() and n not in _GATE_API]
+    assert unreached == []
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    unreached = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for cls in (getattr(module, n) for n in getattr(module, "__all__", [])):
+            if not inspect.isclass(cls):
+                continue
+            unreached += [f"{name}.{cls.__name__}.{attr}" for attr, value in vars(cls).items()
+                          if not attr.startswith("_") and attr not in _library_reached()
+                          and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))]
     assert unreached == []
 
 
