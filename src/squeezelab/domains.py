@@ -44,7 +44,7 @@ __all__ = [
 
 
 class Curve:
-    """Closed parameterized boundary curve, t in [0, 1) periodic."""
+    """Closed parameterized boundary curve, t in [0, 1) periodic, defined by its ``jet``."""
 
     def __init__(self, params: np.ndarray):
         self._params = np.asarray(params, dtype=float)
@@ -52,10 +52,10 @@ class Curve:
         self._index = None
 
     def point(self, t):
-        raise NotImplementedError
+        return self.jet(t)[0]
 
     def jet(self, t):
-        """The curve points ``point(t)`` and their derivatives in t, from one evaluation; batch-first."""
+        """The curve points at the parameters ``t`` and their derivatives in t, from one evaluation; batch-first."""
         raise NotImplementedError
 
     @property
@@ -267,42 +267,48 @@ class _SampleIndex:
             odd[near], on_sample[near] = self._strip(z.real[near], z.imag[near])
         return odd, on_sample
 
-    def bounds(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distance from each point of ``z`` to the nearest block box, and the least distance to a block's farthest corner.
+    def squares(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The squared distances from each point of ``z`` to each block's box and to its farthest corner, a row per point."""
+        box, corner = np.empty((len(z), len(self.starts))), np.empty((len(z), len(self.starts)))
+        for block in _blocks(len(z), len(self.starts)):
+            box[block], corner[block] = _box_squares(z[block, None], *self.boxes)
+        return box, corner
+
+    def bounds(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The distance from each point of ``z`` to the nearest block box and the least distance to a block's farthest
+        corner, then the ``squares`` they come from.
 
         Every sample lies in its block's box, so the first is a lower and the
         second an upper bound on the distance to the nearest sample.
         """
-        box, corner = np.empty(len(z)), np.empty(len(z))
-        for block in _blocks(len(z), len(self.starts)):
-            near, far = _box_squares(z[block, None], *self.boxes)
-            box[block], corner[block] = near.min(axis=1), far.min(axis=1)
-        return np.sqrt(box), np.sqrt(corner)
+        box, corner = self.squares(z)
+        return np.sqrt(box.min(axis=1)), np.sqrt(corner.min(axis=1)), box, corner
 
-    def least(self, z: np.ndarray, k: int) -> np.ndarray:
+    def least(self, z: np.ndarray, k: int, box=None, corner=None) -> np.ndarray:
         """Indices of the ``k`` samples nearest each point of ``z``, in ``_least``'s order (ties to the lower index).
 
-        A block of k samples or more has k within its box's farthest corner
-        from z, so only the blocks no farther than the nearest such corner
-        are measured, by ``np.abs(points - z)``.
+        ``box`` and ``corner`` are the ``squares`` of these points, found
+        here when not given.  A block of k samples or more has k within
+        its box's farthest corner from z, so only the blocks no farther than
+        the nearest such corner are measured, by ``np.abs(points - z)``.
         """
+        if box is None:
+            box, corner = self.squares(z)
+        reach = np.min(corner, axis=1, where=self.sizes >= k, initial=np.inf, keepdims=True)
+        # squares keep their relative precision down to tiny, and a tiny square may keep no digits
+        near = box <= reach * (1.0 + 2e-9) + np.finfo(float).tiny
+        count = near @ self.sizes  # each row's candidate samples, which also bound the rows of a block
         out = np.empty((len(z), k), dtype=np.intp)
-        for block in _blocks(len(z), len(self.starts)):
-            box, corner = _box_squares(z[block, None], *self.boxes)
-            reach = np.min(corner, axis=1, where=self.sizes >= k, initial=np.inf, keepdims=True)
-            # squares keep their relative precision down to tiny, and a tiny square may keep no digits
-            near = box <= reach * (1.0 + 2e-9) + np.finfo(float).tiny
-            count = near @ self.sizes  # each row's candidate samples, which also bound the rows of a block
-            for rows in _blocks(len(near), count.max()):
-                # the candidates' samples, row after row and in order within a row
-                row, run = np.nonzero(near[rows])
-                size = self.sizes[run]
-                row = np.repeat(row, size)
-                sample = np.repeat(self.starts[run] - np.cumsum(size) + size, size) + np.arange(len(row))
-                first = np.cumsum(count[rows]) - count[rows]
-                v = np.full((len(first), count[rows].max()), np.inf)  # a row's unused tail stays infinite
-                v[row, np.arange(len(row)) - first[row]] = np.abs(self.points[sample] - z[block][rows][row])
-                out[block][rows] = sample[first[:, None] + _least(lambda r: v[r], len(first), v.shape[1], k)]
+        for rows in _blocks(len(z), count.max(initial=1)):
+            # the candidates' samples, row after row and in order within a row
+            row, run = np.nonzero(near[rows])
+            size = self.sizes[run]
+            row = np.repeat(row, size)
+            sample = np.repeat(self.starts[run] - np.cumsum(size) + size, size) + np.arange(len(row))
+            first = np.cumsum(count[rows]) - count[rows]
+            v = np.full((len(first), count[rows].max()), np.inf)  # a row's unused tail stays infinite
+            v[row, np.arange(len(row)) - first[row]] = np.abs(self.points[sample] - z[rows][row])
+            out[rows] = sample[first[:, None] + _least(lambda r: v[r], len(first), v.shape[1], k)]
         return out
 
 
@@ -314,21 +320,18 @@ def _merged(t: np.ndarray, extra_params) -> np.ndarray:
 
 
 class ParamCurve(Curve):
-    """Curve given by an explicit callable t -> complex point and its derivative ``deriv``, t -> d point / dt."""
+    """Curve given by one callable ``jet``, t -> (complex point, d point / dt), read at t modulo 1; ``n`` samples."""
 
-    def __init__(self, func, deriv=None, n: int = 4096, extra_params=None):
-        if not callable(deriv):
-            raise ConfigError("a ParamCurve needs the derivative of its parameterisation")
-        self.func = func
-        self.deriv = deriv
+    def __init__(self, jet, n: int = 4096, extra_params=None):
+        if not callable(jet):
+            raise ConfigError("a ParamCurve needs a callable jet, t -> (point, derivative)")
+        n = _integer(n, "sample count n", 3)
+        self._jet = jet
         super().__init__(_merged(np.arange(n) / n, extra_params))
 
-    def point(self, t):
-        return self.func(np.asarray(t, dtype=float) % 1.0)
-
     def jet(self, t):
-        t = np.asarray(t, dtype=float) % 1.0
-        return self.func(t), self.deriv(t)
+        t = np.asarray(t, dtype=float)
+        return self._jet(t - np.floor(t))  # t % 1.0, bit for bit, without its costly fmod
 
 
 class CircleCurve(Curve):
@@ -342,36 +345,30 @@ class CircleCurve(Curve):
         if isinstance(orientation, bool) or orientation not in (1, -1):
             raise ConfigError(f"circle orientation must be +1 or -1, not {orientation!r}")
         self.orientation = int(orientation)
+        n = _integer(n, "sample count n", 3)
         super().__init__(np.arange(n) / n)
 
-    def _turn(self, t):
-        return np.exp(1j * (2.0 * np.pi * (np.asarray(t, dtype=float) % 1.0) * self.orientation))
-
-    def point(self, t):
-        return self.center + self.radius * self._turn(t)
-
     def jet(self, t):
-        e = self._turn(t)
+        t = np.asarray(t, dtype=float)
+        e = np.exp(1j * (2.0 * np.pi * (t - np.floor(t)) * self.orientation))  # t % 1.0, as in ``ParamCurve.jet``
         return self.center + self.radius * e, (2j * np.pi * self.orientation * self.radius) * e
 
 
 class MappedCurve(Curve):
-    """Pointwise image of another curve under a holomorphic map, ``deriv`` its derivative."""
+    """Pointwise image of another curve under a holomorphic map given by its ``jet``, b -> (f(b), f'(b))."""
 
-    def __init__(self, base: Curve, mapping, deriv=None, extra_params=None):
-        if not callable(deriv):
-            raise ConfigError("a MappedCurve needs the derivative of its map")
+    def __init__(self, base: Curve, jet, *, extra_params=None):
+        if not callable(jet):
+            raise ConfigError("a MappedCurve needs a callable jet of its map, b -> (f(b), f'(b))")
         self.base = base
-        self.mapping = mapping
-        self.deriv = deriv
+        self._jet = jet
         super().__init__(_merged(base.params, extra_params))
-
-    def point(self, t):
-        return self.mapping(self.base.point(t))
 
     def jet(self, t):
         b, db = self.base.jet(t)
-        return self.mapping(b), self.deriv(b) * db
+        f, df = self._jet(b)
+        with np.errstate(invalid="ignore"):  # where f' is unbounded, as z log z's at 0, the product is not finite
+            return f, df * db
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +709,9 @@ def _planar_distances(queries) -> list[DomainPoint]:
     by a relative 1e-9, the least of these upper bounds plus 2 gap, or the
     nearest sample's distance plus 2 gap on a curve scanned before it, is
     left out, the outer curve too; lanes are independent, so every bit
-    stays.
+    stays.  The points go in row blocks (``_blocks``), and each curve's
+    squared distances from a block to its block boxes serve both these
+    bounds and its nearest-sample search, so each curve is scanned once.
     """
     flats = []
     for dom, z in queries:
@@ -732,16 +731,23 @@ def _planar_distances(queries) -> list[DomainPoint]:
     curves, windows, base = [], [], 0
     for (dom, _), z in zip(queries, flats):
         indices = [curve._sample_index() for curve in dom.curves()]
-        bounds = [index.bounds(z) for index in indices]
-        reach = np.min([far + 2.0 * index.gap for index, (_, far) in zip(indices, bounds)], axis=0)
-        for c, (curve, index, (box, _)) in enumerate(zip(dom.curves(), indices, bounds)):
-            near = np.flatnonzero(box - 2.0 * index.gap <= reach * (1.0 + 1e-9))
-            if c and not len(near):  # a hole no point needs; the outer curve always runs, even for no points
-                continue
-            closest = index.least(z[near], min(4, len(curve.params)))
-            reach[near] = np.minimum(reach[near], np.abs(curve.points()[closest[:, 0]] - z[near]) + 2.0 * index.gap)
-            curves.append(curve)
-            windows.append((*_windows(curve, closest.ravel()), base + np.repeat(near, closest.shape[1])))
+        parts = [[] for _ in indices]  # each curve's windows, row block after row block
+        # an empty query keeps one empty row block: the outer curve always runs, even for no points
+        for rows in _blocks(max(len(z), 1), sum(len(index.starts) for index in indices)):
+            zr = z[rows]
+            bounds = [index.bounds(zr) for index in indices]
+            reach = np.min([far + 2.0 * index.gap for index, (_, far, *_) in zip(indices, bounds)], axis=0)
+            for c, (curve, index, (box, _, *squares)) in enumerate(zip(dom.curves(), indices, bounds)):
+                near = np.flatnonzero(box - 2.0 * index.gap <= reach * (1.0 + 1e-9))
+                if c and not len(near):  # a hole no point of the block needs
+                    continue
+                closest = index.least(zr[near], min(4, len(curve.params)), *(s[near] for s in squares))
+                reach[near] = np.minimum(reach[near], np.abs(curve.points()[closest[:, 0]] - zr[near]) + 2.0 * index.gap)
+                parts[c].append((*_windows(curve, closest.ravel()), base + rows.start + np.repeat(near, closest.shape[1])))
+        for curve, part in zip(dom.curves(), parts):
+            if part:
+                curves.append(curve)
+                windows.append(tuple(np.concatenate(x) for x in zip(*part)))
         base += len(z)
     _, w, tangents, owner = _refine(curves, windows, sq_dist)
     dw = w - flat[owner]
@@ -976,16 +982,6 @@ _LENS_HOLE_SAMPLES = 1024
 _CUSP_STEPS = 2.0 ** (-np.arange(1, 52, dtype=float)) / (4.0 * _LENS_FLAT_HALF)
 
 
-def _lens_profile(y):
-    """Width of the domain at height y; C-infinity, vanishing at +-flat_half."""
-    y = np.asarray(y, dtype=float)
-    y2 = _LENS_FLAT_HALF**2
-    out = np.zeros_like(y)
-    inside = np.abs(y) < _LENS_FLAT_HALF
-    out[inside] = _LENS_WIDTH * np.exp(-y[inside] ** 2 / (y2 - y[inside] ** 2))
-    return out
-
-
 def build_omega_prime() -> PlanarDomain:
     """Smooth doubly connected domain in the right half plane.
 
@@ -1007,26 +1003,27 @@ def build_omega_prime() -> PlanarDomain:
     """
     Y = _LENS_FLAT_HALF
 
-    def outer(t):
-        out = np.empty(t.shape, dtype=complex)
-        arc = t < 0.5  # right-side graph, bottom to top (ccw)
-        y = 4.0 * Y * t[arc] - Y
-        out[arc] = _lens_profile(y) + 1j * y
-        y = 3.0 * Y - 4.0 * Y * t[~arc]  # axis segment, top to bottom
-        out[~arc] = 1j * y
-        return out
-
-    def tangent(t):  # d outer / dt: 4Y (dx/dy + i) on the graph, dx/dy = -2y Y^2 x / (Y^2 - y^2)^2, and -4Yi on the segment
-        y = 4.0 * Y * t - Y
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # where |y| >= Y, masked below
+    def lens(t):
+        # for t < 1/2 the graph x = width exp(-y^2/(Y^2-y^2)), bottom to top (ccw), where d/dt is 4Y (dx/dy + i),
+        # dx/dy = -2y Y^2 x / (Y^2 - y^2)^2; then the axis segment, top to bottom, where it is -4Yi
+        arc, s = t < 0.5, 4.0 * Y * t
+        y = np.where(arc, s - Y, 3.0 * Y - s)
+        q, dq = 1j * y, np.full(t.shape, -4.0j * Y)
+        if arc.any():  # the graph's points
+            y = y[arc]
+            x, slope = np.zeros_like(y), np.zeros_like(y)  # as at the tips, |y| = Y
+            inside = np.abs(y) < Y
+            y = y[inside]
             gap = Y * Y - y * y
-            slope = -2.0 * y * (Y * Y) * (_LENS_WIDTH * np.exp(-y * y / gap)) / (gap * gap)
-        slope = np.where((t < 0.5) & (np.abs(y) < Y), slope, 0.0)
-        return np.where(t < 0.5, 4.0 * Y * (slope + 1j), -4.0j * Y)
+            x[inside] = bump = _LENS_WIDTH * np.exp(-y * y / gap)
+            slope[inside] = -2.0 * y * (Y * Y) * bump / (gap * gap)
+            q[arc] += x
+            dq[arc] = 4.0 * Y * (slope + 1j)
+        return q, dq
 
     dt = _CUSP_STEPS
     extra = np.concatenate([0.75 + dt, 0.75 - dt, 0.25 + dt / 2, 0.25 - dt / 2])
-    outer_curve = ParamCurve(outer, tangent, n=_LENS_SAMPLES, extra_params=extra)
+    outer_curve = ParamCurve(lens, n=_LENS_SAMPLES, extra_params=extra)
     hole = CircleCurve(_LENS_HOLE_CENTER, _LENS_HOLE_RADIUS, orientation=-1, n=_LENS_HOLE_SAMPLES)
     return PlanarDomain(outer_curve, [hole], name="omega_prime")
 
@@ -1052,12 +1049,14 @@ def phi_deriv(z):
     z = np.asarray(z, dtype=complex)
     if np.any(np.atleast_1d(z) == 0):
         raise DomainError("derivative unbounded at 0")
-    return _log_plus_one(z)
-
-
-def _log_plus_one(z):
-    """``phi_deriv`` without its check: at 0, where the derivative is unbounded, -inf, with numpy's warning."""
     return np.log(z) + 1.0
+
+
+def _zlogz_jet(b):
+    """``phi_map`` and its derivative log b + 1 at the points ``b`` from one log, the derivative -inf at 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and 0 log 0 is NaN until masked
+        log = np.log(b)
+        return np.where(b != 0, b * log, 0.0), log + 1.0
 
 
 def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
@@ -1067,8 +1066,8 @@ def build_omega(omega_prime: PlanarDomain) -> PlanarDomain:
     # the image's cusp is the image of the lens's origin
     extra = np.concatenate([0.75 + _CUSP_STEPS, 0.75 - _CUSP_STEPS])
     # at the cusp the chain rule gives a NaN slope, which brackets no minimum
-    outer = MappedCurve(omega_prime.outer, phi_map, _log_plus_one, extra_params=extra)
-    holes = [MappedCurve(h, phi_map, _log_plus_one) for h in omega_prime.holes]
+    outer = MappedCurve(omega_prime.outer, _zlogz_jet, extra_params=extra)
+    holes = [MappedCurve(h, _zlogz_jet) for h in omega_prime.holes]
     return PlanarDomain(outer, holes, name="omega_zlogz")
 
 

@@ -4,6 +4,7 @@ Oracles: exact distances for the disc, ball, and ellipsoid; hand-evaluated
 values of the map z log z and its collisions outside the source lens.
 """
 
+import collections
 import gc
 import hashlib
 import subprocess
@@ -57,9 +58,6 @@ class PolylineCurve(Curve):
         self._total = cum[-1]
         self._cum = cum / self._total
         super().__init__(self._cum[:-1])
-
-    def point(self, t):
-        return self.jet(t)[0]
 
     def jet(self, t):
         t = np.asarray(t, dtype=float) % 1.0
@@ -272,6 +270,48 @@ class TestOmega:
         assert 0.2 * p * abs(np.log(p)) < d < 2.0 * p * abs(np.log(p))
 
 
+def _jet_params(curve) -> np.ndarray:
+    """The curve's samples, 2,000 uniform parameters past t = 1, the cusp and tip steps, and 0, 1/4, 1/2, 3/4 and the
+    parameters just below them."""
+    half = domains._CUSP_STEPS / 2
+    ends = np.array([0.0, 0.25, 0.5, 0.75])
+    return np.concatenate([curve.params, np.random.default_rng(34).uniform(0.0, 1.25, 2000),
+                           0.75 + domains._CUSP_STEPS, 0.75 - domains._CUSP_STEPS, 0.25 + half, 0.25 - half,
+                           ends, np.nextafter(ends, 0.0)])
+
+
+class TestCurveBits:
+    """The lens's and its image's curves keep their sample points, points and derivatives bit for bit."""
+
+    # sha256 of points(), then of jet(_jet_params) as points and derivatives, for the outer curve and the hole
+    _DIGESTS = {
+        "omega_prime": [
+            ("a81bf7dbc41fab8ac9601f6cbd304919dfe9e4a450f30bef0c2b30b9a7f11c9f",
+             "6d1a8f28fd97e56950e1d5d90925cba1ef1a16be257f28d580337af16eeb057a",
+             "25ef07a983edb6b658c8eef31de23e00429ed668e2ad9f75e7f1c638d8cd91da"),
+            ("535d32294ce9abbfed1f4ee21b403a22fb3bde743756c6cee2e19763cbe876d8",
+             "fd169bcfe49da43d727d10b8ae755cf38c4839657b7629dfedf9c6dd587eb8cf",
+             "06b30e00941fccfa96a691046345ad7400a93beba2257b942e7f88c495fd53e8"),
+        ],
+        "omega_zlogz": [
+            ("1585d0666b74c6eec078c3b2fd2d96d8ef2100abfd47dc1cdcac3be093fb2171",
+             "49fd40588b134116bb8438af6514be7a66a151b747e9a9b7a2ed1e52be4f2b94",
+             "d8fc5ce10aca64d1cc54d2d1d57f1abf232b8bc3e6682d97c37795d4b3f52b3a"),
+            ("9fedef8b9c62505af83de9b719295d4ddfb705b3f4a9cac78a41abf2f5088d45",
+             "3fea47e5a2ccd447f658b0a3129f3af611e98a8a649c3f3255aa587c3819a082",
+             "bf0c5d7bb4df030f99e263e4a39d9940a8984c863bf2f961867ab85809641216"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(_DIGESTS))
+    def test_points_and_derivatives_frozen(self, name, omega_prime, omega):
+        dom = {"omega_prime": omega_prime, "omega_zlogz": omega}[name]
+        for curve, digests in zip(dom.curves(), self._DIGESTS[name]):
+            with np.errstate(divide="ignore", invalid="ignore"):  # the image's derivative is infinite at 0.75
+                q, dq = curve.jet(_jet_params(curve))
+            assert tuple(hashlib.sha256(x.tobytes()).hexdigest() for x in (curve.points(), q, dq)) == digests
+
+
 class TestUtilities:
     def test_winding_guard_on_boundary_sample(self):
         d = disc()
@@ -330,6 +370,20 @@ class TestUtilities:
             CircleCurve(center, radius)
         with pytest.raises(ConfigError, match="circle"):
             annulus(0.3, center=center, scale=radius)
+
+    @pytest.mark.parametrize("n", [2.5, True, 2, 0, -1])
+    def test_a_curve_has_three_samples_or_more(self, n):
+        # n = 2.5 built the 3 samples t = 0, 0.4 and 0.8, and n = 0, 1, 2 or True a curve whose
+        # domain then failed with "outer curve must be positively oriented"
+        def jet(t):
+            e = np.exp(2j * np.pi * t)
+            return e, 2j * np.pi * e
+
+        with pytest.raises(ConfigError, match="sample count n"):
+            ParamCurve(jet, n=n)
+        with pytest.raises(ConfigError, match="sample count n"):
+            CircleCurve(0.0, 1.0, n=n)
+        assert len(ParamCurve(jet, n=np.int64(3)).points()) == len(CircleCurve(0.0, 1.0, n=3).points()) == 3
 
     def test_presets(self):
         assert preset("disc").connectivity == 1
@@ -514,6 +568,21 @@ def _tiny_domain():
 
 
 _GRID_DOMAINS = {**_PLANAR_DOMAINS, "far_annulus": _far_annulus(), "tiny": _tiny_domain()}
+
+
+class TestQueryMemory:
+    def test_a_large_query_holds_little_memory(self, omega_prime):
+        # each curve's squared distances to its block boxes are held for one row block of points at a time;
+        # held for all 2,000 points at once they took the peak from 3.5 MB to 11.4 MB
+        z = random_interior_points(omega_prime, 2000, seed=1)
+        boundary_distance(omega_prime, z[:10])  # imports and caches that a first query leaves behind
+        tracemalloc.start()
+        try:
+            boundary_distance(omega_prime, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestCellGrid:
@@ -751,21 +820,28 @@ class TestBoundedBrent:
         grid = np.arange(64) / 64
 
         def on_samples_only(t):
-            return np.where(np.isin(t, grid), np.exp(2j * np.pi * t), np.nan)
+            e = np.where(np.isin(t, grid), np.exp(2j * np.pi * t), np.nan)
+            return e, 2j * np.pi * e
 
-        def deriv(t):
-            return np.where(np.isin(t, grid), 2j * np.pi * np.exp(2j * np.pi * t), np.nan)
-
-        dom = PlanarDomain(ParamCurve(on_samples_only, deriv, n=64))
+        dom = PlanarDomain(ParamCurve(on_samples_only, n=64))
         assert dom.contains(0.1 + 0.03j)  # whose nearest point lies between samples
         with pytest.raises(SolverError, match="NaN"):
             boundary_distance(dom, 0.1 + 0.03j)
 
     def test_a_curve_needs_its_derivative(self):
-        with pytest.raises(ConfigError, match="derivative"):
-            ParamCurve(lambda t: np.exp(2j * np.pi * t))
-        with pytest.raises(ConfigError, match="derivative"):
-            MappedCurve(disc().outer, phi_map)
+        # a curve is its one callable jet, which gives the derivatives with the points
+        for jet in (None, 0.5, np.exp(2j * np.pi * np.arange(8) / 8)):
+            with pytest.raises(ConfigError, match="callable jet"):
+                ParamCurve(jet)
+            with pytest.raises(ConfigError, match="callable jet"):
+                MappedCurve(disc().outer, jet)
+
+    def test_a_point_and_a_derivative_callable_raise(self):
+        # the second callable is no sample count, and a map takes its jet alone
+        with pytest.raises(ConfigError, match="sample count n"):
+            ParamCurve(lambda t: np.exp(2j * np.pi * t), lambda t: 2j * np.pi * np.exp(2j * np.pi * t))
+        with pytest.raises(TypeError):
+            MappedCurve(disc().outer, phi_map, phi_deriv)
 
     def test_a_window_ending_at_the_cusp(self, recwarn):
         # at t = 0.75 the lens's origin maps to the image's cusp, where phi' is
@@ -1071,6 +1147,29 @@ class TestOneBrentRun:
         assert len(runs) == 1
         assert curve_windows == [[len(q) * 4, len(p) * 4]]
 
+    def test_each_curve_point_evaluated_once(self, monkeypatch):
+        # in the report's query each pass evaluates a curve's points and derivatives in one jet call, the lens's
+        # for its own windows and for the image's, and each curve's block squares serve its bounds and its
+        # nearest samples
+        lens, omega = _PLANAR_DOMAINS["omega_prime"], _PLANAR_DOMAINS["omega_zlogz"]
+        p, q = _report_points(lens)
+        boundary_distance(omega, q, (lens, p))  # the curves' samples and indices, which a first query builds
+        calls = collections.Counter()
+
+        def spy(name, f):
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return counted
+
+        monkeypatch.setattr(lens.outer, "_jet", spy("lens", lens.outer._jet))
+        for curve in omega.curves():
+            monkeypatch.setattr(curve, "_jet", spy("z log z", curve._jet))
+        monkeypatch.setattr(domains, "_box_squares", spy("squares", domains._box_squares))
+        boundary_distance(omega, q, (lens, p))
+        assert calls == {"lens": 8, "z log z": 7, "squares": 4}
+
     @pytest.mark.parametrize("z", [0.9, 0.9 + 1e-9j])
     def test_a_window_past_t_0_is_one_lane(self, z, runs, curve_windows):
         # the four samples nearest z straddle t = 0, and the windows about two of them wrap;
@@ -1121,9 +1220,13 @@ class TestOneBrentRun:
 
 
 def _param_circle(center, radius, n=2048):
-    """A circle given as a plain ``ParamCurve``, by a callable and its derivative."""
-    return ParamCurve(lambda t: center + radius * np.exp(2j * np.pi * t),
-                      lambda t: 2j * np.pi * radius * np.exp(2j * np.pi * t), n=n)
+    """A circle given as a plain ``ParamCurve``, by one callable giving its points and their derivatives."""
+
+    def jet(t):
+        e = np.exp(2j * np.pi * t)
+        return center + radius * e, 2j * np.pi * radius * e
+
+    return ParamCurve(jet, n=n)
 
 
 class TestNearestPointAccuracy:
